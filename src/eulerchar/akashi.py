@@ -18,12 +18,11 @@ alone; callers are told as much.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import InputError, PrecisionError, PrimeMismatchError
 from .lambda_algebra import (LambdaSeries, leading_term, min_coeff_valuation,
-                             series_from_text, weierstrass_prepare)
+                             series_from_doc, weierstrass_prepare)
 from .padics import PowerOfP
 
 
@@ -46,23 +45,15 @@ class AkashiData:
                 "char_elements": [g.to_json() for g in self.char_elements]}
 
     @classmethod
-    def from_json(cls, doc, default_precision: int = 16,
-                  default_degree: int = 32) -> "AkashiData":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
+    def from_json(cls, doc) -> "AkashiData":
+        """One series entry per degree, read by :func:`series_from_doc`."""
         try:
-            p = int(doc["p"])
-            precision = int(doc.get("N", default_precision))
-            degree = int(doc.get("D", default_degree))
-            elements = []
-            for entry in doc["char_elements"]:
-                if isinstance(entry, str):
-                    elements.append(series_from_text(p, entry, precision, degree))
-                else:
-                    elements.append(LambdaSeries.from_json(entry))
-        except (KeyError, TypeError, ValueError) as exc:
+            p, entries = doc["p"], doc["char_elements"]
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed Akashi document: {exc}") from None
-        return cls(p, tuple(elements))
+        if not isinstance(entries, list):
+            raise InputError("malformed Akashi document: 'char_elements' must be a list")
+        return cls(p, tuple(series_from_doc(entry, doc) for entry in entries))
 
 
 @dataclass(frozen=True)

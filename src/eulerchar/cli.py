@@ -18,10 +18,9 @@ from .akashi import (AkashiData, akashi_leading, akashi_series,
 from .curves import Curve, count_points, euler_factor, is_ordinary, x1_11
 from .cyclotomic_fields import ExtensionSpec, infinite_inertia_places, infinite_inertia_set, split
 from .errors import InputError, PrecisionError
-from .euler_char import (build_chi_input, large_selmer_chi,
-                         local_cardinalities, theorem_chi)
+from .euler_char import build_chi_input, local_cardinalities, theorem_chi
 from .gamma_modules import TorsionModule, finite_level_oracle, generalized_chi
-from .lambda_algebra import LambdaSeries, leading_term, series_from_text, weierstrass_prepare
+from .lambda_algebra import leading_term, series_from_doc, weierstrass_prepare
 from .padics import PowerOfP, format_rational
 
 PAPER_NOTE = "magnitude convention: paper, |x|_p = p^(+v_p(x)), applied to Euler-factor products"
@@ -53,20 +52,6 @@ def _load_json(text_or_path: str):
         raise InputError(f"malformed JSON: {exc}") from None
 
 
-def _load_series(text_or_path: str) -> LambdaSeries:
-    doc = _load_json(text_or_path)
-    if "coeffs" in doc:
-        return LambdaSeries.from_json(doc)
-    if "poly" in doc:
-        try:
-            p = int(doc["p"])
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"malformed series document: {exc}") from None
-        return series_from_text(p, str(doc["poly"]), int(doc.get("N", 16)),
-                                int(doc.get("D", 32)))
-    raise InputError("series document needs either 'coeffs' or 'poly'")
-
-
 # -- handlers ----------------------------------------------------------------
 
 
@@ -90,7 +75,7 @@ def _handle_euler_factor(args):
 
 
 def _handle_prep(args):
-    series = _load_series(args.series)
+    series = series_from_doc(_load_json(args.series))
     form = weierstrass_prepare(series)
     results = {
         "mu": form.mu,
@@ -105,7 +90,7 @@ def _handle_prep(args):
 
 
 def _handle_leading(args):
-    series = _load_series(args.series)
+    series = series_from_doc(_load_json(args.series))
     term = leading_term(series)
     results = {"alpha": term.alpha, "alpha_valuation": term.alpha_valuation,
                "k": term.k}
@@ -153,7 +138,7 @@ def _handle_akashi(args):
         "leading": {"alpha_valuation": lead.alpha_valuation, "k": lead.k,
                     "chi_if_finite": str(lead.chi)},
     }
-    if isinstance(doc, dict) and "coranks" in doc:
+    if "coranks" in doc:
         claimed = [int(c) for c in doc["coranks"]]
         results["coranks_claimed"] = claimed
         results["coranks_consistent_with_k"] = coranks_consistent(data, claimed)
@@ -205,9 +190,8 @@ def _handle_theorem(args):
         except (TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed Tamagawa map: {exc}") from None
 
-    chi_input = build_chi_input(curve, ext, chi_gamma, tamagawa)
+    chi_input = build_chi_input(curve, ext, chi_gamma)
     chi_sigma = theorem_chi(chi_input)
-    relaxed = large_selmer_chi(chi_gamma, [ld for _, ld in chi_input.places], p)
 
     place_rows = []
     for splitting, local in chi_input.places:
@@ -224,8 +208,6 @@ def _handle_theorem(args):
         "chi_gamma": str(chi_gamma),
         "euler_product_magnitude": str(chi_sigma / chi_gamma),
         "chi_sigma": str(chi_sigma),
-        "relaxed_selmer_chi": str(relaxed),
-        "bridge_identity_ok": relaxed == chi_sigma,
         "places": place_rows,
     }
     notes = [PAPER_NOTE, CHI_GAMMA_NOTE]

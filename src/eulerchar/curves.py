@@ -1,4 +1,4 @@
-"""Elliptic-curve local data: point counts, traces, Euler factors, checks.
+"""Elliptic-curve local data: point counts, traces, Euler factors, ordinarity.
 
 Curves are given by long Weierstrass equations with exact rational
 coefficients.  Point counting over a prime field is exhaustive: complete
@@ -18,10 +18,9 @@ non-minimal model may falsely report bad reduction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import InputError
 from .padics import check_prime, format_rational, int_valuation, parse_rational
@@ -64,8 +63,6 @@ class Curve:
 
     @classmethod
     def from_json(cls, doc) -> "Curve":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         try:
             coeffs = [parse_rational(str(c)) for c in doc["a"]]
         except (KeyError, TypeError) as exc:
@@ -105,7 +102,7 @@ def count_points(curve: Curve, q: int) -> int:
     b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4) % q
     disc = (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % q
     if disc == 0:
-        raise InputError("singular reduction at q")
+        raise InputError(f"singular reduction at q = {q}")
 
     if q == 2:
         count = 1
@@ -176,27 +173,6 @@ def is_ordinary(a_p: int, p: int) -> bool:
     return a_p % p != 0
 
 
-def weil_weight_check(a: int, q: int, w: int) -> bool:
-    """Do both roots of X^2 - a*X + q^w have complex absolute value q^(w/2)?
-
-    Equivalent to a non-positive discriminant, i.e. a^2 <= 4*q^w; checked
-    by exact integer comparison (cross-multiplied when w < 0).
-    """
-    if q < 2:
-        raise InputError("q must be a prime power >= 2")
-    if w >= 0:
-        return a * a <= 4 * q ** w
-    return a * a * q ** (-w) <= 4
-
-
-def parity_check(weights: Sequence[int]) -> bool:
-    """True when all listed weights share the same parity."""
-    if not weights:
-        raise InputError("no eigenvalue data")
-    first = weights[0] % 2
-    return all(w % 2 == first for w in weights)
-
-
 def quadratic_twist(curve: Curve, d: int) -> Curve:
     """Quadratic twist by d, via the completed-square model.
 
@@ -220,7 +196,6 @@ class CurveLocalData:
     euler_value: Fraction
     euler_valuation_at_p: int
     ordinary_at: Optional[bool]
-    weil_weight_ok: bool
 
     def __post_init__(self):
         if self.a_v != self.q + 1 - self.point_count:
@@ -231,8 +206,7 @@ class CurveLocalData:
     def to_json(self) -> dict:
         out = {"q": self.q, "point_count": self.point_count, "a_v": self.a_v,
                "euler_value": format_rational(self.euler_value),
-               "euler_valuation_at_p": self.euler_valuation_at_p,
-               "weil_weight_ok": self.weil_weight_ok}
+               "euler_valuation_at_p": self.euler_valuation_at_p}
         if self.ordinary_at is not None:
             out["ordinary"] = self.ordinary_at
         return out
@@ -256,5 +230,4 @@ def local_data(curve: Curve, l: int, p: int, residue_degree: int = 1) -> CurveLo
         euler_value=factor.value,
         euler_valuation_at_p=factor.valuation,
         ordinary_at=is_ordinary(a_q, p) if l == p else None,
-        weil_weight_ok=weil_weight_check(a_q, q, 1),
     )

@@ -1,19 +1,19 @@
 """The product formula assembling global and local Euler-characteristic data.
 
-The bridge identity says: the Euler characteristic over the big extension
-equals the cyclotomic-level characteristic times the p-adic magnitude
-(paper convention, p^(+v_p)) of the product of local Euler factors over
-the infinite-inertia places away from p.
+The Euler characteristic over the big extension equals the
+cyclotomic-level characteristic times the p-adic magnitude (paper
+convention, p^(+v_p)) of the product of local Euler factors over the
+infinite-inertia places away from p.
 
 The cyclotomic-level characteristic chi_gamma is always an *input*: its
 computation belongs to the cyclotomic theory and is out of scope here.
-This module certifies the bridge, not the starting point.
+This module evaluates the product, not the starting point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Tuple
 
 from .curves import Curve, CurveLocalData, local_data
 from .cyclotomic_fields import ExtensionSpec, SplittingData, infinite_inertia_places
@@ -30,15 +30,12 @@ class ChiInput:
     """Everything the product formula consumes.
 
     ``places`` pairs the splitting data of each infinite-inertia place away
-    from p with the curve's local data there; ``tamagawa`` optionally maps
-    a rational prime l to the Tamagawa number c_v shared by the places
-    above it (Tamagawa numbers are user input, never computed).
+    from p with the curve's local data there.
     """
 
     p: int
     chi_gamma: PowerOfP
     places: Tuple[Tuple[SplittingData, CurveLocalData], ...]
-    tamagawa: Optional[Mapping[int, int]] = None
 
     def __post_init__(self):
         if self.chi_gamma.prime != self.p:
@@ -61,41 +58,6 @@ def theorem_chi(chi_input: ChiInput) -> PowerOfP:
     return chi_input.chi_gamma * PowerOfP(chi_input.p, exponent)
 
 
-# Alias matching the CLI subcommand's name.
-theorem3_chi = theorem_chi
-
-
-def _check_away_from_p(local: CurveLocalData, p: int) -> None:
-    if local.q % p == 0:
-        raise InputError("place above p is excluded here")
-
-
-def chi_gamma_Jv(local: CurveLocalData, p: int) -> PowerOfP:
-    """Cyclotomic-level characteristic of the local summand at a place away from p.
-
-    Equals the paper-convention magnitude of the local Euler factor.
-    """
-    _check_away_from_p(local, p)
-    return PowerOfP(p, local.euler_valuation_at_p)
-
-
-def large_selmer_chi(chi_selmer: PowerOfP, places: Sequence[CurveLocalData],
-                     p: int) -> PowerOfP:
-    """Characteristic of the relaxed Selmer group from the strict one.
-
-    Same product shape as theorem_chi; the two agree whenever they are fed
-    the same characteristic and place list, which is exactly the content of
-    the bridge identity.
-    """
-    if chi_selmer.prime != p:
-        raise InputError("chi must be a power of the working prime")
-    exponent = 0
-    for local in places:
-        _check_away_from_p(local, p)
-        exponent += local.euler_valuation_at_p
-    return chi_selmer * PowerOfP(p, exponent)
-
-
 @dataclass(frozen=True)
 class LocalCardinalities:
     """Orders of the two local H^1 groups at a place away from p.
@@ -115,34 +77,27 @@ def local_cardinalities(c_v: int, local: CurveLocalData, p: int) -> LocalCardina
 
     h1_Fv = p^(v_p(c_v)) and h1_gamma = p^(v_p(L_v) - v_p(c_v)): the first
     reads |c_v|_p^(-1) with the standard magnitude, the second reads
-    |c_v^(-1) L_v(E,1)|_p with the paper convention -- the mixed choice is
-    pinned by the consistency relation with chi_gamma_Jv and is the one
-    that keeps both cardinalities >= 1 in the good-reduction cases.  A
+    |c_v^(-1) L_v(E,1)|_p with the paper convention -- the mixed choice
+    keeps both cardinalities >= 1 in the good-reduction cases.  A
     negative implied exponent is surfaced as an error, never clamped.
     """
-    _check_away_from_p(local, p)
+    if local.q % p == 0:
+        raise InputError("place above p is excluded here")
     if c_v < 1:
         raise InputError("Tamagawa number must be a positive integer")
     v_c = int_valuation(c_v, p)
     v_l = local.euler_valuation_at_p
     if v_l - v_c < 0:
         raise ConventionViolationError("convention violation at this place")
-    result = LocalCardinalities(
+    return LocalCardinalities(
         h1_gamma=PowerOfP(p, v_l - v_c),
         h1_Fv=PowerOfP(p, v_c),
         jv_constant_term_magnitude=PowerOfP(p, v_l),
     )
-    # Consistency with the local characteristic: the quotient of the two
-    # cardinalities must equal chi_gamma_Jv divided by p^(2 v_p(c_v)).
-    quotient = result.h1_gamma / result.h1_Fv
-    expected = chi_gamma_Jv(local, p) / PowerOfP(p, 2 * v_c)
-    if quotient != expected:
-        raise InputError("cardinality formulas inconsistent at this place")
-    return result
 
 
-def build_chi_input(curve: Curve, extension: ExtensionSpec, chi_gamma: PowerOfP,
-                    tamagawa: Optional[Mapping[int, int]] = None) -> ChiInput:
+def build_chi_input(curve: Curve, extension: ExtensionSpec,
+                    chi_gamma: PowerOfP) -> ChiInput:
     """Assemble the product-formula input for a curve and a Kummer-tower extension.
 
     Walks the infinite-inertia places away from p and computes the curve's
@@ -154,4 +109,4 @@ def build_chi_input(curve: Curve, extension: ExtensionSpec, chi_gamma: PowerOfP,
         data = local_data(curve, splitting.l, extension.p,
                           residue_degree=splitting.f)
         places.append((splitting, data))
-    return ChiInput(extension.p, chi_gamma, tuple(places), tamagawa)
+    return ChiInput(extension.p, chi_gamma, tuple(places))

@@ -21,12 +21,11 @@ invariants-vs-coinvariants Euler characteristic:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import InputError, PrecisionError, PrimeMismatchError
-from .lambda_algebra import LambdaSeries, series_from_text, weierstrass_prepare
+from .lambda_algebra import LambdaSeries, series_from_doc, weierstrass_prepare
 from .padics import PowerOfP, int_valuation
 
 MAX_TOTAL_LAMBDA = 64  # desk-scale cap on the oracle's lattice rank
@@ -52,28 +51,19 @@ class TorsionModule:
         return {"p": self.prime, "generators": [g.to_json() for g in self.generators]}
 
     @classmethod
-    def from_json(cls, doc, default_precision: int = 16,
-                  default_degree: int = 32) -> "TorsionModule":
-        """Accepts generators as series documents or as polynomial strings.
+    def from_json(cls, doc) -> "TorsionModule":
+        """Generators are series entries, read by :func:`series_from_doc`.
 
-        String generators (e.g. "T^2" or "T*(T-7)") are read at the file's
-        "N"/"D" keys, falling back to the stated defaults.
+        Polynomial strings (e.g. "T^2" or "T*(T-7)") are read at the file's
+        "N"/"D" keys, defaults 16/32.
         """
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         try:
-            p = int(doc["p"])
-            precision = int(doc.get("N", default_precision))
-            degree = int(doc.get("D", default_degree))
-            gens = []
-            for entry in doc["generators"]:
-                if isinstance(entry, str):
-                    gens.append(series_from_text(p, entry, precision, degree))
-                else:
-                    gens.append(LambdaSeries.from_json(entry))
-        except (KeyError, TypeError, ValueError) as exc:
+            p, entries = doc["p"], doc["generators"]
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed module document: {exc}") from None
-        return cls(p, tuple(gens))
+        if not isinstance(entries, list):
+            raise InputError("malformed module document: 'generators' must be a list")
+        return cls(p, tuple(series_from_doc(entry, doc) for entry in entries))
 
 
 @dataclass(frozen=True)
@@ -133,15 +123,15 @@ def generalized_chi(module: TorsionModule) -> ChiResult:
 def smith_normal_form(mat: List[List[int]], p: int, w: int):
     """Diagonalize mat over Z/p^w by unimodular row and column operations.
 
-    Returns (exponents, U, V) with U*mat*V = diag(p^e_0, p^e_1, ...) mod p^w,
-    exponents ascending and capped at w (an exponent of w means the divisor
-    is indistinguishable from zero at this precision).
+    Returns (exponents, V) with U*mat*V = diag(p^e_0, p^e_1, ...) mod p^w
+    for some unimodular U, which is not kept; exponents ascend and are
+    capped at w (an exponent of w means the divisor is indistinguishable
+    from zero at this precision).
     """
     q = p ** w
     m = len(mat)
     n = len(mat[0]) if m else 0
     a = [[x % q for x in row] for row in mat]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     exps = []
     for k in range(min(m, n)):
@@ -163,7 +153,6 @@ def smith_normal_form(mat: List[List[int]], p: int, w: int):
         i0, j0, e = pivot
         if i0 != k:
             a[k], a[i0] = a[i0], a[k]
-            u[k], u[i0] = u[i0], u[k]
         if j0 != k:
             for row in a:
                 row[k], row[j0] = row[j0], row[k]
@@ -172,12 +161,10 @@ def smith_normal_form(mat: List[List[int]], p: int, w: int):
         pe = p ** e
         unit_inv = pow(a[k][k] // pe, -1, q)
         a[k] = [(unit_inv * x) % q for x in a[k]]
-        u[k] = [(unit_inv * x) % q for x in u[k]]
         for i in range(k + 1, m):
             if a[i][k]:
                 t = a[i][k] // pe
                 a[i] = [(x - t * y) % q for x, y in zip(a[i], a[k])]
-                u[i] = [(x - t * y) % q for x, y in zip(u[i], u[k])]
         for j in range(k + 1, n):
             if a[k][j]:
                 t = a[k][j] // pe
@@ -186,7 +173,7 @@ def smith_normal_form(mat: List[List[int]], p: int, w: int):
                 for row in v:
                     row[j] = (row[j] - t * row[k]) % q
         exps.append(e)
-    return exps, u, v
+    return exps, v
 
 
 def companion_matrix(poly, p: int, w: int) -> List[List[int]]:
@@ -242,14 +229,14 @@ def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiRe
             raise InputError(f"total lattice rank exceeds {MAX_TOTAL_LAMBDA}")
         w = min(precision_exponent, form.precision)
         c = companion_matrix(form.distinguished_poly, p, w)
-        exps, _, v = smith_normal_form(c, p, w)
+        exps, v = smith_normal_form(c, p, w)
         kernel_cols = [j for j, e in enumerate(exps) if e >= w]
         true_kernel_rank = 1 if form.distinguished_poly[0] == 0 else 0
         if len(kernel_cols) != true_kernel_rank:
             raise PrecisionError("raise precision")
         lam = form.lam
         aug = [c[i][:] + [v[i][j] for j in kernel_cols] for i in range(lam)]
-        aug_exps, _, _ = smith_normal_form(aug, p, w)
+        aug_exps, _ = smith_normal_form(aug, p, w)
         if any(e >= w for e in aug_exps):
             divisible_by_t_squared = (lam >= 2
                                       and form.distinguished_poly[0] == 0

@@ -17,7 +17,6 @@ deterministic, no floating point.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -86,12 +85,6 @@ class LambdaSeries:
                 return i
         return None
 
-    def restrict(self, precision: int, degree: int) -> "LambdaSeries":
-        """View at a coarser precision (never finer)."""
-        if precision > self.coeff_precision or degree > self.trunc_degree:
-            raise PrecisionError("cannot refine a series beyond its declared precision")
-        return LambdaSeries.make(self.prime, self.coeffs, precision, degree)
-
     def agrees_with(self, other: "LambdaSeries") -> bool:
         """Equality at the shared precision (min N, min D)."""
         if self.prime != other.prime:
@@ -127,11 +120,6 @@ class LambdaSeries:
                     out[i + j] = (out[i + j] + a * b) % m
         return LambdaSeries(self.prime, n, d, tuple(out))
 
-    def scale(self, c: int) -> "LambdaSeries":
-        m = self.modulus
-        return LambdaSeries(self.prime, self.coeff_precision, self.trunc_degree,
-                            tuple((c * a) % m for a in self.coeffs))
-
     def shift_down(self, k: int) -> "LambdaSeries":
         """Divide by T^k; requires the first k coefficients to vanish at precision."""
         if k == 0:
@@ -163,13 +151,15 @@ class LambdaSeries:
 
     @classmethod
     def from_json(cls, doc) -> "LambdaSeries":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
+        """Read a coefficient document; every number in it must be a JSON integer."""
         try:
-            return cls.make(int(doc["p"]), [int(c) for c in doc["coeffs"]],
-                            int(doc["N"]), int(doc["D"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            p, n, d, coeffs = doc["p"], doc["N"], doc["D"], doc["coeffs"]
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed series document: {exc}") from None
+        if not isinstance(coeffs, list):
+            raise InputError("malformed series document: 'coeffs' must be a list")
+        p, n, d = _series_shape(p, n, d)
+        return cls.make(p, [_json_int(c, "coeffs") for c in coeffs], n, d)
 
     def __str__(self) -> str:
         terms = []
@@ -227,15 +217,10 @@ class WeierstrassForm:
         if self.unit.coeffs[0] % self.prime == 0:
             raise InputError("unit part has constant term divisible by p")
 
-    def poly_series(self, degree: Optional[int] = None) -> LambdaSeries:
-        if degree is None:
-            degree = self.unit.trunc_degree
-        return LambdaSeries.make(self.prime, self.distinguished_poly,
-                                 self.precision, degree)
-
     def reconstruct(self) -> LambdaSeries:
         """p^mu * P * U, carrying precision (N, D) of the prepared input."""
-        prod = self.poly_series() * self.unit
+        prod = LambdaSeries.make(self.prime, self.distinguished_poly, self.precision,
+                                 self.unit.trunc_degree) * self.unit
         m = self.prime ** (self.precision + self.mu)
         scaled = tuple((c * self.prime ** self.mu) % m for c in prod.coeffs)
         return LambdaSeries(self.prime, self.precision + self.mu,
@@ -385,11 +370,11 @@ def polynomial_from_text(text: str) -> List[int]:
     """
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except SyntaxError:
+    except (SyntaxError, ValueError, RecursionError):
         raise InputError(f"cannot parse polynomial {text!r}") from None
 
     def ev(node) -> List[int]:
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
             return [node.value]
         if isinstance(node, ast.Name) and node.id in ("T", "t"):
             return [0, 1]
@@ -405,7 +390,7 @@ def polynomial_from_text(text: str) -> List[int]:
                 return _poly_mul(ev(node.left), ev(node.right))
             if isinstance(node.op, ast.Pow):
                 exp = node.right
-                if not (isinstance(exp, ast.Constant) and isinstance(exp.value, int)
+                if not (isinstance(exp, ast.Constant) and type(exp.value) is int
                         and 0 <= exp.value <= _MAX_PARSE_DEGREE):
                     raise InputError(f"unsupported exponent in polynomial {text!r}")
                 base = ev(node.left)
@@ -415,7 +400,10 @@ def polynomial_from_text(text: str) -> List[int]:
                 return out
         raise InputError(f"unsupported expression in polynomial {text!r}")
 
-    return ev(tree.body)
+    try:
+        return ev(tree.body)
+    except RecursionError:
+        raise InputError(f"polynomial nested too deeply: {text[:40]!r}...") from None
 
 
 def series_from_text(prime: int, text: str, precision: int, degree: int) -> LambdaSeries:
@@ -424,3 +412,46 @@ def series_from_text(prime: int, text: str, precision: int, degree: int) -> Lamb
     if len(poly) > degree:
         raise InputError("polynomial degree exceeds truncation degree")
     return LambdaSeries.make(prime, poly, precision, degree)
+
+
+# -- series documents ----------------------------------------------------------
+
+
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:  # exact type: JSON true and 3.0 are not integers here
+        raise InputError(f"malformed series document: {field!r} must be a JSON integer, "
+                         f"got {value!r}")
+    return value
+
+
+def _series_shape(p, n, d):
+    """The checked prime and (N, D) precision of a series document."""
+    p, n, d = _json_int(p, "p"), _json_int(n, "N"), _json_int(d, "D")
+    if n < 1 or d < 1:
+        raise InputError("malformed series document: 'N' and 'D' must be >= 1")
+    return check_prime(p), n, d
+
+
+def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
+    """Read one series entry of a JSON document.
+
+    ``entry`` is a coefficient document (see :meth:`LambdaSeries.from_json`),
+    a ``{"poly": ...}`` document, or a bare polynomial string.  A polynomial
+    is read at the entry's own "p", "N" and "D", falling back to those of
+    the enclosing document ``outer`` (a module or Akashi file), then to
+    N = 16 and D = 32.  The enclosing numbers are checked whatever the
+    entry's form.  Bad input of any shape raises InputError.
+    """
+    scope = {"N": 16, "D": 32, **(outer or {})}
+    scope = {key: _json_int(scope[key], key) for key in ("p", "N", "D") if key in scope}
+    if isinstance(entry, str):
+        entry = {"poly": entry}
+    if not (isinstance(entry, dict) and ("coeffs" in entry or "poly" in entry)):
+        raise InputError("malformed series document: needs either 'coeffs' or 'poly'")
+    if "coeffs" in entry:
+        return LambdaSeries.from_json(entry)
+    scope.update(entry)
+    if not isinstance(scope["poly"], str):
+        raise InputError("malformed series document: 'poly' must be a string")
+    p, n, d = _series_shape(scope.get("p"), scope["N"], scope["D"])
+    return series_from_text(p, scope["poly"], n, d)

@@ -1,32 +1,19 @@
-"""Exact p-adic scalar arithmetic.
+"""Exact p-adic arithmetic: primes, valuations, powers of p, rationals.
 
-Everything here is a rational number together with a prime p; there is no
-floating point anywhere.  The p-adic magnitude comes in *two*
-normalizations, both in live use around Euler-characteristic formulas:
-the standard absolute value p^(-v_p(x)), and its reciprocal p^(+v_p(x)),
-which is the reading under which the worked elliptic-curve example comes
-out right.  Every operation that takes a magnitude names its convention
-explicitly.
+There is no floating point anywhere.  Every value the library certifies
+-- Euler characteristics, local H^1 orders, magnitudes of Euler-factor
+products -- is an exact power of p and is kept as a :class:`PowerOfP`
+exponent.  Which magnitude convention turns a valuation into such a
+power (p^(+v_p) or p^(-v_p)) is a choice of the caller, and each CLI
+report names the one it took in its provenance notes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, PrimeMismatchError
-
-#: Convention names accepted by :func:`magnitude`.
-STANDARD = "standard"  # |x|_p = p^(-v_p(x))
-PAPER = "paper"        # |x|_p = p^(+v_p(x))
-
-#: Markers returned by :func:`magnitude` on zero input, never numbers.
-MAGNITUDE_ZERO = "zero"
-MAGNITUDE_INFINITE = "infinite"
-
-#: Valuation of zero.
-INFINITE_VALUATION = math.inf
 
 
 def is_prime(n: int) -> bool:
@@ -64,88 +51,6 @@ def int_valuation(n: int, p: int) -> int:
 
 
 @dataclass(frozen=True)
-class PadicScalar:
-    """An exact rational carrying the prime that gives it p-adic meaning.
-
-    Stored in lowest terms with a positive denominator.  Immutable, so
-    instances may be shared freely.
-    """
-
-    prime: int
-    numerator: int
-    denominator: int = 1
-
-    def __post_init__(self):
-        check_prime(self.prime)
-        if self.denominator == 0:
-            raise InputError("zero denominator")
-        num, den = self.numerator, self.denominator
-        if den < 0:
-            num, den = -num, -den
-        g = math.gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
-        if num == 0:
-            den = 1
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
-
-    @classmethod
-    def from_rational(cls, prime: int, value) -> "PadicScalar":
-        """Build from an int, Fraction, or "num/den" string."""
-        if isinstance(value, str):
-            value = parse_rational(value)
-        frac = Fraction(value)
-        return cls(prime, frac.numerator, frac.denominator)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
-    def _check_same_prime(self, other: "PadicScalar") -> None:
-        if self.prime != other.prime:
-            raise PrimeMismatchError("prime mismatch")
-
-    def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check_same_prime(other)
-        return PadicScalar(self.prime,
-                           self.numerator * other.numerator,
-                           self.denominator * other.denominator)
-
-    def __str__(self) -> str:
-        return format_rational(self.as_fraction())
-
-
-def valuation(x: PadicScalar):
-    """v_p of an exact rational; +inf for zero."""
-    if x.is_zero():
-        return INFINITE_VALUATION
-    return int_valuation(x.numerator, x.prime) - int_valuation(x.denominator, x.prime)
-
-
-def magnitude(x: PadicScalar, convention: str):
-    """p-adic magnitude of x as an exact rational power of p.
-
-    ``standard`` returns p^(-v_p(x)); ``paper`` returns p^(+v_p(x)).
-    Zero input never yields a number: the standard convention returns the
-    marker ``"zero"`` and the paper convention the marker ``"infinite"``.
-    """
-    if convention not in (STANDARD, PAPER):
-        raise InputError(f"unknown magnitude convention {convention!r}")
-    if x.is_zero():
-        return MAGNITUDE_ZERO if convention == STANDARD else MAGNITUDE_INFINITE
-    v = valuation(x)
-    e = -v if convention == STANDARD else v
-    p = x.prime
-    if e >= 0:
-        return PadicScalar(p, p ** e, 1)
-    return PadicScalar(p, 1, p ** (-e))
-
-
-@dataclass(frozen=True)
 class PowerOfP:
     """An exact (possibly negative) power of a fixed prime, kept as an exponent.
 
@@ -171,11 +76,6 @@ class PowerOfP:
     def __truediv__(self, other: "PowerOfP") -> "PowerOfP":
         self._check_same_prime(other)
         return PowerOfP(self.prime, self.exponent - other.exponent)
-
-    def as_fraction(self) -> Fraction:
-        if self.exponent >= 0:
-            return Fraction(self.prime ** self.exponent)
-        return Fraction(1, self.prime ** (-self.exponent))
 
     def __str__(self) -> str:
         if self.exponent == 0:

@@ -1,6 +1,12 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from eulerchar.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+X1_11 = {"a": ["0", "-1", "1", "0", "0"]}
 
 
 def run(capsys, *argv):
@@ -141,7 +147,6 @@ def test_theorem_command(capsys, tmp_path):
     results = report["results"]
     assert results["chi_sigma"] == "7^8"
     assert results["euler_product_magnitude"] == "1"
-    assert results["bridge_identity_ok"] is True
     assert len(results["places"]) == 6
     assert all(row["h1_Fv"] == "1" for row in results["places"])
     assert any("external input" in note for note in report["provenance_notes"])
@@ -193,3 +198,49 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "prep", "--series", "/nonexistent/series.json")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["example-x1-11"], "example-x1-11.json"),
+    (["theorem3", "--config", json.dumps({
+        "p": 7, "chi_gamma": "7^8", "curve": X1_11,
+        "extension": {"p": 7, "m": 226}, "tamagawa": {"113": 1}})], "theorem3-m226.json"),
+])
+def test_reports_match_golden_output(capsys, argv, golden):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("command, flag, key", [
+    ("chi-module", "--module", "generators"),
+    ("akashi", "--data", "char_elements"),
+])
+def test_nested_poly_entries_match_coefficient_entries(capsys, command, flag, key):
+    reports = []
+    for entry in ({"p": 7, "N": 8, "D": 8, "coeffs": [7, 1, 0, 0, 0, 0, 0, 0]},
+                  {"p": 7, "N": 8, "D": 8, "poly": "T+7"}):
+        code, out, _ = run(capsys, command, flag,
+                           json.dumps({"p": 7, "N": 8, "D": 8, key: [entry]}))
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+def test_malformed_series_documents_are_input_errors(capsys, tmp_path):
+    path = tmp_path / "five.json"
+    path.write_text("5")
+    for doc in (str(path), '{"p":7,"poly":"T","N":"abc"}'):
+        code, out, err = run(capsys, "prep", "--series", doc)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed series document")
+
+
+def test_bad_reduction_names_the_prime(capsys):
+    config = {"p": 7, "chi_gamma": "7^8", "curve": X1_11,
+              "extension": {"p": 7, "m": 11 * 113}}
+    code, out, err = run(capsys, "theorem3", "--config", json.dumps(config))
+    assert code == 2
+    assert out == ""
+    assert "11" in err

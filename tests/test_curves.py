@@ -5,8 +5,7 @@ import pytest
 
 from eulerchar.curves import (Curve, CurveLocalData, count_points, euler_factor,
                               extension_trace, is_ordinary, local_data,
-                              parity_check, quadratic_twist, trace_of_frobenius,
-                              weil_weight_check, x1_11)
+                              quadratic_twist, trace_of_frobenius, x1_11)
 from eulerchar.errors import InputError
 
 
@@ -55,7 +54,7 @@ def test_count_y2_equals_x3_minus_x():
 
 def test_count_rejects_bad_inputs():
     curve = x1_11()
-    with pytest.raises(InputError, match="singular reduction"):
+    with pytest.raises(InputError, match="singular reduction at q = 11"):
         count_points(curve, 11)  # discriminant -11
     with pytest.raises(InputError, match="not prime"):
         count_points(curve, 15)
@@ -106,21 +105,19 @@ def test_is_ordinary():
     assert is_ordinary(7, 7) is False
 
 
+def _local(q, a):
+    return CurveLocalData(q, q + 1 - a, a, Fraction(1), 0, None)
+
+
 def test_weil_weight_check():
-    assert weil_weight_check(-2, 7, 1) is True   # 4 <= 28
-    assert weil_weight_check(9, 113, 1) is True  # 81 <= 452
-    assert weil_weight_check(6, 7, 1) is False   # 36 > 28
-    assert weil_weight_check(2, 4, 0) is True    # 4 <= 4
-    assert weil_weight_check(3, 4, 0) is False
-    assert weil_weight_check(1, 4, -1) is True   # 1*4 <= 4
-
-
-def test_parity_check():
-    assert parity_check([1, 1]) is True
-    assert parity_check([0, 2]) is True
-    assert parity_check([0, 1]) is False
-    with pytest.raises(InputError, match="no eigenvalue data"):
-        parity_check([])
+    # local data admits a trace exactly when a^2 <= 4q, i.e. both Frobenius
+    # eigenvalues have absolute value q^(1/2)
+    assert _local(7, -2).a_v == -2    # 4 <= 28
+    assert _local(113, 9).a_v == 9    # 81 <= 452
+    assert _local(4, 4).a_v == 4      # 16 <= 16, the boundary
+    for q, a in ((7, 6), (7, -6), (4, 5)):  # 36 > 28, 36 > 28, 25 > 16
+        with pytest.raises(InputError, match="Hasse"):
+            _local(q, a)
 
 
 # GF(9) oracle for the extension trace: 3[i]/(i^2 + 1).
@@ -195,7 +192,6 @@ def test_local_data_at_split_place():
     assert data.a_v == 9
     assert data.euler_valuation_at_p == 0
     assert data.ordinary_at is None
-    assert data.weil_weight_ok is True
 
 
 def test_local_data_above_p_reports_ordinarity():
@@ -215,9 +211,9 @@ def test_local_data_with_residue_degree():
 
 def test_local_data_consistency_enforced():
     with pytest.raises(InputError, match="a_v"):
-        CurveLocalData(7, 10, 3, Fraction(1), 0, None, True)
+        CurveLocalData(7, 10, 3, Fraction(1), 0, None)
     with pytest.raises(InputError, match="Hasse"):
-        CurveLocalData(7, 1, 7, Fraction(1), 0, None, True)
+        CurveLocalData(7, 1, 7, Fraction(1), 0, None)
 
 
 def test_curve_json_roundtrip():

@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from eulerchar.curves import CurveLocalData, local_data, x1_11
+from eulerchar.curves import Curve, CurveLocalData, local_data, x1_11
 from eulerchar.cyclotomic_fields import ExtensionSpec, SplittingData, split
 from eulerchar.errors import InputError
 from eulerchar.euler_char import (ChiInput, ConventionViolationError,
-                                  build_chi_input, chi_gamma_Jv,
-                                  large_selmer_chi, local_cardinalities,
+                                  build_chi_input, local_cardinalities,
                                   theorem_chi)
 from eulerchar.padics import PowerOfP, int_valuation
 
@@ -21,7 +20,7 @@ def synthetic_place(p, l, valuation, q=None):
     q = q if q is not None else l
     splitting = SplittingData(l, p, 1, 1, False, q)
     local = CurveLocalData(q, q + 1, 0, Fraction(q * q, q * q + 1),
-                           valuation, None, True)
+                           valuation, None)
     return splitting, local
 
 
@@ -76,34 +75,13 @@ def test_chi_gamma_prime_must_match():
 
 
 def test_chi_gamma_jv_values():
-    assert chi_gamma_Jv(local_data(x1_11(), 113, 7), 7) == PowerOfP(7, 0)
+    # the local characteristic at a place away from p is p^(v_p(L_v))
+    assert local_data(x1_11(), 113, 7).euler_valuation_at_p == 0
     # y^2 = x^3 - x has a_3 = 0, so the factor at 3 is 9/10 and v_5 = -1
-    from eulerchar.curves import Curve
     curve = Curve(Fraction(0), Fraction(0), Fraction(0), Fraction(-1), Fraction(0))
     data = local_data(curve, 3, 5)
     assert data.euler_value == Fraction(9, 10)
-    assert chi_gamma_Jv(data, 5) == PowerOfP(5, -1)
-
-
-def test_chi_gamma_jv_excludes_p():
-    with pytest.raises(InputError, match="above p"):
-        chi_gamma_Jv(local_data(x1_11(), 7, 7), 7)
-
-
-def test_large_selmer_examples():
-    assert large_selmer_chi(PowerOfP(7, 0), [], 7) == PowerOfP(7, 0)
-    _, place = synthetic_place(7, 3, 0)
-    assert large_selmer_chi(PowerOfP(7, 2), [place], 7) == PowerOfP(7, 2)
-    _, one = synthetic_place(5, 3, 1)
-    _, two = synthetic_place(5, 7, 1)
-    assert large_selmer_chi(PowerOfP(5, 0), [one, two], 5) == PowerOfP(5, 2)
-
-
-def test_bridge_identity():
-    chi_gamma = PowerOfP(7, 8)
-    chi_input = build_chi_input(x1_11(), ExtensionSpec(7, 113), chi_gamma)
-    locals_only = [local for _, local in chi_input.places]
-    assert theorem_chi(chi_input) == large_selmer_chi(chi_gamma, locals_only, 7)
+    assert data.euler_valuation_at_p == -1
 
 
 def test_product_multiplicative_in_place_lists():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -64,11 +65,34 @@ def test_smith_form_hand_example():
     # companion matrix of T(T-7), worked by hand: divisors 1 and ~0
     mat = companion_matrix((0, 7 ** 10 - 7, 1), 7, 10)
     assert mat == [[0, 0], [1, 7]]
-    exps, u, v = smith_normal_form(mat, 7, 10)
+    exps, v = smith_normal_form(mat, 7, 10)
     assert exps == [0, 10]
 
 
+def _det(mat):
+    """Integer determinant by the Leibniz formula (matrices here are at most 5x5)."""
+    n = len(mat)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i) if perm[j] > perm[i])
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= mat[i][perm[i]]
+        total += term
+    return total
+
+
+def _vp_capped(n, p, w):
+    v = 0
+    while v < w and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def test_smith_form_diagonalizes():
+    # Determinantal divisors: e_0 + ... + e_(k-1) is the least v_p over all
+    # k x k minors, a characterization independent of the elimination.
     rng = random.Random(5)
     for _ in range(60):
         p = rng.choice([3, 5, 7])
@@ -76,22 +100,20 @@ def test_smith_form_diagonalizes():
         q = p ** w
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         mat = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-        exps, u, v = smith_normal_form(mat, p, w)
+        exps, v = smith_normal_form(mat, p, w)
         assert exps == sorted(exps)
-        # U * mat * V must be the stated diagonal mod p^w
-        um = [[sum(u[i][k] * mat[k][j] for k in range(rows)) % q
-               for j in range(cols)] for i in range(rows)]
-        umv = [[sum(um[i][k] * v[k][j] for k in range(cols)) % q
-                for j in range(cols)] for i in range(rows)]
-        for i in range(rows):
-            for j in range(cols):
-                expected = p ** exps[i] % q if (i == j and i < len(exps)) else 0
-                assert umv[i][j] == expected
+        assert len(exps) == min(rows, cols)
+        assert _det(v) % p != 0  # the column transform is invertible over Z_p
+        for k in range(1, min(rows, cols) + 1):
+            least = min(_vp_capped(_det([[mat[i][j] for j in cs] for i in rs]), p, w)
+                        for rs in combinations(range(rows), k)
+                        for cs in combinations(range(cols), k))
+            assert min(w, sum(exps[:k])) == least
 
 
 def test_kernel_columns_annihilate():
     mat = companion_matrix((0, 7 ** 8 - 7, 1), 7, 8)
-    exps, _, v = smith_normal_form(mat, 7, 8)
+    exps, v = smith_normal_form(mat, 7, 8)
     q = 7 ** 8
     for j, e in enumerate(exps):
         if e < 8:

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eulerchar.akashi import AkashiData
 from eulerchar.errors import InputError, PrecisionError, PrimeMismatchError
+from eulerchar.gamma_modules import TorsionModule
 from eulerchar.lambda_algebra import (LambdaSeries, leading_term,
                                       min_coeff_valuation, mu_lambda,
-                                      polynomial_from_text, series_from_text,
-                                      weierstrass_prepare)
+                                      polynomial_from_text, series_from_doc,
+                                      series_from_text, weierstrass_prepare)
 
 
 def series(p, coeffs, n, d):
@@ -211,6 +215,89 @@ def test_json_roundtrip():
         LambdaSeries.from_json({"p": 7})
 
 
+def test_series_documents_share_one_reader():
+    expected = LambdaSeries.from_json({"p": 7, "N": 8, "D": 8, "coeffs": [7, 1] + [0] * 6})
+    assert series_from_doc(expected.to_json()) == expected
+    assert series_from_doc({"p": 7, "N": 8, "D": 8, "poly": "T+7"}) == expected
+    assert series_from_doc("T+7", {"p": 7, "N": 8, "D": 8}) == expected
+    # an entry's own keys override the enclosing document's, which override 16/32
+    assert series_from_doc({"poly": "T+7"}, {"p": 7, "N": 8, "D": 8}) == expected
+    assert series_from_doc({"poly": "T", "D": 8}, {"p": 7, "D": 4}).trunc_degree == 8
+    default = series_from_doc("T", {"p": 7})
+    assert (default.coeff_precision, default.trunc_degree) == (16, 32)
+    for bad in (5, None, [1], {"p": 7}, {"p": 7, "poly": 5}, "T", {"p": 7, "poly": "T", "N": 0},
+                {"p": 7, "N": 2, "D": 2, "coeffs": 5},
+                {"p": 7, "N": -1, "D": 2, "poly": "7^400*T+1"}):
+        with pytest.raises(InputError, match="malformed series document"):
+            series_from_doc(bad)
+    for p in (0, 1, -7):
+        with pytest.raises(InputError, match="not prime"):
+            series_from_doc({"p": p, "N": 1, "D": 2, "coeffs": [1, 1]})
+
+
+def test_series_numbers_must_be_json_integers():
+    good = {"p": 7, "N": 3, "D": 2, "coeffs": [1, 1]}
+    for field, value in (("N", 3.7), ("D", 2.0), ("p", "7"), ("N", True)):
+        with pytest.raises(InputError, match=f"'{field}' must be a JSON integer"):
+            LambdaSeries.from_json({**good, field: value})
+    for coeffs in ([1.9, 1], [1, True], ["1", 0]):
+        with pytest.raises(InputError, match="'coeffs' must be a JSON integer"):
+            LambdaSeries.from_json({**good, "coeffs": coeffs})
+    with pytest.raises(InputError, match="'N' must be a JSON integer"):
+        series_from_doc({"p": 7, "poly": "T", "N": "abc"})
+    # file-level numbers of module and Akashi documents, whatever the entries' form
+    for cls, key in ((TorsionModule, "generators"), (AkashiData, "char_elements")):
+        for field, value in (("p", 7.0), ("N", 8.5), ("D", False)):
+            with pytest.raises(InputError, match=f"'{field}' must be a JSON integer"):
+                cls.from_json({"p": 7, key: [good], field: value})
+
+
+_TEXT = st.text(alphabet="T0123456789+-*^() x", max_size=10) | st.text(max_size=4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["p", "N", "D", "coeffs", "poly"])
+                                     | st.text(max_size=2), inner, max_size=5)),
+    max_leaves=10)
+
+
+def _mostly(good):
+    """Draws from ``good`` seven times in eight, otherwise any JSON value."""
+    return st.integers(0, 7).flatmap(lambda k: _JSON if k == 3 else good)
+
+
+# Mostly-well-formed documents, so that the accepting paths are reached too,
+# with the edge values 0, 1 and negatives among the numbers.
+_PRIME = _mostly(st.sampled_from([2, 3, 5, 7, 0, 1, 4, -7]))
+_SIZE = _mostly(st.integers(-1, 12))
+_POLY = _mostly(st.sampled_from(["T", "T+7", "T*(T-7)", "49", "3*T^2+T", "7^400*T+1"]) | _TEXT)
+_COEFFS = _mostly(st.lists(_mostly(st.integers(0, 400)), max_size=12))
+_SHAPE = {"p": _PRIME, "N": _SIZE, "D": _SIZE}
+_ENTRY = st.one_of(st.fixed_dictionaries({**_SHAPE, "coeffs": _COEFFS}),
+                   st.fixed_dictionaries({**_SHAPE, "poly": _POLY}),
+                   st.fixed_dictionaries({}, optional={**_SHAPE, "coeffs": _COEFFS,
+                                                       "poly": _POLY}),
+                   _POLY)
+_OUTER = st.fixed_dictionaries({"p": _PRIME}, optional={"N": _SIZE, "D": _SIZE})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ENTRY, _OUTER, st.lists(_ENTRY, min_size=1, max_size=3))
+def test_any_json_value_gives_a_series_or_an_input_error(entry, outer, entries):
+    modules = [{**outer, "generators": entries}, {**outer, "char_elements": entries}]
+    attempts = [lambda: series_from_doc(entry, outer), lambda: series_from_doc(entry),
+                lambda: LambdaSeries.from_json(entry),
+                lambda: TorsionModule.from_json(modules[0]),
+                lambda: AkashiData.from_json(modules[1]),
+                lambda: TorsionModule.from_json(entry), lambda: AkashiData.from_json(entry)]
+    for attempt in attempts:
+        try:
+            result = attempt()
+        except (InputError, PrecisionError):
+            continue
+        assert isinstance(result, (LambdaSeries, TorsionModule, AkashiData))
+
+
 def test_polynomial_text_parsing():
     assert polynomial_from_text("T^2") == [0, 0, 1]
     assert polynomial_from_text("T*(T-7)") == [0, -7, 1]
@@ -219,7 +306,8 @@ def test_polynomial_text_parsing():
     assert polynomial_from_text("7 + T") == [7, 1]
     g = series_from_text(7, "T*(T-7)", 8, 12)
     assert g.coeffs[:3] == (0, 7 ** 8 - 7, 1)
-    for bad in ("T/2", "__import__('os')", "T^T", "x + 1", "T^(2+2)"):
+    for bad in ("T/2", "__import__('os')", "T^T", "x + 1", "T^(2+2)", "True", "T\x00",
+                "9" * 5000, "-" * 5000 + "T", "+".join(["T"] * 5000)):
         with pytest.raises(InputError):
             polynomial_from_text(bad)
 
@@ -231,8 +319,6 @@ def test_construction_validation():
         LambdaSeries(7, 2, 3, (0, 0))
     with pytest.raises(InputError):
         LambdaSeries(7, 1, 2, (7, 0))
-    with pytest.raises(PrecisionError):
-        series(7, [1], 3, 3).restrict(4, 3)
 
 
 def test_weierstrass_form_invariants_enforced():

@@ -1,75 +1,40 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from eulerchar.errors import InputError, PrimeMismatchError
-from eulerchar.padics import (MAGNITUDE_INFINITE, MAGNITUDE_ZERO, PAPER,
-                              STANDARD, PadicScalar, PowerOfP, format_rational,
-                              is_prime, magnitude, parse_rational, valuation)
-
-
-def scalar(p, value):
-    return PadicScalar.from_rational(p, Fraction(value))
+from eulerchar.padics import (PowerOfP, format_rational, int_valuation, is_prime,
+                              parse_rational)
 
 
 def test_valuation_examples():
-    assert valuation(scalar(7, 1)) == 0
-    assert valuation(scalar(7, Fraction(49, 36))) == 2
-    assert valuation(scalar(5, 0)) == math.inf
-
-
-def test_magnitude_examples():
-    assert magnitude(scalar(7, Fraction(49, 36)), PAPER) == scalar(7, 49)
-    assert magnitude(scalar(7, Fraction(13787, 12769)), PAPER) == scalar(7, 1)
-    assert magnitude(scalar(7, 7), STANDARD) == scalar(7, Fraction(1, 7))
-
-
-def test_magnitude_zero_markers():
-    assert magnitude(scalar(5, 0), STANDARD) == MAGNITUDE_ZERO
-    assert magnitude(scalar(5, 0), PAPER) == MAGNITUDE_INFINITE
-
-
-def test_magnitude_rejects_unknown_convention():
-    with pytest.raises(InputError):
-        magnitude(scalar(5, 1), "absolute")
-
-
-def test_scalar_normalization():
-    x = PadicScalar(7, 6, -4)
-    assert (x.numerator, x.denominator) == (-3, 2)
-    assert PadicScalar(7, 0, 9).denominator == 1
+    assert int_valuation(1, 7) == 0
+    assert int_valuation(49, 7) == 2
+    assert int_valuation(36, 7) == 0
+    assert int_valuation(-250, 5) == 3
+    with pytest.raises(ValueError):
+        int_valuation(0, 5)
+    rng = random.Random(7)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 11])
+        x = rng.choice([-1, 1]) * rng.randint(1, 4000)
+        y = rng.choice([-1, 1]) * rng.randint(1, 4000)
+        assert int_valuation(x * y, p) == int_valuation(x, p) + int_valuation(y, p)
 
 
 def test_prime_is_checked():
     with pytest.raises(InputError, match="not prime"):
-        PadicScalar(6, 1, 1)
+        PowerOfP(6, 1)
     with pytest.raises(InputError, match="not prime"):
         PowerOfP(1, 0)
 
 
 def test_prime_mismatch():
     with pytest.raises(PrimeMismatchError, match="prime mismatch"):
-        scalar(5, 2) * scalar(7, 2)
-
-
-def _random_nonzero(rng, p):
-    num = rng.choice([-1, 1]) * rng.randint(1, 4000)
-    den = rng.randint(1, 4000)
-    return scalar(p, Fraction(num, den))
-
-
-def test_valuation_additive_and_magnitude_multiplicative():
-    rng = random.Random(7)
-    for _ in range(300):
-        p = rng.choice([2, 3, 5, 7, 11])
-        x, y = _random_nonzero(rng, p), _random_nonzero(rng, p)
-        assert valuation(x * y) == valuation(x) + valuation(y)
-        for convention in (STANDARD, PAPER):
-            assert magnitude(x * y, convention) == \
-                magnitude(x, convention) * magnitude(y, convention)
-        assert magnitude(x, STANDARD) * magnitude(x, PAPER) == scalar(p, 1)
+        PowerOfP(5, 2) * PowerOfP(7, 2)
+    with pytest.raises(PrimeMismatchError, match="prime mismatch"):
+        PowerOfP(5, 2) / PowerOfP(7, 2)
 
 
 def test_power_of_p_formatting_and_parsing():
@@ -81,8 +46,6 @@ def test_power_of_p_formatting_and_parsing():
     assert PowerOfP.parse(7, "1") == PowerOfP(7, 0)
     assert PowerOfP.parse(7, "49") == PowerOfP(7, 2)
     assert PowerOfP.parse(7, "7^-1") == PowerOfP(7, -1)
-    assert PowerOfP(7, 3).as_fraction() == Fraction(343)
-    assert PowerOfP(7, -1).as_fraction() == Fraction(1, 7)
 
 
 def test_power_of_p_parse_rejects_garbage():
