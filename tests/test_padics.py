@@ -15,12 +15,24 @@ def test_valuation_examples():
     assert int_valuation(-250, 5) == 3
     with pytest.raises(ValueError):
         int_valuation(0, 5)
+
+
+def _valuation(x, p):
+    return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
+
+
+def test_valuation_additive_and_magnitude_multiplicative():
+    # |x|_p = p^-v(x) in the standard convention, p^v(x) in the paper's.
     rng = random.Random(7)
     for _ in range(300):
         p = rng.choice([2, 3, 5, 7, 11])
-        x = rng.choice([-1, 1]) * rng.randint(1, 4000)
-        y = rng.choice([-1, 1]) * rng.randint(1, 4000)
-        assert int_valuation(x * y, p) == int_valuation(x, p) + int_valuation(y, p)
+        x, y = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 4000),
+                         rng.randint(1, 4000)) for _ in range(2))
+        assert _valuation(x * y, p) == _valuation(x, p) + _valuation(y, p)
+        for sign in (-1, 1):
+            assert PowerOfP(p, sign * _valuation(x * y, p)) == \
+                PowerOfP(p, sign * _valuation(x, p)) * PowerOfP(p, sign * _valuation(y, p))
+        assert PowerOfP(p, -_valuation(x, p)) * PowerOfP(p, _valuation(x, p)) == PowerOfP(p, 0)
 
 
 def test_prime_is_checked():
