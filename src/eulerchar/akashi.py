@@ -63,6 +63,12 @@ class AkashiFraction:
     numerator: LambdaSeries
     denominator: LambdaSeries
 
+    def leading(self) -> "AkashiLeading":
+        """Leading T-exponent and alpha-valuation: numerator's minus denominator's."""
+        num, den = leading_term(self.numerator), leading_term(self.denominator)
+        return AkashiLeading(self.numerator.prime, num.alpha_valuation - den.alpha_valuation,
+                             num.k - den.k)
+
 
 @dataclass(frozen=True)
 class AkashiLeading:
@@ -104,12 +110,7 @@ def akashi_series(data: AkashiData) -> AkashiFraction:
 
 def akashi_leading(data: AkashiData) -> AkashiLeading:
     """Leading T-exponent and alpha-valuation of the alternating product."""
-    frac = akashi_series(data)
-    lt_num = leading_term(frac.numerator)
-    lt_den = leading_term(frac.denominator)
-    return AkashiLeading(data.prime,
-                         lt_num.alpha_valuation - lt_den.alpha_valuation,
-                         lt_num.k - lt_den.k)
+    return akashi_series(data).leading()
 
 
 def fractions_equivalent(a: AkashiFraction, b: AkashiFraction) -> bool:
@@ -137,10 +138,10 @@ def check_multiplicativity(l_data: AkashiData, m_data: AkashiData,
     return fractions_equivalent(f_m, product)
 
 
-def coranks_consistent(data: AkashiData, coranks) -> bool:
-    """Check a claimed corank-per-degree list against the leading T-exponent.
+def coranks_consistent(data: AkashiData, coranks, k: int) -> bool:
+    """Check a claimed corank-per-degree list against the leading T-exponent k.
 
-    The leading exponent k of the alternating product equals the
+    The leading exponent k of the alternating product of ``data`` equals the
     alternating sum of the coranks of the degree-wise invariants.  Those
     coranks are not computable from series data, so a caller-supplied list
     is never trusted -- it is accepted exactly when its alternating sum
@@ -152,7 +153,7 @@ def coranks_consistent(data: AkashiData, coranks) -> bool:
     if any(c < 0 for c in coranks):
         raise InputError("coranks must be nonnegative")
     alternating = sum(c if i % 2 == 0 else -c for i, c in enumerate(coranks))
-    return alternating == akashi_leading(data).k
+    return alternating == k
 
 
 def degreewise_product(a: AkashiData, b: AkashiData) -> AkashiData:

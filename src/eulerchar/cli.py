@@ -13,15 +13,14 @@ import json
 import sys
 from pathlib import Path
 
-from .akashi import (AkashiData, akashi_leading, akashi_series,
-                     check_multiplicativity, coranks_consistent)
+from .akashi import AkashiData, akashi_series, check_multiplicativity, coranks_consistent
 from .curves import Curve, count_points, euler_factor, is_ordinary, x1_11
 from .cyclotomic_fields import ExtensionSpec, infinite_inertia_places, infinite_inertia_set, split
 from .errors import InputError, PrecisionError
 from .euler_char import build_chi_input, local_cardinalities, theorem_chi
 from .gamma_modules import TorsionModule, finite_level_oracle, generalized_chi
 from .lambda_algebra import leading_term, series_from_doc, weierstrass_prepare
-from .padics import PowerOfP, format_rational
+from .padics import PowerOfP, format_rational, json_int
 
 PAPER_NOTE = "magnitude convention: paper, |x|_p = p^(+v_p(x)), applied to Euler-factor products"
 MIXED_NOTE = ("magnitude convention: h1_Fv uses the standard reading of |c_v|_p^(-1), "
@@ -131,7 +130,7 @@ def _handle_akashi(args):
     doc = _load_json(args.data)
     data = AkashiData.from_json(doc)
     fraction = akashi_series(data)
-    lead = akashi_leading(data)
+    lead = fraction.leading()
     results = {
         "numerator": fraction.numerator.to_json(),
         "denominator": fraction.denominator.to_json(),
@@ -139,9 +138,11 @@ def _handle_akashi(args):
                     "chi_if_finite": str(lead.chi)},
     }
     if "coranks" in doc:
-        claimed = [int(c) for c in doc["coranks"]]
+        if not isinstance(doc["coranks"], list):
+            raise InputError("malformed Akashi document: 'coranks' must be a list")
+        claimed = [json_int(c, "coranks", "Akashi") for c in doc["coranks"]]
         results["coranks_claimed"] = claimed
-        results["coranks_consistent_with_k"] = coranks_consistent(data, claimed)
+        results["coranks_consistent_with_k"] = coranks_consistent(data, claimed, lead.k)
     report = _report("akashi", {"data": data.to_json()}, results,
                      ["chi_if_finite is p^(v_p(alpha)), the standard-magnitude "
                       "reciprocal of the fraction's leading coefficient",
@@ -174,11 +175,12 @@ def _handle_inertia_set(args):
 def _handle_theorem(args):
     doc = _load_json(args.config)
     try:
-        p = int(doc["p"])
+        p = json_int(doc["p"], "p", "pipeline")
         chi_gamma = PowerOfP.parse(p, str(doc["chi_gamma"]))
         curve = Curve.from_json(doc["curve"])
         ext_doc = doc["extension"]
-        ext = ExtensionSpec(int(ext_doc["p"]), int(ext_doc["m"]))
+        ext = ExtensionSpec(json_int(ext_doc["p"], "extension.p", "pipeline"),
+                            json_int(ext_doc["m"], "extension.m", "pipeline"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed pipeline document: {exc}") from None
     if ext.p != p:
@@ -186,7 +188,8 @@ def _handle_theorem(args):
     tamagawa = None
     if "tamagawa" in doc:
         try:
-            tamagawa = {int(k): int(v) for k, v in doc["tamagawa"].items()}
+            tamagawa = {int(k): json_int(v, f"tamagawa.{k}", "pipeline")
+                        for k, v in doc["tamagawa"].items()}
         except (TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed Tamagawa map: {exc}") from None
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import InputError
 from .padics import check_prime, format_rational, int_valuation, parse_rational
@@ -79,7 +79,7 @@ def x1_11() -> Curve:
 
 def _reduce_mod(value: Fraction, q: int) -> int:
     if value.denominator % q == 0:
-        raise InputError("coefficient not q-integral")
+        raise InputError(f"coefficient not q-integral at q = {q}")
     return value.numerator * pow(value.denominator, -1, q) % q
 
 
@@ -158,10 +158,8 @@ def euler_factor(a_v: int, q: int, p: int) -> EulerFactor:
     check_prime(p)
     if q < 2:
         raise InputError("q must be a prime power >= 2")
-    den = q * q + a_v * q + 1
-    if den == 0:
-        raise InputError("Euler factor pole")
-    value = Fraction(q * q, den)
+    # no pole: q^2 + a_v*q + 1 = 0 would make q divide 1
+    value = Fraction(q * q, q * q + a_v * q + 1)
     valuation = (int_valuation(value.numerator, p)
                  - int_valuation(value.denominator, p))
     return EulerFactor(value, valuation)
@@ -188,46 +186,40 @@ def quadratic_twist(curve: Curve, d: int) -> Curve:
 
 @dataclass(frozen=True)
 class CurveLocalData:
-    """Local invariants of a curve at one place with residue field size q."""
+    """Local invariants of a curve at one place with residue field size q.
+
+    The point count is q + 1 - a_v; a trace past the Hasse bound is refused.
+    """
 
     q: int
-    point_count: int
     a_v: int
     euler_value: Fraction
     euler_valuation_at_p: int
-    ordinary_at: Optional[bool]
 
     def __post_init__(self):
-        if self.a_v != self.q + 1 - self.point_count:
-            raise InputError("inconsistent local data: a_v != q + 1 - point count")
         if self.a_v * self.a_v > 4 * self.q:
             raise InputError("inconsistent local data: Hasse bound violated")
 
+    @property
+    def point_count(self) -> int:
+        return self.q + 1 - self.a_v
+
     def to_json(self) -> dict:
-        out = {"q": self.q, "point_count": self.point_count, "a_v": self.a_v,
-               "euler_value": format_rational(self.euler_value),
-               "euler_valuation_at_p": self.euler_valuation_at_p}
-        if self.ordinary_at is not None:
-            out["ordinary"] = self.ordinary_at
-        return out
+        return {"q": self.q, "point_count": self.point_count, "a_v": self.a_v,
+                "euler_value": format_rational(self.euler_value),
+                "euler_valuation_at_p": self.euler_valuation_at_p}
 
 
 def local_data(curve: Curve, l: int, p: int, residue_degree: int = 1) -> CurveLocalData:
     """Assemble the local data at a place of residue field size l^residue_degree.
 
     The count over the prime field is exhaustive; the trace over a proper
-    extension comes from the Frobenius-eigenvalue recurrence.  Ordinarity
-    is only meaningful (and only reported) when the place lies above p.
+    extension comes from the Frobenius-eigenvalue recurrence.  For ordinarity
+    at l = p, apply :func:`is_ordinary` to ``a_v``.
     """
     a_l = trace_of_frobenius(curve, l)
     a_q = extension_trace(a_l, l, residue_degree)
     q = l ** residue_degree
     factor = euler_factor(a_q, q, p)
-    return CurveLocalData(
-        q=q,
-        point_count=q + 1 - a_q,
-        a_v=a_q,
-        euler_value=factor.value,
-        euler_valuation_at_p=factor.valuation,
-        ordinary_at=is_ordinary(a_q, p) if l == p else None,
-    )
+    return CurveLocalData(q=q, a_v=a_q, euler_value=factor.value,
+                          euler_valuation_at_p=factor.valuation)

@@ -4,11 +4,11 @@ A :class:`TorsionModule` is a direct sum of cyclic factors, one power
 series generator g_i per factor.  Two independent routes compute the
 invariants-vs-coinvariants Euler characteristic:
 
-* :func:`generalized_chi` -- the closed form.  Split each generator as
-  g = T^n * f with f not divisible by T (read off the stored coefficients
-  directly, so f(0) may still be divisible by p).  The characteristic is
-  finite exactly when every n <= 1, and then equals p raised to the sum of
-  the valuations v_p(f_i(0)); r counts the factors with n = 1.
+* :func:`generalized_chi` -- the closed form.  Read each generator's
+  leading term alpha*T^n, so that g = T^n * f with f(0) = alpha (which may
+  still be divisible by p).  The characteristic is finite exactly when
+  every n <= 1, and then equals p raised to the sum of the valuations
+  v_p(f_i(0)); r counts the factors with n = 1.
 
 * :func:`finite_level_oracle` -- linear algebra at finite level.  Each
   factor becomes a lattice with basis 1, T, ..., T^(lambda-1) on which T
@@ -22,10 +22,10 @@ invariants-vs-coinvariants Euler characteristic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .errors import InputError, PrecisionError, PrimeMismatchError
-from .lambda_algebra import LambdaSeries, series_from_doc, weierstrass_prepare
+from .lambda_algebra import leading_term, series_from_doc, weierstrass_prepare
 from .padics import PowerOfP, int_valuation
 
 MAX_TOTAL_LAMBDA = 64  # desk-scale cap on the oracle's lattice rank
@@ -87,14 +87,6 @@ class ChiResult:
         return out
 
 
-def t_power_split(g: LambdaSeries) -> Tuple[int, LambdaSeries]:
-    """Write g = T^n * f with f not divisible by T at precision."""
-    n = g.t_order()
-    if n is None:
-        raise PrecisionError("precision insufficient to evaluate f(0)")
-    return n, g.shift_down(n)
-
-
 def generalized_chi(module: TorsionModule) -> ChiResult:
     """Closed-form Euler characteristic of a torsion module in normal form.
 
@@ -106,14 +98,11 @@ def generalized_chi(module: TorsionModule) -> ChiResult:
     exponent = 0
     r = 0
     for g in module.generators:
-        n, f = t_power_split(g)
-        if n > 1:
+        lead = leading_term(g)  # g = T^k * f with f(0) = alpha
+        if lead.k > 1:
             return ChiResult(finite=False)
-        f0 = f.coeffs[0]
-        if f0 == 0:
-            raise PrecisionError("precision insufficient to evaluate f(0)")
-        exponent += int_valuation(f0, p)
-        r += 1 if n == 1 else 0
+        exponent += lead.alpha_valuation
+        r += lead.k
     return ChiResult(True, PowerOfP(p, exponent), r)
 
 

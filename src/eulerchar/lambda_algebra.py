@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .errors import InputError, PrecisionError, PrimeMismatchError
-from .padics import check_prime, int_valuation
+from .padics import check_prime, int_valuation, json_int
 
 _MAX_PARSE_DEGREE = 512
 
@@ -30,23 +30,20 @@ _MAX_PARSE_DEGREE = 512
 class LambdaSeries:
     """A power series known mod (p^coeff_precision, T^trunc_degree).
 
-    ``coeffs`` is little-endian in T, has length ``trunc_degree``, and every
-    entry is reduced into [0, p^coeff_precision).
+    ``coeffs`` is little-endian in T, nonempty, and reduced into
+    [0, p^coeff_precision); its length is the truncation degree D.
     """
 
     prime: int
     coeff_precision: int  # N: coefficients known mod p^N
-    trunc_degree: int     # D: terms known up to T^(D-1)
     coeffs: tuple
 
     def __post_init__(self):
         check_prime(self.prime)
         if self.coeff_precision < 1:
             raise InputError("coefficient precision must be >= 1")
-        if self.trunc_degree < 1:
+        if not self.coeffs:
             raise InputError("truncation degree must be >= 1")
-        if len(self.coeffs) != self.trunc_degree:
-            raise InputError("coefficient list length must equal truncation degree")
         m = self.modulus
         if any(not (0 <= c < m) for c in self.coeffs):
             raise InputError("coefficients must be reduced into [0, p^N)")
@@ -62,11 +59,15 @@ class LambdaSeries:
         m = prime ** precision
         reduced = [c % m for c in coeffs[:degree]]
         reduced.extend([0] * (degree - len(reduced)))
-        return cls(prime, precision, degree, tuple(reduced))
+        return cls(prime, precision, tuple(reduced))
 
     @classmethod
     def one(cls, prime: int, precision: int, degree: int) -> "LambdaSeries":
         return cls.make(prime, [1], precision, degree)
+
+    @property
+    def trunc_degree(self) -> int:
+        return len(self.coeffs)
 
     @property
     def modulus(self) -> int:
@@ -96,20 +97,12 @@ class LambdaSeries:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _common(self, other: "LambdaSeries"):
+    def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
         if self.prime != other.prime:
             raise PrimeMismatchError("prime mismatch")
         n = min(self.coeff_precision, other.coeff_precision)
         d = min(self.trunc_degree, other.trunc_degree)
-        return n, d, self.prime ** n
-
-    def __add__(self, other: "LambdaSeries") -> "LambdaSeries":
-        n, d, m = self._common(other)
-        coeffs = [(self.coeffs[i] + other.coeffs[i]) % m for i in range(d)]
-        return LambdaSeries(self.prime, n, d, tuple(coeffs))
-
-    def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
-        n, d, m = self._common(other)
+        m = self.prime ** n
         out = [0] * d
         for i, a in enumerate(self.coeffs[:d]):
             if a == 0:
@@ -118,7 +111,7 @@ class LambdaSeries:
                 b = other.coeffs[j]
                 if b:
                     out[i + j] = (out[i + j] + a * b) % m
-        return LambdaSeries(self.prime, n, d, tuple(out))
+        return LambdaSeries(self.prime, n, tuple(out))
 
     def shift_down(self, k: int) -> "LambdaSeries":
         """Divide by T^k; requires the first k coefficients to vanish at precision."""
@@ -128,8 +121,7 @@ class LambdaSeries:
             raise InputError("series not divisible by the requested T power")
         if self.trunc_degree - k < 1:
             raise PrecisionError("truncation degree exhausted by T-power division")
-        return LambdaSeries(self.prime, self.coeff_precision, self.trunc_degree - k,
-                            self.coeffs[k:])
+        return LambdaSeries(self.prime, self.coeff_precision, self.coeffs[k:])
 
     def divide_p_power(self, e: int) -> "LambdaSeries":
         """Divide by p^e, losing e digits of coefficient precision."""
@@ -140,7 +132,7 @@ class LambdaSeries:
         pe = self.prime ** e
         if any(c % pe for c in self.coeffs):
             raise InputError("series not divisible by the requested p power")
-        return LambdaSeries(self.prime, self.coeff_precision - e, self.trunc_degree,
+        return LambdaSeries(self.prime, self.coeff_precision - e,
                             tuple(c // pe for c in self.coeffs))
 
     # -- serialization -------------------------------------------------------
@@ -159,7 +151,7 @@ class LambdaSeries:
         if not isinstance(coeffs, list):
             raise InputError("malformed series document: 'coeffs' must be a list")
         p, n, d = _series_shape(p, n, d)
-        return cls.make(p, [_json_int(c, "coeffs") for c in coeffs], n, d)
+        return cls.make(p, [json_int(c, "coeffs", "series") for c in coeffs], n, d)
 
     def __str__(self) -> str:
         terms = []
@@ -180,7 +172,6 @@ class LeadingTerm:
     """Lowest-degree term alpha*T^k of a series nonzero at precision."""
 
     prime: int
-    precision: int  # alpha is a residue mod p^precision
     alpha: int
     k: int
 
@@ -193,23 +184,20 @@ class LeadingTerm:
 class WeierstrassForm:
     """Factorization g = p^mu * P(T) * U(T) at precision.
 
-    ``distinguished_poly`` is little-endian of length lam+1, monic, with all
-    lower coefficients divisible by p; ``unit`` has an invertible constant
-    term.  Both are known mod p^precision where precision = N - mu.
+    ``distinguished_poly`` P is little-endian and monic of degree lambda,
+    with all lower coefficients divisible by p.  The invertible series
+    ``unit`` U carries the prime and the precision N - mu of both P and U.
     """
 
-    prime: int
-    precision: int
     mu: int
-    lam: int
     distinguished_poly: tuple
     unit: LambdaSeries
 
     def __post_init__(self):
-        if self.mu < 0 or self.lam < 0 or self.precision < 1:
+        if self.mu < 0:
             raise InputError("factorization exponents must be nonnegative")
         poly = self.distinguished_poly
-        if len(poly) != self.lam + 1 or poly[-1] != 1:
+        if not poly or poly[-1] != 1:
             raise InputError("distinguished polynomial must be monic of degree lambda")
         if any(c % self.prime for c in poly[:-1]):
             raise InputError("distinguished polynomial has a unit coefficient "
@@ -217,14 +205,25 @@ class WeierstrassForm:
         if self.unit.coeffs[0] % self.prime == 0:
             raise InputError("unit part has constant term divisible by p")
 
+    @property
+    def prime(self) -> int:
+        return self.unit.prime
+
+    @property
+    def precision(self) -> int:
+        return self.unit.coeff_precision
+
+    @property
+    def lam(self) -> int:
+        return len(self.distinguished_poly) - 1
+
     def reconstruct(self) -> LambdaSeries:
         """p^mu * P * U, carrying precision (N, D) of the prepared input."""
         prod = LambdaSeries.make(self.prime, self.distinguished_poly, self.precision,
                                  self.unit.trunc_degree) * self.unit
         m = self.prime ** (self.precision + self.mu)
         scaled = tuple((c * self.prime ** self.mu) % m for c in prod.coeffs)
-        return LambdaSeries(self.prime, self.precision + self.mu,
-                            prod.trunc_degree, scaled)
+        return LambdaSeries(self.prime, self.precision + self.mu, scaled)
 
     def same_characteristic_element(self, other: "WeierstrassForm") -> bool:
         """Equality up to units: compare (mu, distinguished_poly) at shared precision.
@@ -244,8 +243,6 @@ class WeierstrassForm:
 def _invert_unit(u: LambdaSeries) -> LambdaSeries:
     """Inverse of a series with invertible constant term, mod (p^N, T^D)."""
     m = u.modulus
-    if u.coeffs[0] % u.prime == 0:
-        raise InputError("series is not a unit: constant term divisible by p")
     inv0 = pow(u.coeffs[0], -1, m)
     d = u.trunc_degree
     out = [0] * d
@@ -256,7 +253,7 @@ def _invert_unit(u: LambdaSeries) -> LambdaSeries:
             if u.coeffs[j]:
                 acc = (acc + u.coeffs[j] * out[k - j]) % m
         out[k] = (-inv0 * acc) % m
-    return LambdaSeries(u.prime, u.coeff_precision, d, tuple(out))
+    return LambdaSeries(u.prime, u.coeff_precision, tuple(out))
 
 
 def min_coeff_valuation(g: LambdaSeries) -> int:
@@ -289,18 +286,11 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     h = g.divide_p_power(mu)
     n, d, m = h.coeff_precision, h.trunc_degree, h.modulus
 
-    lam = None
-    for i, c in enumerate(h.coeffs):
-        if c % p != 0:
-            lam = i
-            break
-    if lam is None:
-        # Unreachable when mu is the min over stored coefficients (the min
-        # is attained in range); kept as a guard for hand-built inputs.
-        raise PrecisionError("λ exceeds truncation degree")
+    # mu is attained by a stored coefficient, so h has a unit coefficient.
+    lam = next(i for i, c in enumerate(h.coeffs) if c % p)
 
     # Divide T^lam by h = h_low + T^lam * h_high (h_low = 0 mod p).
-    h_high = LambdaSeries(p, n, d, tuple(h.coeffs[lam:]) + (0,) * lam)
+    h_high = LambdaSeries(p, n, tuple(h.coeffs[lam:]) + (0,) * lam)
     h_high_inv = _invert_unit(h_high)
     quotient = [0] * d
     s = [0] * d
@@ -308,7 +298,7 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     for _ in range(n + 1):
         if all(c == 0 for c in s[lam:]):
             break
-        s_high = LambdaSeries(p, n, d, tuple(s[lam:]) + (0,) * lam)
+        s_high = LambdaSeries(p, n, tuple(s[lam:]) + (0,) * lam)
         dq = s_high * h_high_inv
         for i in range(d):
             quotient[i] = (quotient[i] + dq.coeffs[i]) % m
@@ -319,9 +309,8 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     remainder = s  # degree < lam at precision
 
     poly = [(-remainder[i]) % m for i in range(lam)] + [1]
-    q_series = LambdaSeries(p, n, d, tuple(quotient))
-    unit = _invert_unit(q_series)
-    return WeierstrassForm(p, n, mu, lam, tuple(poly), unit)
+    unit = _invert_unit(LambdaSeries(p, n, tuple(quotient)))  # unit: 1/h_high mod p
+    return WeierstrassForm(mu, tuple(poly), unit)
 
 
 def leading_term(g: LambdaSeries) -> LeadingTerm:
@@ -329,7 +318,7 @@ def leading_term(g: LambdaSeries) -> LeadingTerm:
     k = g.t_order()
     if k is None:
         raise PrecisionError("indistinguishable from zero at precision")
-    return LeadingTerm(g.prime, g.coeff_precision, g.coeffs[k], k)
+    return LeadingTerm(g.prime, g.coeffs[k], k)
 
 
 def mu_lambda(g: LambdaSeries):
@@ -417,16 +406,10 @@ def series_from_text(prime: int, text: str, precision: int, degree: int) -> Lamb
 # -- series documents ----------------------------------------------------------
 
 
-def _json_int(value, field: str) -> int:
-    if type(value) is not int:  # exact type: JSON true and 3.0 are not integers here
-        raise InputError(f"malformed series document: {field!r} must be a JSON integer, "
-                         f"got {value!r}")
-    return value
-
-
 def _series_shape(p, n, d):
     """The checked prime and (N, D) precision of a series document."""
-    p, n, d = _json_int(p, "p"), _json_int(n, "N"), _json_int(d, "D")
+    p, n, d = (json_int(p, "p", "series"), json_int(n, "N", "series"),
+               json_int(d, "D", "series"))
     if n < 1 or d < 1:
         raise InputError("malformed series document: 'N' and 'D' must be >= 1")
     return check_prime(p), n, d
@@ -443,7 +426,8 @@ def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
     entry's form.  Bad input of any shape raises InputError.
     """
     scope = {"N": 16, "D": 32, **(outer or {})}
-    scope = {key: _json_int(scope[key], key) for key in ("p", "N", "D") if key in scope}
+    scope = {key: json_int(scope[key], key, "series") for key in ("p", "N", "D")
+             if key in scope}
     if isinstance(entry, str):
         entry = {"poly": entry}
     if not (isinstance(entry, dict) and ("coeffs" in entry or "poly" in entry)):

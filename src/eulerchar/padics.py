@@ -1,4 +1,4 @@
-"""Exact p-adic arithmetic: primes, valuations, powers of p, rationals.
+"""Exact p-adic arithmetic: primes, valuations, powers of p, rationals, JSON integers.
 
 There is no floating point anywhere.  Every value the library certifies
 -- Euler characteristics, local H^1 orders, magnitudes of Euler-factor
@@ -86,10 +86,9 @@ class PowerOfP:
 
     @classmethod
     def parse(cls, prime: int, text: str) -> "PowerOfP":
-        """Parse "1", "p", "p^e" (e possibly negative), or an integer power of p."""
+        """Parse "p^e" (e possibly negative) or a positive integer power of p."""
+        check_prime(prime)  # before int_valuation, which never returns for p = 1
         text = text.strip()
-        if text == "1":
-            return cls(prime, 0)
         if "^" in text:
             base_s, _, exp_s = text.partition("^")
             try:
@@ -103,13 +102,8 @@ class PowerOfP:
             n = int(text)
         except ValueError:
             raise InputError(f"cannot parse power of {prime}: {text!r}") from None
-        if n <= 0:
-            raise InputError(f"not a power of {prime}: {text!r}")
-        e = 0
-        while n % prime == 0:
-            n //= prime
-            e += 1
-        if n != 1:
+        e = int_valuation(n, prime) if n > 0 else 0
+        if n != prime ** e:
             raise InputError(f"not a power of {prime}: {text!r}")
         return cls(prime, e)
 
@@ -119,6 +113,14 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def json_int(value, field: str, document: str) -> int:
+    """``value`` if it is a JSON integer, else an InputError naming the field."""
+    if type(value) is not int:  # exact type: JSON true and 3.0 are not integers here
+        raise InputError(f"malformed {document} document: {field!r} must be a JSON "
+                         f"integer, got {value!r}")
+    return value
 
 
 def parse_rational(text: str) -> Fraction:

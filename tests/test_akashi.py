@@ -151,14 +151,15 @@ def test_corank_list_checked_not_trusted():
 
     # T in degree 0 and T^2 in degree 1: k = 1 - 2 = -1
     a = data(7, "T", "T^2*(1+T)")
-    assert akashi_leading(a).k == -1
-    assert coranks_consistent(a, [1, 2]) is True
-    assert coranks_consistent(a, [2, 3]) is True   # same alternating sum
-    assert coranks_consistent(a, [1, 0]) is False
+    k = akashi_leading(a).k
+    assert k == -1
+    assert coranks_consistent(a, [1, 2], k) is True
+    assert coranks_consistent(a, [2, 3], k) is True   # same alternating sum
+    assert coranks_consistent(a, [1, 0], k) is False
     with pytest.raises(InputError, match="one corank per"):
-        coranks_consistent(a, [1])
+        coranks_consistent(a, [1], k)
     with pytest.raises(InputError, match="nonnegative"):
-        coranks_consistent(a, [1, -2])
+        coranks_consistent(a, [1, -2], k)
 
 
 def test_json_roundtrip():

@@ -244,3 +244,81 @@ def test_bad_reduction_names_the_prime(capsys):
     assert code == 2
     assert out == ""
     assert "11" in err
+
+
+PIPELINE = {"p": 7, "chi_gamma": "7^8", "curve": X1_11, "extension": {"p": 7, "m": 113}}
+
+
+def pipeline(**changes):
+    return json.dumps({**PIPELINE, **changes})
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["akashi", "--data", '{"p":7,"char_elements":[]}'], 2, "at least one"),
+    (["akashi", "--data", '{"p":7,"char_elements":"T"}'], 2, "'char_elements' must be a list"),
+    (["akashi", "--data", '{"p":7,"N":2,"D":4,"char_elements":["7","1","7"]}'], 3, "vanishes"),
+    (["akashi", "--check", "a.json,b.json"], 2, "three files"),
+    (["akashi"], 2, "needs --data or --check"),
+    (["prep", "--series", '{"p":7'], 2, "malformed JSON"),
+    (["theorem3", "--config", '{"p":7}'], 2, "malformed pipeline document: 'chi_gamma'"),
+    (["theorem3", "--config", pipeline(extension={"p": 11, "m": 113})], 2,
+     "extension prime disagrees"),
+    (["theorem3", "--config", pipeline(tamagawa=[1])], 2, "malformed Tamagawa map"),
+    (["count-points", "--curve", '{"b":[]}', "--q", "7"], 2, "malformed curve document"),
+    (["count-points", "--curve", '{"a":["1/7","0","0","0","1"]}', "--q", "7"], 2,
+     "not q-integral at q = 7"),
+    (["euler-factor", "--a", "0", "--q", "1", "--p", "7"], 2, "q must be"),
+    (["chi-module", "--module", '{"p":7,"generators":[]}'], 2, "at least one generator"),
+    (["chi-module", "--module", '{"p":7,"generators":"T"}'], 2, "'generators' must be a list"),
+    (["prep", "--series", '{"p":7,"poly":"T^300*T^300"}'], 2, "exceeds parser cap"),
+    (["prep", "--series", '{"p":7,"poly":"T^40","N":4,"D":8}'], 2,
+     "exceeds truncation degree"),
+    (["example-x1-11", "--chi-gamma", "7^x"], 2, "cannot parse power of 7"),
+    (["example-x1-11", "--chi-gamma", "48"], 2, "not a power of 7"),
+])
+def test_input_errors_exit_with_a_message(capsys, argv, code, message):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["theorem3", "--config", pipeline(p=7.9)], "'p' must be a JSON integer, got 7.9"),
+    (["theorem3", "--config", pipeline(p=1)], "not prime: 1"),
+    (["theorem3", "--config", pipeline(extension={"p": "7", "m": 113})],
+     "'extension.p' must be a JSON integer, got '7'"),
+    (["theorem3", "--config", pipeline(extension={"p": 7, "m": 113.5})],
+     "'extension.m' must be a JSON integer, got 113.5"),
+    (["theorem3", "--config", pipeline(tamagawa={"113": 1.5})],
+     "'tamagawa.113' must be a JSON integer, got 1.5"),
+    (["akashi", "--data", '{"p":7,"char_elements":["7*T"],"coranks":["x"]}'],
+     "'coranks' must be a JSON integer, got 'x'"),
+    (["akashi", "--data", '{"p":7,"char_elements":["7*T"],"coranks":[1.9]}'],
+     "'coranks' must be a JSON integer, got 1.9"),
+    (["akashi", "--data", '{"p":7,"char_elements":["7*T"],"coranks":[true]}'],
+     "'coranks' must be a JSON integer, got True"),
+    (["akashi", "--data", '{"p":7,"char_elements":["7*T"],"coranks":5}'],
+     "'coranks' must be a list"),
+])
+def test_document_numbers_are_not_coerced(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_akashi_report_computes_the_product_once(capsys, monkeypatch):
+    from eulerchar import akashi, cli
+
+    calls = []
+
+    def counted(data, original=akashi.akashi_series):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(akashi, "akashi_series", counted)
+    monkeypatch.setattr(cli, "akashi_series", counted)
+    code, report = run_report(capsys, "akashi", "--data",
+                              '{"p":7,"char_elements":["T","T^2*(1+T)"],"coranks":[1,2]}')
+    assert code == 0
+    assert report["results"]["coranks_consistent_with_k"] is True
+    assert len(calls) == 1

@@ -106,7 +106,7 @@ def test_is_ordinary():
 
 
 def _local(q, a):
-    return CurveLocalData(q, q + 1 - a, a, Fraction(1), 0, None)
+    return CurveLocalData(q, a, Fraction(1), 0)
 
 
 def test_weil_weight_check():
@@ -191,13 +191,12 @@ def test_local_data_at_split_place():
     assert data.point_count == 105
     assert data.a_v == 9
     assert data.euler_valuation_at_p == 0
-    assert data.ordinary_at is None
 
 
-def test_local_data_above_p_reports_ordinarity():
+def test_local_data_above_p():
     data = local_data(x1_11(), 7, 7)
     assert data.a_v == -2
-    assert data.ordinary_at is True
+    assert data.point_count == 10
     assert data.euler_valuation_at_p == 2
     assert data.euler_value == Fraction(49, 36)
 
@@ -210,10 +209,8 @@ def test_local_data_with_residue_degree():
 
 
 def test_local_data_consistency_enforced():
-    with pytest.raises(InputError, match="a_v"):
-        CurveLocalData(7, 10, 3, Fraction(1), 0, None)
     with pytest.raises(InputError, match="Hasse"):
-        CurveLocalData(7, 1, 7, Fraction(1), 0, None)
+        CurveLocalData(7, 7, Fraction(1), 0)
 
 
 def test_curve_json_roundtrip():

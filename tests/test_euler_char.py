@@ -19,8 +19,7 @@ def synthetic_place(p, l, valuation, q=None):
     """
     q = q if q is not None else l
     splitting = SplittingData(l, p, 1, 1, False, q)
-    local = CurveLocalData(q, q + 1, 0, Fraction(q * q, q * q + 1),
-                           valuation, None)
+    local = CurveLocalData(q, 0, Fraction(q * q, q * q + 1), valuation)
     return splitting, local
 
 

@@ -6,7 +6,7 @@ import pytest
 from eulerchar.errors import InputError, PrecisionError
 from eulerchar.gamma_modules import (ChiResult, TorsionModule, companion_matrix,
                                      finite_level_oracle, generalized_chi,
-                                     smith_normal_form, t_power_split)
+                                     smith_normal_form)
 from eulerchar.lambda_algebra import LambdaSeries, series_from_text
 from eulerchar.padics import PowerOfP
 
@@ -43,13 +43,6 @@ def test_chi_of_t_minus_7():
 def test_chi_multi_generator():
     result = generalized_chi(module(7, "T*(T-7)", "T-7", "1+T"))
     assert result == ChiResult(True, PowerOfP(7, 2), 1)
-
-
-def test_t_power_split_reads_coefficients_directly():
-    g = series_from_text(7, "T*(T-7)", 8, 12)
-    n, f = t_power_split(g)
-    assert n == 1
-    assert f.coeffs[0] == 7 ** 8 - 7  # f(0) = -7, not a unit: still handled
 
 
 def test_zero_generator_rejected():

@@ -50,19 +50,17 @@ def test_multiplication_matches_oracle_on_random_inputs():
         assert got.coeffs == naive_product(p, a, b, n, d)
 
 
-def test_addition_and_precision_min_rule():
+def test_precision_min_rule():
     a = series(7, [1, 2, 3], 5, 3)
     b = series(7, [6, 5], 2, 2)
-    c = a + b
+    c = a * b
     assert (c.coeff_precision, c.trunc_degree) == (2, 2)
-    assert c.coeffs == (7, 7)
+    assert c.coeffs == (6, 17)  # 6 and 1*5 + 2*6, mod 7^2 and T^2
 
 
 def test_prime_mismatch_errors():
     with pytest.raises(PrimeMismatchError, match="prime mismatch"):
         series(5, [1], 3, 3) * series(7, [1], 3, 3)
-    with pytest.raises(PrimeMismatchError, match="prime mismatch"):
-        series(5, [1], 3, 3) + series(7, [1], 3, 3)
 
 
 def test_prepare_unit_series():
@@ -313,21 +311,26 @@ def test_polynomial_text_parsing():
 
 
 def test_construction_validation():
+    assert LambdaSeries(7, 2, (0, 0, 0)).trunc_degree == 3
     with pytest.raises(InputError):
-        LambdaSeries(7, 0, 3, (0, 0, 0))
+        LambdaSeries(7, 0, (0, 0, 0))
+    with pytest.raises(InputError, match="truncation degree"):
+        LambdaSeries(7, 2, ())
     with pytest.raises(InputError):
-        LambdaSeries(7, 2, 3, (0, 0))
-    with pytest.raises(InputError):
-        LambdaSeries(7, 1, 2, (7, 0))
+        LambdaSeries(7, 1, (7, 0))
 
 
 def test_weierstrass_form_invariants_enforced():
     from eulerchar.lambda_algebra import WeierstrassForm
     unit = series(7, [1, 7], 3, 6)
-    WeierstrassForm(7, 3, 0, 1, (7, 1), unit)  # valid
-    with pytest.raises(InputError, match="monic"):
-        WeierstrassForm(7, 3, 0, 1, (7, 2), unit)
+    form = WeierstrassForm(0, (7, 1), unit)  # valid
+    assert (form.prime, form.precision, form.lam) == (7, 3, 1)
+    with pytest.raises(InputError, match="nonnegative"):
+        WeierstrassForm(-1, (7, 1), unit)
+    for poly in ((), (7, 2)):
+        with pytest.raises(InputError, match="monic"):
+            WeierstrassForm(0, poly, unit)
     with pytest.raises(InputError, match="unit coefficient"):
-        WeierstrassForm(7, 3, 0, 1, (3, 1), unit)
+        WeierstrassForm(0, (3, 1), unit)
     with pytest.raises(InputError, match="constant term divisible"):
-        WeierstrassForm(7, 3, 0, 1, (7, 1), series(7, [7, 1], 3, 6))
+        WeierstrassForm(0, (7, 1), series(7, [7, 1], 3, 6))

@@ -61,9 +61,12 @@ def test_power_of_p_formatting_and_parsing():
 
 
 def test_power_of_p_parse_rejects_garbage():
-    for bad in ("6", "5^2", "7.5", "forty-nine"):
+    for bad in ("6", "5^2", "7.5", "forty-nine", "0", "-7"):
         with pytest.raises(InputError):
             PowerOfP.parse(7, bad)
+    for prime in (0, 1):
+        with pytest.raises(InputError, match="not prime"):
+            PowerOfP.parse(prime, "7")
 
 
 def test_power_arithmetic():
