@@ -9,6 +9,7 @@ error, 4 golden-value mismatch (the worked-example command only).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -270,6 +271,7 @@ def _handle_example(args):
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eulerchar",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 from .errors import InputError
-from .padics import check_prime
+from .padics import check_prime, prime_factors
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,20 @@ class SplittingData:
     l: int
     p: int
     f: int          # residue degree
-    g: int          # number of places above l
-    ramified: bool  # true exactly when l = p
-    q_v: int        # residue field size l^f
+
+    @property
+    def ramified(self) -> bool:
+        return self.l == self.p
+
+    @property
+    def g(self) -> int:
+        """Number of places above l: (p-1)/f, or 1 for the totally ramified l = p."""
+        return 1 if self.ramified else (self.p - 1) // self.f
+
+    @property
+    def q_v(self) -> int:
+        """Residue field size l^f."""
+        return self.l ** self.f
 
     def to_json(self) -> dict:
         return {"l": self.l, "p": self.p, "f": self.f, "g": self.g,
@@ -55,24 +66,7 @@ def split(l: int, p: int) -> SplittingData:
     """Splitting data of l in Q(mu_p); l = p is the totally ramified case."""
     check_prime(l)
     check_prime(p)
-    if l == p:
-        return SplittingData(l, p, 1, 1, True, l)
-    f = multiplicative_order(l, p)
-    return SplittingData(l, p, f, (p - 1) // f, False, l ** f)
-
-
-def _prime_factors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    return SplittingData(l, p, 1 if l == p else multiplicative_order(l, p))
 
 
 def _is_perfect_power(m: int, k: int) -> bool:
@@ -113,7 +107,7 @@ def infinite_inertia_set(ext: ExtensionSpec) -> List[SplittingData]:
     tower.  The place set the product formula uses is the sublist with
     l != p, expanded to its g places (see infinite_inertia_places).
     """
-    return [split(l, ext.p) for l in sorted(set(_prime_factors(ext.p * ext.m)))]
+    return [split(l, ext.p) for l in prime_factors(ext.p * ext.m)]
 
 
 def infinite_inertia_places(ext: ExtensionSpec) -> List[SplittingData]:

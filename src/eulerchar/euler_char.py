@@ -40,11 +40,9 @@ class ChiInput:
     def __post_init__(self):
         if self.chi_gamma.prime != self.p:
             raise InputError("chi_gamma must be a power of the working prime")
-        for splitting, local in self.places:
+        for splitting, _ in self.places:
             if splitting.l == self.p:
                 raise InputError("infinite-inertia place set excludes places above p")
-            if local.q != splitting.q_v:
-                raise InputError("local data residue field disagrees with splitting data")
 
 
 def theorem_chi(chi_input: ChiInput) -> PowerOfP:

@@ -10,26 +10,100 @@ report names the one it took in its provenance notes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import List
 
 from .errors import InputError, PrimeMismatchError
 
 
+# The first 13 primes as Miller-Rabin bases, and for each k the least odd
+# composite that is a strong probable prime to the first k of them (Jaeschke 1993;
+# Sorenson and Webster 2017): below that bound the first k bases decide primality.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_DECIDED_BELOW = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                     341550071728321, 341550071728321, 3825123056546413051,
+                     3825123056546413051, 3825123056546413051,
+                     318665857834031151167461, 3317044064679887385961981)
+MR_PROVEN_BELOW = _MR_DECIDED_BELOW[-1]
+
+
 def is_prime(n: int) -> bool:
-    """Trial division primality test; inputs are desk-scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin primality test for n below MR_PROVEN_BELOW.
+
+    Past that bound no answer is certified, so an InputError is raised.
+    """
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES
+    for b in _MR_BASES:
+        if n % b == 0:
             return False
-        d += 2
+    if n >= MR_PROVEN_BELOW:
+        raise InputError(f"primality of {n} not decided: past the proven "
+                         f"Miller-Rabin range n < {MR_PROVEN_BELOW}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b, bound in zip(_MR_BASES, _MR_DECIDED_BELOW):
+        x = pow(b, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:
+            return True
     return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor below 43 (Pollard rho, Brent)."""
+    for c in range(1, n):
+        y, r, g, product = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    product = product * (x - y) % n
+                g = math.gcd(product, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back one at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+        if g != n:
+            return g
+    raise ValueError(f"no divisor found for {n}")  # unreachable for composite n
+
+
+def prime_factors(n: int) -> List[int]:
+    """The distinct prime factors of n >= 1, ascending (Pollard-Brent rho)."""
+    out = set()
+    for b in _MR_BASES:
+        if n % b == 0:
+            out.add(b)
+            while n % b == 0:
+                n //= b
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out.add(m)
+        else:
+            d = _rho_divisor(m)
+            stack.extend((d, m // d))
+    return sorted(out)
 
 
 def check_prime(p: int) -> int:

@@ -322,3 +322,25 @@ def test_akashi_report_computes_the_product_once(capsys, monkeypatch):
     assert code == 0
     assert report["results"]["coranks_consistent_with_k"] is True
     assert len(calls) == 1
+
+
+def test_calls_in_one_process_share_no_state(capsys):
+    # the parser is built once per process; each report must still depend
+    # only on its own argv, whatever ran before it
+    module = '{"p":7,"generators":["T*(T-7)"]}'
+    calls = [
+        ["chi-module", "--module", module, "--oracle", "--prec", "10"],
+        ["chi-module", "--module", module],
+        ["split", "--l", "x", "--p", "7"],
+        ["example-x1-11", "--chi-gamma", "7^5"],
+        ["split", "--l", "113", "--p", "7"],
+        ["example-x1-11"],
+        ["count-points", "--curve", json.dumps(X1_11), "--q", "113"],
+    ]
+    forward = [run(capsys, *argv) for argv in calls]
+    backward = [run(capsys, *argv) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [0, 0, 2, 4, 0, 0, 0]
+    assert "oracle" not in json.loads(forward[1][1])["results"]
+    assert "invalid int value" in forward[2][2]
+    assert json.loads(forward[5][1])["results"]["chi_gamma_input"] == "7^8"

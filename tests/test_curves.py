@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from eulerchar.curves import (Curve, CurveLocalData, count_points, euler_factor,
-                              extension_trace, is_ordinary, local_data,
+from eulerchar.curves import (MAX_COUNT_Q, MESTRE_FROM_Q, Curve, CurveLocalData,
+                              _count_exhaustive, _count_mestre, count_points,
+                              euler_factor, extension_trace, is_ordinary, local_data,
                               quadratic_twist, trace_of_frobenius, x1_11)
 from eulerchar.errors import InputError
+from eulerchar.padics import is_prime
 
 
 # Independent oracle: enumerate all affine pairs (x, y), any characteristic.
@@ -59,7 +61,7 @@ def test_count_rejects_bad_inputs():
     with pytest.raises(InputError, match="not prime"):
         count_points(curve, 15)
     with pytest.raises(InputError, match="capped"):
-        count_points(curve, 1000003)
+        count_points(curve, 10 ** 12 + 39)  # the least prime past the cap
     fractional = Curve(Fraction(0), Fraction(0), Fraction(0),
                        Fraction(1, 7), Fraction(1))
     with pytest.raises(InputError, match="not q-integral"):
@@ -222,3 +224,53 @@ def test_curve_json_roundtrip():
     assert half.a4 == Fraction(1, 2)
     with pytest.raises(InputError):
         Curve.from_json({"a": ["1", "2"]})
+
+
+# The four benchmark curves X_1(11), 37a1, y^2 = x^3 - x and 53a1 (which has
+# a1, a3 != 0), and one with non-integral but q-integral coefficients.
+ORACLE_CURVES = [Curve(*map(Fraction, a)) for a in (
+    (0, -1, 1, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, -1, 0), (1, -1, 1, 0, 0),
+    (Fraction(1, 2), Fraction(-2, 3), 0, Fraction(3, 5), Fraction(1, 7)))]
+
+
+def test_mestre_count_matches_exhaustive_count():
+    assert 229 < MESTRE_FROM_Q < 5000
+    for q in range(5, 5000):
+        if not is_prime(q):
+            continue
+        for curve in ORACLE_CURVES:
+            try:
+                expected = _count_exhaustive(curve, q)
+            except InputError:  # bad reduction, or a denominator divisible by q
+                continue
+            # count_points counts by BSGS from MESTRE_FROM_Q on; Mestre's bound is 229
+            fast = _count_mestre if 229 < q < MESTRE_FROM_Q else count_points
+            assert fast(curve, q) == expected, (curve, q)
+
+
+def _next_prime(n, step=1):
+    while not is_prime(n):
+        n += step
+    return n
+
+
+def test_supersingular_counts_at_large_q():
+    # y^2 = x^3 - x at q = 3 mod 4 and y^2 = x^3 + 1 at q = 2 mod 3 have q + 1 points
+    cm_i = Curve(Fraction(0), Fraction(0), Fraction(0), Fraction(-1), Fraction(0))
+    cm_rho = Curve(Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+    for start in (10 ** 6, 10 ** 9, MAX_COUNT_Q):
+        q = _next_prime(start, -1)
+        while q % 12 != 11:  # 3 mod 4 and 2 mod 3
+            q = _next_prime(q - 2, -1)
+        assert count_points(cm_i, q) == q + 1
+        assert count_points(cm_rho, q) == q + 1
+
+
+def test_twist_sum_at_large_q():
+    for start in (10 ** 6, MAX_COUNT_Q - 10 ** 5):
+        q = _next_prime(start)
+        d = next(d for d in range(2, q) if pow(d, (q - 1) // 2, q) == q - 1)
+        for curve in ORACLE_CURVES[:4]:
+            n = count_points(curve, q)
+            assert (q + 1 - n) ** 2 <= 4 * q
+            assert n + count_points(quadratic_twist(curve, d), q) == 2 * q + 2

@@ -11,15 +11,14 @@ from eulerchar.euler_char import (ChiInput, ConventionViolationError,
 from eulerchar.padics import PowerOfP, int_valuation
 
 
-def synthetic_place(p, l, valuation, q=None):
+def synthetic_place(p, l, valuation):
     """A place away from p with a prescribed Euler-factor valuation.
 
     Real places away from p always have valuation <= 0; positive values
     here only exercise the exponent arithmetic of the product formula.
     """
-    q = q if q is not None else l
-    splitting = SplittingData(l, p, 1, 1, False, q)
-    local = CurveLocalData(q, 0, Fraction(q * q, q * q + 1), valuation)
+    splitting = SplittingData(l, p, 1)
+    local = CurveLocalData(l, 0, Fraction(l * l, l * l + 1), valuation)
     return splitting, local
 
 
@@ -56,16 +55,6 @@ def test_place_above_p_rejected():
     local = local_data(x1_11(), 7, 7)
     with pytest.raises(InputError, match="excludes places above p"):
         ChiInput(7, PowerOfP(7, 0), ((splitting, local),))
-
-
-def test_residue_field_consistency_enforced():
-    splitting = split(113, 7)
-    local = local_data(x1_11(), 113, 7, residue_degree=1)
-    wrong = SplittingData(113, 7, 2, 3, False, 113 ** 2)
-    with pytest.raises(InputError, match="residue field"):
-        ChiInput(7, PowerOfP(7, 0), ((wrong, local),))
-    # the matching pair is fine
-    ChiInput(7, PowerOfP(7, 0), ((splitting, local),))
 
 
 def test_chi_gamma_prime_must_match():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from eulerchar.errors import InputError, PrimeMismatchError
-from eulerchar.padics import (PowerOfP, format_rational, int_valuation, is_prime,
-                              parse_rational)
+from eulerchar.padics import (MR_PROVEN_BELOW, PowerOfP, format_rational, int_valuation,
+                              is_prime, parse_rational, prime_factors)
 
 
 def test_valuation_examples():
@@ -92,3 +92,52 @@ def _slow_prime(n):
 def test_is_prime_against_slow_reference():
     for n in range(-2, 400):
         assert is_prime(n) == _slow_prime(n)
+
+
+# Trial division: the slow route that checks Miller-Rabin and Pollard-Brent rho.
+def _trial_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def _trial_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_miller_rabin_against_trial_division():
+    for n in range(-2, 10 ** 5):
+        assert is_prime(n) == _trial_prime(n), n
+    # the least strong pseudoprimes to the bases 2, 2..3, 2..5, ..., 2..37
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(10 ** 12 + 39) and is_prime(2 ** 61 - 1)
+    # the bound is itself a strong pseudoprime to all 13 bases, so no answer past it
+    with pytest.raises(InputError, match="not decided"):
+        is_prime(MR_PROVEN_BELOW)
+
+
+def test_prime_factors_against_trial_division():
+    for n in range(1, 3000):
+        assert prime_factors(n) == _trial_factors(n), n
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randrange(1, 10 ** 10)
+        assert prime_factors(n) == _trial_factors(n), n
+    # products of large primes, squares of primes past the small-prime strip
+    assert prime_factors(999983 * 1000003 * (10 ** 12 + 39)) == [999983, 1000003, 10 ** 12 + 39]
+    assert prime_factors(43 ** 2 * 1000003 ** 3) == [43, 1000003]
+    assert prime_factors(2 ** 10 * 41 ** 3) == [2, 41]
