@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, PrecisionError, PrimeMismatchError
 from .lambda_algebra import (LambdaSeries, leading_term, min_coeff_valuation,
-                             series_from_doc, weierstrass_prepare)
+                             series_list_from_doc, weierstrass_prepare)
 from .padics import PowerOfP
 
 
@@ -46,14 +46,8 @@ class AkashiData:
 
     @classmethod
     def from_json(cls, doc) -> "AkashiData":
-        """One series entry per degree, read by :func:`series_from_doc`."""
-        try:
-            p, entries = doc["p"], doc["char_elements"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed Akashi document: {exc}") from None
-        if not isinstance(entries, list):
-            raise InputError("malformed Akashi document: 'char_elements' must be a list")
-        return cls(p, tuple(series_from_doc(entry, doc) for entry in entries))
+        """One series entry per degree, read by :func:`series_list_from_doc`."""
+        return cls(*series_list_from_doc(doc, "char_elements", "Akashi"))
 
 
 @dataclass(frozen=True)

@@ -194,11 +194,15 @@ def _handle_theorem(args):
         except (TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed Tamagawa map: {exc}") from None
 
-    chi_input = build_chi_input(curve, ext, chi_gamma)
-    chi_sigma = theorem_chi(chi_input)
+    places = build_chi_input(curve, ext)
+    chi_sigma = theorem_chi(chi_gamma, places)
+    primes = {splitting.l for splitting, _ in places}
+    for key in doc.get("tamagawa", {}):
+        if str(int(key)) != key or int(key) not in primes:
+            raise InputError(f"Tamagawa key {key!r} is not a prime dividing m other than p")
 
     place_rows = []
-    for splitting, local in chi_input.places:
+    for splitting, local in places:
         row = {"l": splitting.l, "f": splitting.f, "q_v": splitting.q_v,
                **local.to_json()}
         if tamagawa and splitting.l in tamagawa:
@@ -250,8 +254,7 @@ def _handle_example(args):
     check("number of places above 113", 6, splitting.g)
     check("ordinary at 7", True, is_ordinary(7 + 1 - n7, p))
 
-    chi_input = build_chi_input(curve, ext, chi_gamma)
-    chi_sigma = theorem_chi(chi_input)
+    chi_sigma = theorem_chi(chi_gamma, build_chi_input(curve, ext))
     check("product formula output", "7^8", chi_sigma)
 
     all_ok = all(c["ok"] for c in checks)

@@ -287,11 +287,6 @@ def _count_mestre(curve: Curve, q: int) -> int:
     raise ValueError(f"point count at q = {q} not pinned down")  # excluded by Mestre for q > 229
 
 
-def trace_of_frobenius(curve: Curve, q: int) -> int:
-    """a_q = q + 1 - #E(F_q)."""
-    return q + 1 - count_points(curve, q)
-
-
 def extension_trace(a: int, q: int, f: int) -> int:
     """Trace over F_{q^f} from the trace over F_q.
 
@@ -376,7 +371,7 @@ def local_data(curve: Curve, l: int, p: int, residue_degree: int = 1) -> CurveLo
     trace over a proper extension from the Frobenius-eigenvalue recurrence.
     For ordinarity at l = p, apply :func:`is_ordinary` to ``a_v``.
     """
-    a_l = trace_of_frobenius(curve, l)
+    a_l = l + 1 - count_points(curve, l)
     a_q = extension_trace(a_l, l, residue_degree)
     q = l ** residue_degree
     factor = euler_factor(a_q, q, p)

@@ -3,7 +3,8 @@
 The Euler characteristic over the big extension equals the
 cyclotomic-level characteristic times the p-adic magnitude (paper
 convention, p^(+v_p)) of the product of local Euler factors over the
-infinite-inertia places away from p.
+infinite-inertia places away from p: :func:`build_chi_input` lists those
+places with the curve's local data, :func:`theorem_chi` takes the product.
 
 The cyclotomic-level characteristic chi_gamma is always an *input*: its
 computation belongs to the cyclotomic theory and is out of scope here.
@@ -13,10 +14,9 @@ This module evaluates the product, not the starting point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from .curves import Curve, CurveLocalData, local_data
-from .cyclotomic_fields import ExtensionSpec, SplittingData, infinite_inertia_places
+from .cyclotomic_fields import ExtensionSpec, infinite_inertia_places
 from .errors import InputError
 from .padics import PowerOfP, int_valuation
 
@@ -25,35 +25,16 @@ class ConventionViolationError(InputError):
     """The cardinality formulas produce a negative exponent at this place."""
 
 
-@dataclass(frozen=True)
-class ChiInput:
-    """Everything the product formula consumes.
-
-    ``places`` pairs the splitting data of each infinite-inertia place away
-    from p with the curve's local data there.
-    """
-
-    p: int
-    chi_gamma: PowerOfP
-    places: Tuple[Tuple[SplittingData, CurveLocalData], ...]
-
-    def __post_init__(self):
-        if self.chi_gamma.prime != self.p:
-            raise InputError("chi_gamma must be a power of the working prime")
-        for splitting, _ in self.places:
-            if splitting.l == self.p:
-                raise InputError("infinite-inertia place set excludes places above p")
-
-
-def theorem_chi(chi_input: ChiInput) -> PowerOfP:
+def theorem_chi(chi_gamma: PowerOfP, places) -> PowerOfP:
     """chi over the big extension: chi_gamma times p^(sum of local valuations).
 
-    The magnitude of the Euler-factor product is taken in the paper
-    convention |x|_p = p^(+v_p(x)); each place contributes its valuation
-    individually (a prime with g places above it appears g times).
+    ``places`` is the output of :func:`build_chi_input`.  The magnitude of
+    the Euler-factor product is taken in the paper convention
+    |x|_p = p^(+v_p(x)); each place contributes its valuation individually
+    (a prime with g places above it appears g times).
     """
-    exponent = sum(local.euler_valuation_at_p for _, local in chi_input.places)
-    return chi_input.chi_gamma * PowerOfP(chi_input.p, exponent)
+    exponent = sum(local.euler_valuation_at_p for _, local in places)
+    return chi_gamma * PowerOfP(chi_gamma.prime, exponent)
 
 
 @dataclass(frozen=True)
@@ -79,8 +60,6 @@ def local_cardinalities(c_v: int, local: CurveLocalData, p: int) -> LocalCardina
     keeps both cardinalities >= 1 in the good-reduction cases.  A
     negative implied exponent is surfaced as an error, never clamped.
     """
-    if local.q % p == 0:
-        raise InputError("place above p is excluded here")
     if c_v < 1:
         raise InputError("Tamagawa number must be a positive integer")
     v_c = int_valuation(c_v, p)
@@ -94,17 +73,13 @@ def local_cardinalities(c_v: int, local: CurveLocalData, p: int) -> LocalCardina
     )
 
 
-def build_chi_input(curve: Curve, extension: ExtensionSpec,
-                    chi_gamma: PowerOfP) -> ChiInput:
-    """Assemble the product-formula input for a curve and a Kummer-tower extension.
+def build_chi_input(curve: Curve, extension: ExtensionSpec) -> tuple:
+    """The (splitting data, local data) pair of each infinite-inertia place away from p.
 
-    Walks the infinite-inertia places away from p and computes the curve's
-    local data at each (counting over the prime field, extending the trace
-    to the place's residue degree).
+    The places come from :func:`infinite_inertia_places`, which skips
+    l = p.  The curve's local data is counted over the prime field and
+    its trace extended to the place's residue degree.
     """
-    places = []
-    for splitting in infinite_inertia_places(extension):
-        data = local_data(curve, splitting.l, extension.p,
-                          residue_degree=splitting.f)
-        places.append((splitting, data))
-    return ChiInput(extension.p, chi_gamma, tuple(places))
+    return tuple((splitting, local_data(curve, splitting.l, extension.p,
+                                        residue_degree=splitting.f))
+                 for splitting in infinite_inertia_places(extension))

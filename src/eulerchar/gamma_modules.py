@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .errors import InputError, PrecisionError, PrimeMismatchError
-from .lambda_algebra import leading_term, series_from_doc, weierstrass_prepare
+from .lambda_algebra import leading_term, series_list_from_doc, weierstrass_prepare
 from .padics import PowerOfP, int_valuation
 
 MAX_TOTAL_LAMBDA = 64  # desk-scale cap on the oracle's lattice rank
@@ -52,18 +52,12 @@ class TorsionModule:
 
     @classmethod
     def from_json(cls, doc) -> "TorsionModule":
-        """Generators are series entries, read by :func:`series_from_doc`.
+        """Generators are series entries, read by :func:`series_list_from_doc`.
 
         Polynomial strings (e.g. "T^2" or "T*(T-7)") are read at the file's
         "N"/"D" keys, defaults 16/32.
         """
-        try:
-            p, entries = doc["p"], doc["generators"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed module document: {exc}") from None
-        if not isinstance(entries, list):
-            raise InputError("malformed module document: 'generators' must be a list")
-        return cls(p, tuple(series_from_doc(entry, doc) for entry in entries))
+        return cls(*series_list_from_doc(doc, "generators", "module"))
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,8 @@ class LambdaSeries:
 
     @classmethod
     def make(cls, prime: int, coeffs: Sequence[int], precision: int,
-             degree: Optional[int] = None) -> "LambdaSeries":
+             degree: int) -> "LambdaSeries":
         """Build a series, reducing coefficients and zero-padding to ``degree``."""
-        if degree is None:
-            degree = max(len(coeffs), 1)
         m = prime ** precision
         reduced = [c % m for c in coeffs[:degree]]
         reduced.extend([0] * (degree - len(reduced)))
@@ -143,7 +141,7 @@ class LambdaSeries:
 
     @classmethod
     def from_json(cls, doc) -> "LambdaSeries":
-        """Read a coefficient document; every number in it must be a JSON integer."""
+        """Read a coefficient document: JSON integers, at most D coefficients, zero-padded."""
         try:
             p, n, d, coeffs = doc["p"], doc["N"], doc["D"], doc["coeffs"]
         except (KeyError, TypeError) as exc:
@@ -151,20 +149,10 @@ class LambdaSeries:
         if not isinstance(coeffs, list):
             raise InputError("malformed series document: 'coeffs' must be a list")
         p, n, d = _series_shape(p, n, d)
+        if len(coeffs) > d:
+            raise InputError(f"malformed series document: 'coeffs' has {len(coeffs)} "
+                             f"entries, more than the truncation degree D = {d}")
         return cls.make(p, [json_int(c, "coeffs", "series") for c in coeffs], n, d)
-
-    def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                t = "T" if i == 1 else f"T^{i}"
-                terms.append(t if c == 1 else f"{c}*{t}")
-        body = " + ".join(terms) if terms else "0"
-        return f"{body}  (mod {self.prime}^{self.coeff_precision}, T^{self.trunc_degree})"
 
 
 @dataclass(frozen=True)
@@ -439,3 +427,14 @@ def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
         raise InputError("malformed series document: 'poly' must be a string")
     p, n, d = _series_shape(scope.get("p"), scope["N"], scope["D"])
     return series_from_text(p, scope["poly"], n, d)
+
+
+def series_list_from_doc(doc, key: str, name: str):
+    """The "p" of a module or Akashi document and its series entries listed under ``key``."""
+    try:
+        p, entries = doc["p"], doc[key]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed {name} document: {exc}") from None
+    if not isinstance(entries, list):
+        raise InputError(f"malformed {name} document: '{key}' must be a list")
+    return p, tuple(series_from_doc(entry, doc) for entry in entries)

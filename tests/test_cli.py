@@ -275,6 +275,14 @@ def pipeline(**changes):
      "exceeds truncation degree"),
     (["example-x1-11", "--chi-gamma", "7^x"], 2, "cannot parse power of 7"),
     (["example-x1-11", "--chi-gamma", "48"], 2, "not a power of 7"),
+    (["leading", "--series", '{"p":7,"N":3,"D":2,"coeffs":[0,0,5]}'], 2,
+     "'coeffs' has 3 entries, more than the truncation degree D = 2"),
+    (["theorem3", "--config", pipeline(tamagawa={"113": 1, "5": 3})], 2,
+     "Tamagawa key '5' is not a prime dividing m other than p"),
+    (["theorem3", "--config", pipeline(tamagawa={"113": 1, "7": 2})], 2,
+     "Tamagawa key '7' is not a prime dividing m other than p"),
+    (["theorem3", "--config", pipeline(tamagawa={"113": 1, "1_13": 1})], 2,
+     "Tamagawa key '1_13' is not a prime dividing m other than p"),
 ])
 def test_input_errors_exit_with_a_message(capsys, argv, code, message):
     got, out, err = run(capsys, *argv)

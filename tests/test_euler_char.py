@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 
 from eulerchar.curves import Curve, CurveLocalData, local_data, x1_11
-from eulerchar.cyclotomic_fields import ExtensionSpec, SplittingData, split
+from eulerchar.cyclotomic_fields import ExtensionSpec, SplittingData
 from eulerchar.errors import InputError
-from eulerchar.euler_char import (ChiInput, ConventionViolationError,
-                                  build_chi_input, local_cardinalities,
-                                  theorem_chi)
+from eulerchar.euler_char import (ConventionViolationError, build_chi_input,
+                                  local_cardinalities, theorem_chi)
 from eulerchar.padics import PowerOfP, int_valuation
 
 
@@ -23,43 +22,29 @@ def synthetic_place(p, l, valuation):
 
 
 def test_worked_example_product():
-    chi_input = build_chi_input(x1_11(), ExtensionSpec(7, 113), PowerOfP(7, 8))
-    assert len(chi_input.places) == 6
-    assert all(local.euler_valuation_at_p == 0 for _, local in chi_input.places)
-    assert theorem_chi(chi_input) == PowerOfP(7, 8)
+    places = build_chi_input(x1_11(), ExtensionSpec(7, 113))
+    assert len(places) == 6
+    assert all(local.euler_valuation_at_p == 0 for _, local in places)
+    assert theorem_chi(PowerOfP(7, 8), places) == PowerOfP(7, 8)
 
 
 def test_pipeline_with_higher_residue_degree():
     # m = 2: the order of 2 mod 7 is 3, so two places with residue field F_8
-    chi_input = build_chi_input(x1_11(), ExtensionSpec(7, 2), PowerOfP(7, 0))
-    assert len(chi_input.places) == 2
-    for splitting, local in chi_input.places:
+    places = build_chi_input(x1_11(), ExtensionSpec(7, 2))
+    assert len(places) == 2
+    for splitting, local in places:
         assert (splitting.f, local.q, local.a_v) == (3, 8, 4)
         assert local.euler_value == Fraction(64, 97)
         assert local.euler_valuation_at_p == 0
-    assert theorem_chi(chi_input) == PowerOfP(7, 0)
+    assert theorem_chi(PowerOfP(7, 0), places) == PowerOfP(7, 0)
 
 
 def test_empty_place_set():
-    chi_input = ChiInput(5, PowerOfP(5, 0), ())
-    assert theorem_chi(chi_input) == PowerOfP(5, 0)
+    assert theorem_chi(PowerOfP(5, 0), ()) == PowerOfP(5, 0)
 
 
 def test_single_place_with_valuation_two():
-    chi_input = ChiInput(7, PowerOfP(7, 1), (synthetic_place(7, 3, 2),))
-    assert theorem_chi(chi_input) == PowerOfP(7, 3)
-
-
-def test_place_above_p_rejected():
-    splitting = split(7, 7)
-    local = local_data(x1_11(), 7, 7)
-    with pytest.raises(InputError, match="excludes places above p"):
-        ChiInput(7, PowerOfP(7, 0), ((splitting, local),))
-
-
-def test_chi_gamma_prime_must_match():
-    with pytest.raises(InputError, match="working prime"):
-        ChiInput(7, PowerOfP(5, 1), ())
+    assert theorem_chi(PowerOfP(7, 1), (synthetic_place(7, 3, 2),)) == PowerOfP(7, 3)
 
 
 def test_chi_gamma_jv_values():
@@ -76,9 +61,8 @@ def test_product_multiplicative_in_place_lists():
     part_a = tuple(synthetic_place(7, l, v) for l, v in ((3, 1), (5, 0)))
     part_b = tuple(synthetic_place(7, l, v) for l, v in ((11, 2),))
     one = PowerOfP(7, 0)
-    whole = theorem_chi(ChiInput(7, one, part_a + part_b))
-    split_product = (theorem_chi(ChiInput(7, one, part_a))
-                     * theorem_chi(ChiInput(7, one, part_b)))
+    whole = theorem_chi(one, part_a + part_b)
+    split_product = theorem_chi(one, part_a) * theorem_chi(one, part_b)
     assert whole == split_product
 
 
@@ -110,6 +94,3 @@ def test_local_cardinalities_input_checks():
     _, place = synthetic_place(7, 3, 0)
     with pytest.raises(InputError, match="positive integer"):
         local_cardinalities(0, place, 7)
-    above_p = local_data(x1_11(), 7, 7)
-    with pytest.raises(InputError, match="above p"):
-        local_cardinalities(1, above_p, 7)
