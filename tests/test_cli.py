@@ -205,6 +205,13 @@ def test_missing_file_is_input_error(capsys):
     (["theorem3", "--config", json.dumps({
         "p": 7, "chi_gamma": "7^8", "curve": X1_11,
         "extension": {"p": 7, "m": 226}, "tamagawa": {"113": 1}})], "theorem3-m226.json"),
+    # mu = 1, lambda = 4 and every coefficient nonzero: the division runs seven
+    # rounds, and the file pins every coefficient of P and U
+    (["prep", "--series", json.dumps({"p": 7, "N": 8, "D": 24, "coeffs": [
+        1698683, 2775458, 2812649, 946582, 1653729, 5173385, 321342, 625268,
+        1004437, 1816227, 3716706, 1536990, 2941232, 4711336, 222362, 3370059,
+        3577553, 3326008, 2866122, 3633189, 4206762, 1410983, 2955715, 657419]})],
+     "prep-dense-lambda4.json"),
 ])
 def test_reports_match_golden_output(capsys, argv, golden):
     code, out, _ = run(capsys, *argv)
