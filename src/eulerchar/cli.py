@@ -21,7 +21,7 @@ from .errors import InputError, PrecisionError
 from .euler_char import build_chi_input, local_cardinalities, theorem_chi
 from .gamma_modules import TorsionModule, finite_level_oracle, generalized_chi
 from .lambda_algebra import leading_term, series_from_doc, weierstrass_prepare
-from .padics import PowerOfP, format_rational, json_int
+from .padics import PowerOfP, format_rational, json_int, prime_factors
 
 PAPER_NOTE = "magnitude convention: paper, |x|_p = p^(+v_p(x)), applied to Euler-factor products"
 MIXED_NOTE = ("magnitude convention: h1_Fv uses the standard reading of |c_v|_p^(-1), "
@@ -65,6 +65,10 @@ def _handle_count_points(args):
 
 
 def _handle_euler_factor(args):
+    if not (args.q >= 2 and len(prime_factors(args.q)) == 1):  # prime_factors(0) never returns
+        raise InputError(f"q must be a prime power >= 2, got {args.q}")
+    if args.a * args.a > 4 * args.q:
+        raise InputError(f"trace a = {args.a} is past the Hasse bound a^2 <= 4q at q = {args.q}")
     factor = euler_factor(args.a, args.q, args.p)
     results = {"value": format_rational(factor.value),
                "valuation_at_p": factor.valuation,
@@ -186,26 +190,24 @@ def _handle_theorem(args):
         raise InputError(f"malformed pipeline document: {exc}") from None
     if ext.p != p:
         raise InputError("extension prime disagrees with working prime")
-    tamagawa = None
-    if "tamagawa" in doc:
-        try:
-            tamagawa = {int(k): json_int(v, f"tamagawa.{k}", "pipeline")
-                        for k, v in doc["tamagawa"].items()}
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise InputError(f"malformed Tamagawa map: {exc}") from None
 
     places = build_chi_input(curve, ext)
     chi_sigma = theorem_chi(chi_gamma, places)
-    primes = {splitting.l for splitting, _ in places}
-    for key in doc.get("tamagawa", {}):
-        if str(int(key)) != key or int(key) not in primes:
+    tamagawa_doc = doc.get("tamagawa", {})
+    if type(tamagawa_doc) is not dict:
+        raise InputError(f"malformed Tamagawa map: expected an object, got {tamagawa_doc!r}")
+    primes = {str(splitting.l) for splitting, _ in places}
+    tamagawa = {}
+    for key, value in tamagawa_doc.items():
+        if key not in primes:  # also refuses '0113' and '1_13', which int() reads as 113
             raise InputError(f"Tamagawa key {key!r} is not a prime dividing m other than p")
+        tamagawa[int(key)] = json_int(value, f"tamagawa.{key}", "pipeline")
 
     place_rows = []
     for splitting, local in places:
         row = {"l": splitting.l, "f": splitting.f, "q_v": splitting.q_v,
                **local.to_json()}
-        if tamagawa and splitting.l in tamagawa:
+        if splitting.l in tamagawa:
             cards = local_cardinalities(tamagawa[splitting.l], local, p)
             row["h1_gamma"] = str(cards.h1_gamma)
             row["h1_Fv"] = str(cards.h1_Fv)

@@ -72,12 +72,15 @@ class Curve:
     @classmethod
     def from_json(cls, doc) -> "Curve":
         try:
-            coeffs = [parse_rational(str(c)) for c in doc["a"]]
+            entries = doc["a"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed curve document: {exc}") from None
-        if len(coeffs) != 5:
-            raise InputError("curve document needs exactly five coefficients a1,a2,a3,a4,a6")
-        return cls(*coeffs)
+        # exact types: a JSON float may have lost digits, and a string is not a list
+        if (type(entries) is not list or len(entries) != 5
+                or any(type(c) not in (str, int) for c in entries)):
+            raise InputError("malformed curve document: 'a' must be a list of five rational "
+                             f"strings or JSON integers a1,a2,a3,a4,a6, got {entries!r}")
+        return cls(*(parse_rational(str(c)) for c in entries))
 
 
 def x1_11() -> Curve:
@@ -308,10 +311,8 @@ class EulerFactor(NamedTuple):
 
 
 def euler_factor(a_v: int, q: int, p: int) -> EulerFactor:
-    """L_v(E,1) = (1 + a_v/q + 1/q^2)^(-1) exactly, with its p-valuation."""
+    """L_v(E,1) = (1 + a_v/q + 1/q^2)^(-1) exactly, with its p-valuation; q a prime power."""
     check_prime(p)
-    if q < 2:
-        raise InputError("q must be a prime power >= 2")
     # no pole: q^2 + a_v*q + 1 = 0 would make q divide 1
     value = Fraction(q * q, q * q + a_v * q + 1)
     valuation = (int_valuation(value.numerator, p)

@@ -264,10 +264,12 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     """Factor g = p^mu * P * U with P monic distinguished and U a unit.
 
     mu is the minimum p-valuation of the stored coefficients and lambda the
-    index of the first unit coefficient of g / p^mu.  Division of T^lambda
-    by g / p^mu converges in at most N steps because each correction gains
-    a factor of p; the remainder r gives P = T^lambda - r and U is the
-    inverse of the quotient.
+    index of the first unit coefficient of h = g / p^mu = h_low + T^lambda * h_high.
+    Division of T^lambda by h keeps the dividend's part T^lambda * high; a round
+    takes q = high / h_high and subtracts q * h, which from T^lambda on is
+    q * h_low + T^lambda * high exactly, so only q * h_low is computed.  As
+    h_low = 0 mod p, high gains a factor of p per round: at most N rounds.
+    The remainder r gives P = T^lambda - r, and U is the inverse of the quotient.
     """
     p = g.prime
     mu = min_coeff_valuation(g)
@@ -277,28 +279,20 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     # mu is attained by a stored coefficient, so h has a unit coefficient.
     lam = next(i for i, c in enumerate(h.coeffs) if c % p)
 
-    # Divide T^lam by h = h_low + T^lam * h_high (h_low = 0 mod p).
-    h_high = LambdaSeries(p, n, tuple(h.coeffs[lam:]) + (0,) * lam)
-    h_high_inv = _invert_unit(h_high)
-    quotient = [0] * d
-    s = [0] * d
-    s[lam] = 1
-    for _ in range(n + 1):
-        if all(c == 0 for c in s[lam:]):
-            break
-        s_high = LambdaSeries(p, n, tuple(s[lam:]) + (0,) * lam)
-        dq = s_high * h_high_inv
-        for i in range(d):
-            quotient[i] = (quotient[i] + dq.coeffs[i]) % m
-        # s -= dq * h
-        sub = dq * h
-        for i in range(d):
-            s[i] = (s[i] - sub.coeffs[i]) % m
-    remainder = s  # degree < lam at precision
+    # h_low on the left: __mul__ skips its zero coefficients, O(lam * D).
+    h_low = LambdaSeries(p, n, h.coeffs[:lam] + (0,) * (d - lam))
+    h_high_inv = _invert_unit(LambdaSeries(p, n, h.coeffs[lam:] + (0,) * lam))
+    quotient, poly = [0] * d, [0] * lam  # poly holds -r
+    high = (1,) + (0,) * (d - 1)
+    while any(high):  # h_low = 0 mod p, so high gains a factor p per round: N rounds at most
+        q = LambdaSeries(p, n, high) * h_high_inv
+        quotient = [(a + b) % m for a, b in zip(quotient, q.coeffs)]
+        hq = (h_low * q).coeffs
+        poly = [(a + b) % m for a, b in zip(poly, hq)]
+        high = tuple(-c % m for c in hq[lam:]) + (0,) * lam
 
-    poly = [(-remainder[i]) % m for i in range(lam)] + [1]
     unit = _invert_unit(LambdaSeries(p, n, tuple(quotient)))  # unit: 1/h_high mod p
-    return WeierstrassForm(mu, tuple(poly), unit)
+    return WeierstrassForm(mu, tuple(poly) + (1,), unit)
 
 
 def leading_term(g: LambdaSeries) -> LeadingTerm:

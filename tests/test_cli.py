@@ -290,6 +290,17 @@ def pipeline(**changes):
      "Tamagawa key '7' is not a prime dividing m other than p"),
     (["theorem3", "--config", pipeline(tamagawa={"113": 1, "1_13": 1})], 2,
      "Tamagawa key '1_13' is not a prime dividing m other than p"),
+    (["theorem3", "--config", pipeline(tamagawa={"abc": 1})], 2,
+     "Tamagawa key 'abc' is not a prime dividing m other than p"),
+    # a string is not read one character at a time, nor a float that lost digits
+    (["count-points", "--curve", '{"a":"01100"}', "--q", "7"], 2,
+     "'a' must be a list of five rational strings or JSON integers"),
+    (["count-points", "--curve", '{"a":[0,0,0,-1,12345678901234567891.0]}', "--q", "7"], 2,
+     "'a' must be a list of five rational strings or JSON integers"),
+    (["theorem3", "--config", pipeline(curve={"a": "01100"})], 2,
+     "'a' must be a list of five rational strings or JSON integers"),
+    (["euler-factor", "--a", "0", "--q", "6", "--p", "7"], 2, "q must be a prime power"),
+    (["euler-factor", "--a", "100", "--q", "7", "--p", "7"], 2, "past the Hasse bound"),
 ])
 def test_input_errors_exit_with_a_message(capsys, argv, code, message):
     got, out, err = run(capsys, *argv)

@@ -220,6 +220,7 @@ def test_curve_json_roundtrip():
     doc = curve.to_json()
     assert doc == {"a": ["0", "-1", "1", "0", "0"]}
     assert Curve.from_json(doc) == curve
+    assert Curve.from_json({"a": [0, -1, 1, 0, 0]}) == curve
     half = Curve.from_json({"a": ["0", "0", "0", "1/2", "1"]})
     assert half.a4 == Fraction(1, 2)
     with pytest.raises(InputError):
