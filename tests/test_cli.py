@@ -212,8 +212,26 @@ def test_missing_file_is_input_error(capsys):
         1004437, 1816227, 3716706, 1536990, 2941232, 4711336, 222362, 3370059,
         3577553, 3326008, 2866122, 3633189, 4206762, 1410983, 2955715, 657419]})],
      "prep-dense-lambda4.json"),
+    (["count-points", "--curve", json.dumps(X1_11), "--q", "10007"], "count-points-q10007.json"),
+    (["euler-factor", "--a", "0", "--q", "3", "--p", "5"], "euler-factor-negative.json"),
+    (["leading", "--series", '{"p":7,"N":4,"D":8,"poly":"49*T^2 + 7*T^3 + T^5"}'],
+     "leading-poly.json"),
+    (["chi-module", "--oracle", "--prec", "10", "--module", json.dumps({
+        "p": 7, "N": 8, "D": 12, "generators": [
+            "T*(T-7)", "T^2+7", {"p": 7, "N": 8, "D": 12, "coeffs": [49, 1]}]})],
+     "chi-module-oracle.json"),
+    (["akashi", "--data", json.dumps({
+        "p": 7, "N": 6, "D": 10, "char_elements": ["T", "T^2*(1+T)", "7+T"],
+        "coranks": [1, 2, 0]})], "akashi-data-coranks.json"),
+    (["akashi", "--check", "L.json,M.json,N.json"], "akashi-check.json"),
+    (["split", "--l", "3", "--p", "13"], "split-l3-p13.json"),
+    (["inertia-set", "--p", "7", "--m", "226"], "inertia-set-m226.json"),
 ])
-def test_reports_match_golden_output(capsys, argv, golden):
+def test_reports_match_golden_output(capsys, monkeypatch, tmp_path, argv, golden):
+    monkeypatch.chdir(tmp_path)  # akashi --check echoes its file names as given
+    for name, elements in (("L", ["T"]), ("M", ["T*(T+7)", "1+T"]), ("N", ["T+7", "1+T"])):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"p": 7, "N": 6, "D": 8, "char_elements": elements}))
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
