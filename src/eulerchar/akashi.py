@@ -46,8 +46,8 @@ class AkashiData:
 
     @classmethod
     def from_json(cls, doc) -> "AkashiData":
-        """One series entry per degree, read by :func:`series_list_from_doc`."""
-        return cls(*series_list_from_doc(doc, "char_elements", "Akashi"))
+        """One series entry per degree (:func:`series_list_from_doc`); the CLI reads "coranks"."""
+        return cls(*series_list_from_doc(doc, "char_elements", "Akashi", ("coranks",)))
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,14 @@ import sys
 from pathlib import Path
 
 from .akashi import AkashiData, akashi_series, check_multiplicativity, coranks_consistent
-from .curves import Curve, count_points, euler_factor, is_ordinary, x1_11
-from .cyclotomic_fields import ExtensionSpec, infinite_inertia_places, infinite_inertia_set, split
+from .curves import Curve, count_points, euler_factor, is_ordinary, local_data, x1_11
+from .cyclotomic_fields import (MAX_Q_V, ExtensionSpec, SplittingData, infinite_inertia_places,
+                                infinite_inertia_set, split)
 from .errors import InputError, PrecisionError
 from .euler_char import build_chi_input, local_cardinalities, theorem_chi
 from .gamma_modules import TorsionModule, finite_level_oracle, generalized_chi
 from .lambda_algebra import leading_term, series_from_doc, weierstrass_prepare
-from .padics import PowerOfP, format_rational, json_int, prime_factors
+from .padics import PowerOfP, check_keys, format_rational, json_int, prime_factors
 
 PAPER_NOTE = "magnitude convention: paper, |x|_p = p^(+v_p(x)), applied to Euler-factor products"
 MIXED_NOTE = ("magnitude convention: h1_Fv uses the standard reading of |c_v|_p^(-1), "
@@ -32,11 +33,6 @@ CHI_GAMMA_NOTE = ("chi_gamma is an external input: the cyclotomic-level Euler ch
                   "reproduced only when chi_gamma is supplied")
 CONDITIONAL_NOTE = ("finiteness of the generalized Euler characteristic is a hypothesis on the "
                     "underlying module; it is not certified from the series data alone")
-
-
-def _report(command: str, inputs: dict, results: dict, notes) -> dict:
-    return {"command": command, "inputs_echo": inputs, "results": results,
-            "provenance_notes": list(notes)}
 
 
 def _load_json(text_or_path: str):
@@ -53,29 +49,27 @@ def _load_json(text_or_path: str):
 
 
 # -- handlers ----------------------------------------------------------------
+# Each returns (inputs echo, results, provenance notes); main writes the report.
 
 
 def _handle_count_points(args):
     curve = Curve.from_json(_load_json(args.curve))
     n = count_points(curve, args.q)
-    results = {"q": args.q, "point_count": n, "a_v": args.q + 1 - n}
-    report = _report("count-points", {"curve": curve.to_json(), "q": args.q},
-                     results, [EXACT_NOTE])
-    return report, 0
+    return ({"curve": curve.to_json(), "q": args.q},
+            {"q": args.q, "point_count": n, "a_v": args.q + 1 - n}, [EXACT_NOTE])
 
 
 def _handle_euler_factor(args):
-    if not (args.q >= 2 and len(prime_factors(args.q)) == 1):  # prime_factors(0) never returns
-        raise InputError(f"q must be a prime power >= 2, got {args.q}")
+    # 2 <= q first: prime_factors(0) never returns
+    if not (2 <= args.q < MAX_Q_V and len(prime_factors(args.q)) == 1):
+        raise InputError(f"q must be a prime power with 2 <= q < 10^2000, got {args.q}")
     if args.a * args.a > 4 * args.q:
         raise InputError(f"trace a = {args.a} is past the Hasse bound a^2 <= 4q at q = {args.q}")
     factor = euler_factor(args.a, args.q, args.p)
     results = {"value": format_rational(factor.value),
                "valuation_at_p": factor.valuation,
                "magnitude_paper": str(PowerOfP(args.p, factor.valuation))}
-    report = _report("euler-factor", {"a": args.a, "q": args.q, "p": args.p},
-                     results, [PAPER_NOTE])
-    return report, 0
+    return {"a": args.a, "q": args.q, "p": args.p}, results, [PAPER_NOTE]
 
 
 def _handle_prep(args):
@@ -89,8 +83,7 @@ def _handle_prep(args):
         "unit": form.unit.to_json(),
         "reconstruction_ok": form.reconstruct().agrees_with(series),
     }
-    report = _report("prep", {"series": series.to_json()}, results, [EXACT_NOTE])
-    return report, 0
+    return {"series": series.to_json()}, results, [EXACT_NOTE]
 
 
 def _handle_leading(args):
@@ -98,8 +91,7 @@ def _handle_leading(args):
     term = leading_term(series)
     results = {"alpha": term.alpha, "alpha_valuation": term.alpha_valuation,
                "k": term.k}
-    report = _report("leading", {"series": series.to_json()}, results, [EXACT_NOTE])
-    return report, 0
+    return {"series": series.to_json()}, results, [EXACT_NOTE]
 
 
 def _handle_chi_module(args):
@@ -114,10 +106,9 @@ def _handle_chi_module(args):
         results["oracle"] = oracle.to_json()
         results["oracle_precision_exponent"] = prec
         results["agree"] = closed == oracle
-    report = _report("chi-module", {"module": module.to_json()}, results,
-                     ["chi value is the standard-magnitude reciprocal of the "
-                      "constant terms' product: p^(sum of v_p(f_i(0)))"])
-    return report, 0
+    return ({"module": module.to_json()}, results,
+            ["chi value is the standard-magnitude reciprocal of the "
+             "constant terms' product: p^(sum of v_p(f_i(0)))"])
 
 
 def _handle_akashi(args):
@@ -127,9 +118,7 @@ def _handle_akashi(args):
             raise InputError("--check needs three files: L,M,N")
         l_data, m_data, n_data = (AkashiData.from_json(_load_json(p)) for p in paths)
         ok = check_multiplicativity(l_data, m_data, n_data)
-        report = _report("akashi", {"check": paths}, {"multiplicative": ok},
-                         [EXACT_NOTE])
-        return report, 0
+        return {"check": paths}, {"multiplicative": ok}, [EXACT_NOTE]
     if not args.data:
         raise InputError("akashi needs --data or --check")
     doc = _load_json(args.data)
@@ -148,33 +137,26 @@ def _handle_akashi(args):
         claimed = [json_int(c, "coranks", "Akashi") for c in doc["coranks"]]
         results["coranks_claimed"] = claimed
         results["coranks_consistent_with_k"] = coranks_consistent(data, claimed, lead.k)
-    report = _report("akashi", {"data": data.to_json()}, results,
-                     ["chi_if_finite is p^(v_p(alpha)), the standard-magnitude "
-                      "reciprocal of the fraction's leading coefficient",
-                      CONDITIONAL_NOTE])
-    return report, 0
+    return ({"data": data.to_json()}, results,
+            ["chi_if_finite is p^(v_p(alpha)), the standard-magnitude "
+             "reciprocal of the fraction's leading coefficient", CONDITIONAL_NOTE])
 
 
 def _handle_split(args):
-    data = split(args.l, args.p)
-    report = _report("split", {"l": args.l, "p": args.p},
-                     {"splitting": data.to_json()}, [EXACT_NOTE])
-    return report, 0
+    return ({"l": args.l, "p": args.p}, {"splitting": split(args.l, args.p).to_json()},
+            [EXACT_NOTE])
 
 
 def _handle_inertia_set(args):
-    ext = ExtensionSpec(args.p, args.m)
-    full = infinite_inertia_set(ext)
-    places = infinite_inertia_places(ext)
+    full = infinite_inertia_set(ExtensionSpec(args.p, args.m))
     results = {
         "primes_with_infinite_inertia": [d.l for d in full],
         "splitting": [d.to_json() for d in full],
-        "places_away_from_p": [d.to_json() for d in places],
+        "places_away_from_p": [d.to_json() for d in infinite_inertia_places(full)],
     }
-    report = _report("inertia-set", {"p": args.p, "m": args.m}, results,
-                     ["the place list expands each prime l != p to its g places, "
-                      "all sharing residue field size l^f", EXACT_NOTE])
-    return report, 0
+    return ({"p": args.p, "m": args.m}, results,
+            ["the place list expands each prime l != p to its g places, "
+             "all sharing residue field size l^f", EXACT_NOTE])
 
 
 def _handle_theorem(args):
@@ -188,6 +170,8 @@ def _handle_theorem(args):
                             json_int(ext_doc["m"], "extension.m", "pipeline"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed pipeline document: {exc}") from None
+    check_keys(doc, ("p", "chi_gamma", "curve", "extension", "tamagawa"), "pipeline")
+    check_keys(ext_doc, ("p", "m"), "pipeline", "extension.")
     if ext.p != p:
         raise InputError("extension prime disagrees with working prime")
 
@@ -223,54 +207,40 @@ def _handle_theorem(args):
     notes = [PAPER_NOTE, CHI_GAMMA_NOTE]
     if tamagawa:
         notes.append(MIXED_NOTE)
-    report = _report("theorem3", {"config": doc}, results, notes)
-    return report, 0
+    return {"config": doc}, results, notes
 
 
 def _handle_example(args):
     p = 7
-    curve = x1_11()
-    ext = ExtensionSpec(7, 113)
     chi_gamma = PowerOfP.parse(p, args.chi_gamma)
-
-    checks = []
-
-    def check(name, expected, actual):
-        checks.append({"name": name, "expected": str(expected),
-                       "actual": str(actual), "ok": str(expected) == str(actual)})
-
-    n7 = count_points(curve, 7)
-    check("point count over F_7", 10, n7)
-    check("trace of Frobenius at 7", -2, 7 + 1 - n7)
-    n113 = count_points(curve, 113)
-    check("point count over F_113", 105, n113)
-    check("trace of Frobenius at 113", 9, 113 + 1 - n113)
-    factor7 = euler_factor(7 + 1 - n7, 7, p)
-    check("Euler factor value at the place above 7", "49/36",
-          format_rational(factor7.value))
-    check("Euler factor valuation at the place above 7", 2, factor7.valuation)
-    factor113 = euler_factor(113 + 1 - n113, 113, p)
-    check("Euler factor valuation at places above 113", 0, factor113.valuation)
-    splitting = split(113, 7)
-    check("residue degree of 113", 1, splitting.f)
-    check("number of places above 113", 6, splitting.g)
-    check("ordinary at 7", True, is_ordinary(7 + 1 - n7, p))
-
-    chi_sigma = theorem_chi(chi_gamma, build_chi_input(curve, ext))
-    check("product formula output", "7^8", chi_sigma)
-
-    all_ok = all(c["ok"] for c in checks)
+    curve = x1_11()
+    at_7 = local_data(curve, SplittingData(p, p, 1))  # the one place above 7, ramified
+    places = build_chi_input(curve, ExtensionSpec(p, 113))
+    splitting_113, at_113 = places[0]
+    chi_sigma = theorem_chi(chi_gamma, places)
+    checks = [{"name": name, "expected": str(expected), "actual": str(actual),
+               "ok": str(expected) == str(actual)} for name, expected, actual in (
+        ("point count over F_7", 10, at_7.point_count),
+        ("trace of Frobenius at 7", -2, at_7.a_v),
+        ("point count over F_113", 105, at_113.point_count),
+        ("trace of Frobenius at 113", 9, at_113.a_v),
+        ("Euler factor value at the place above 7", "49/36", format_rational(at_7.euler_value)),
+        ("Euler factor valuation at the place above 7", 2, at_7.euler_valuation_at_p),
+        ("Euler factor valuation at places above 113", 0, at_113.euler_valuation_at_p),
+        ("residue degree of 113", 1, splitting_113.f),
+        ("number of places above 113", 6, len(places)),
+        ("ordinary at 7", True, is_ordinary(at_7.a_v, p)),
+        ("product formula output", "7^8", chi_sigma),
+    )]
     results = {
         "curve": curve.to_json(),
         "chi_gamma_input": str(chi_gamma),
         "chi_sigma": str(chi_sigma),
         "checks": checks,
-        "all_checks_pass": all_ok,
+        "all_checks_pass": all(c["ok"] for c in checks),
     }
-    report = _report("example-x1-11",
-                     {"p": p, "m": 113, "chi_gamma": args.chi_gamma},
-                     results, [PAPER_NOTE, CHI_GAMMA_NOTE])
-    return report, 0 if all_ok else 4
+    return ({"p": p, "m": 113, "chi_gamma": args.chi_gamma}, results,
+            [PAPER_NOTE, CHI_GAMMA_NOTE])
 
 
 # -- parser ------------------------------------------------------------------
@@ -313,8 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cm.set_defaults(handler=_handle_chi_module)
 
     ak = sub.add_parser("akashi", help="alternating product of characteristic elements")
-    ak.add_argument("--data", help="Akashi JSON file or inline JSON")
-    ak.add_argument("--check", metavar="L,M,N",
+    source = ak.add_mutually_exclusive_group()
+    source.add_argument("--data", help="Akashi JSON file or inline JSON")
+    source.add_argument("--check", metavar="L,M,N",
                     help="three files; verify the middle series is the product "
                          "of the outer two")
     ak.set_defaults(handler=_handle_akashi)
@@ -352,16 +323,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        report, code = args.handler(args)
+        inputs, results, notes = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PrecisionError as exc:
         print(f"precision error: {exc}", file=sys.stderr)
         return 3
+    report = {"command": args.subcommand, "inputs_echo": inputs, "results": results,
+              "provenance_notes": notes}
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    return code
+    return 0 if results.get("all_checks_pass", True) else 4
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .cyclotomic_fields import SplittingData
 from .errors import InputError
 from .padics import check_prime, format_rational, int_valuation, parse_rational, prime_factors
 
@@ -365,16 +366,16 @@ class CurveLocalData:
                 "euler_valuation_at_p": self.euler_valuation_at_p}
 
 
-def local_data(curve: Curve, l: int, p: int, residue_degree: int = 1) -> CurveLocalData:
-    """Assemble the local data at a place of residue field size l^residue_degree.
+def local_data(curve: Curve, place: SplittingData) -> CurveLocalData:
+    """The curve's local data at ``place``, whose residue field has size q_v = l^f.
 
-    The trace over the prime field comes from :func:`count_points`, the
-    trace over a proper extension from the Frobenius-eigenvalue recurrence.
-    For ordinarity at l = p, apply :func:`is_ordinary` to ``a_v``.
+    The trace over the prime field F_l comes from :func:`count_points`, the
+    trace over F_{q_v} from the Frobenius-eigenvalue recurrence, and the
+    Euler factor's valuation is taken at the place's p.  For ordinarity at
+    l = p, apply :func:`is_ordinary` to ``a_v``.
     """
-    a_l = l + 1 - count_points(curve, l)
-    a_q = extension_trace(a_l, l, residue_degree)
-    q = l ** residue_degree
-    factor = euler_factor(a_q, q, p)
-    return CurveLocalData(q=q, a_v=a_q, euler_value=factor.value,
+    a_l = place.l + 1 - count_points(curve, place.l)
+    a_v = extension_trace(a_l, place.l, place.f)
+    factor = euler_factor(a_v, place.q_v, place.p)
+    return CurveLocalData(q=place.q_v, a_v=a_v, euler_value=factor.value,
                           euler_valuation_at_p=factor.valuation)

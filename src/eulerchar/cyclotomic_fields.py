@@ -48,25 +48,36 @@ class SplittingData:
                 "ramified": self.ramified, "q_v": self.q_v}
 
 
-def multiplicative_order(a: int, modulus: int) -> int:
-    a %= modulus
+# q_v = l^f stays below this, so that a report's Euler factor q_v^2/(q_v^2 + a*q_v + 1)
+# keeps under CPython's default 4,300-digit limit on converting an int to a string
+MAX_Q_V = 10 ** 2000
+
+
+def multiplicative_order(a: int, p: int) -> int:
+    """The order of a mod the prime p: p - 1 reduced one prime factor at a time."""
+    a %= p
     if a == 0:
         raise InputError("element not invertible")
-    order = 1
-    x = a
-    while x != 1:
-        x = x * a % modulus
-        order += 1
-        if order > modulus:
-            raise InputError("element not invertible")
+    order = p - 1
+    for r in prime_factors(order):
+        while order % r == 0 and pow(a, order // r, p) == 1:
+            order //= r
     return order
 
 
 def split(l: int, p: int) -> SplittingData:
-    """Splitting data of l in Q(mu_p); l = p is the totally ramified case."""
+    """Splitting data of l in Q(mu_p); l = p is the totally ramified case.
+
+    A residue field of size l^f >= MAX_Q_V is refused before l^f is formed.
+    """
     check_prime(l)
     check_prime(p)
-    return SplittingData(l, p, 1 if l == p else multiplicative_order(l, p))
+    f = 1 if l == p else multiplicative_order(l, p)
+    # l^f >= 2^(f*(bits(l) - 1)), so the first test refuses before a huge power is formed
+    if f * (l.bit_length() - 1) >= MAX_Q_V.bit_length() or l ** f >= MAX_Q_V:
+        raise InputError(f"residue field too large: l = {l} has residue degree f = {f} "
+                         f"in Q(mu_{p}), and l^f passes the bound 10^2000")
+    return SplittingData(l, p, f)
 
 
 def _is_perfect_power(m: int, k: int) -> bool:
@@ -110,15 +121,10 @@ def infinite_inertia_set(ext: ExtensionSpec) -> List[SplittingData]:
     return [split(l, ext.p) for l in prime_factors(ext.p * ext.m)]
 
 
-def infinite_inertia_places(ext: ExtensionSpec) -> List[SplittingData]:
-    """The places of Q(mu_p) away from p with infinite inertia, one entry each.
+def infinite_inertia_places(inertia_set: List[SplittingData]) -> List[SplittingData]:
+    """The places away from p in ``inertia_set`` (see infinite_inertia_set), one entry each.
 
     Every place above a given l shares the residue field size l^f, so a
     prime that splits into g places contributes g identical entries.
     """
-    places = []
-    for data in infinite_inertia_set(ext):
-        if data.l == ext.p:
-            continue
-        places.extend([data] * data.g)
-    return places
+    return [data for data in inertia_set if not data.ramified for _ in range(data.g)]

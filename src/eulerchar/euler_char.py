@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import Curve, CurveLocalData, local_data
-from .cyclotomic_fields import ExtensionSpec, infinite_inertia_places
+from .cyclotomic_fields import ExtensionSpec, infinite_inertia_places, infinite_inertia_set
 from .errors import InputError
 from .padics import PowerOfP, int_valuation
 
@@ -80,6 +80,5 @@ def build_chi_input(curve: Curve, extension: ExtensionSpec) -> tuple:
     l = p.  The curve's local data is counted over the prime field and
     its trace extended to the place's residue degree.
     """
-    return tuple((splitting, local_data(curve, splitting.l, extension.p,
-                                        residue_degree=splitting.f))
-                 for splitting in infinite_inertia_places(extension))
+    places = infinite_inertia_places(infinite_inertia_set(extension))
+    return tuple((splitting, local_data(curve, splitting)) for splitting in places)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .errors import InputError, PrecisionError, PrimeMismatchError
-from .padics import check_prime, int_valuation, json_int
+from .padics import check_keys, check_prime, int_valuation, json_int
 
 _MAX_PARSE_DEGREE = 512
 
@@ -405,7 +405,9 @@ def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
     is read at the entry's own "p", "N" and "D", falling back to those of
     the enclosing document ``outer`` (a module or Akashi file), then to
     N = 16 and D = 32.  The enclosing numbers are checked whatever the
-    entry's form.  Bad input of any shape raises InputError.
+    entry's form.  An entry holds "p", "N", "D" and one of "coeffs" and
+    "poly"; any other key, or both of those, is refused.  Bad input of any
+    shape raises InputError.
     """
     scope = {"N": 16, "D": 32, **(outer or {})}
     scope = {key: json_int(scope[key], key, "series") for key in ("p", "N", "D")
@@ -414,7 +416,9 @@ def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
         entry = {"poly": entry}
     if not (isinstance(entry, dict) and ("coeffs" in entry or "poly" in entry)):
         raise InputError("malformed series document: needs either 'coeffs' or 'poly'")
-    if "coeffs" in entry:
+    form = "coeffs" if "coeffs" in entry else "poly"
+    check_keys(entry, ("p", "N", "D", form), "series")
+    if form == "coeffs":
         return LambdaSeries.from_json(entry)
     scope.update(entry)
     if not isinstance(scope["poly"], str):
@@ -423,12 +427,13 @@ def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
     return series_from_text(p, scope["poly"], n, d)
 
 
-def series_list_from_doc(doc, key: str, name: str):
+def series_list_from_doc(doc, key: str, name: str, other_keys=()):
     """The "p" of a module or Akashi document and its series entries listed under ``key``."""
     try:
         p, entries = doc["p"], doc[key]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed {name} document: {exc}") from None
+    check_keys(doc, ("p", "N", "D", key, *other_keys), name)
     if not isinstance(entries, list):
         raise InputError(f"malformed {name} document: '{key}' must be a list")
     return p, tuple(series_from_doc(entry, doc) for entry in entries)

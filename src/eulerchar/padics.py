@@ -197,6 +197,14 @@ def json_int(value, field: str, document: str) -> int:
     return value
 
 
+def check_keys(doc: dict, allowed, document: str, prefix: str = "") -> None:
+    """An InputError naming the first key of ``doc`` outside ``allowed``, the keys read."""
+    for key in doc:
+        if key not in allowed:
+            raise InputError(f"malformed {document} document: unknown key {prefix + key!r}; "
+                             f"the keys read here are {', '.join(allowed)}")
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())

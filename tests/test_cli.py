@@ -319,6 +319,30 @@ def pipeline(**changes):
      "'a' must be a list of five rational strings or JSON integers"),
     (["euler-factor", "--a", "0", "--q", "6", "--p", "7"], 2, "q must be a prime power"),
     (["euler-factor", "--a", "100", "--q", "7", "--p", "7"], 2, "past the Hasse bound"),
+    # l^f with f = 1008 has 9,073 digits, past CPython's int-to-str limit
+    (["split", "--l", "1000000021", "--p", "1009"], 2,
+     "l = 1000000021 has residue degree f = 1008 in Q(mu_1009)"),
+    (["inertia-set", "--p", "1009", "--m", "1000000021"], 2, "residue field too large"),
+    (["euler-factor", "--a", "0", "--q", str(2 ** 7200), "--p", "7"], 2,
+     "q must be a prime power with 2 <= q < 10^2000"),
+    (["theorem3", "--config", pipeline(p=1009, chi_gamma="1",
+                                       extension={"p": 1009, "m": 1000000021})], 2,
+     "residue field too large"),
+    (["akashi", "--data", '{"p":7,"char_elements":["T"]}', "--check", "a,b,c"], 2,
+     "not allowed with argument"),
+    # keys that no reader uses are refused by name
+    (["theorem3", "--config", pipeline(tamgwa={"113": 1})], 2,
+     "malformed pipeline document: unknown key 'tamgwa'"),
+    (["theorem3", "--config", pipeline(extension={"p": 7, "m": 113, "n": 2})], 2,
+     "malformed pipeline document: unknown key 'extension.n'"),
+    (["chi-module", "--module", '{"p":7,"n":4,"generators":["T"]}'], 2,
+     "malformed module document: unknown key 'n'"),
+    (["chi-module", "--module", '{"p":7,"generators":[{"poly":"T","d":4}]}'], 2,
+     "malformed series document: unknown key 'd'"),
+    (["akashi", "--data", '{"p":7,"char_elements":["T"],"corank":[1]}'], 2,
+     "malformed Akashi document: unknown key 'corank'"),
+    (["prep", "--series", '{"p":7,"N":4,"D":4,"coeffs":[7,1],"poly":"T"}'], 2,
+     "malformed series document: unknown key 'poly'"),
 ])
 def test_input_errors_exit_with_a_message(capsys, argv, code, message):
     got, out, err = run(capsys, *argv)
@@ -366,6 +390,49 @@ def test_akashi_report_computes_the_product_once(capsys, monkeypatch):
     assert code == 0
     assert report["results"]["coranks_consistent_with_k"] is True
     assert len(calls) == 1
+
+
+def test_residue_field_below_the_bound_is_reported(capsys):
+    # 2 has order 6636 mod 6637: q_v = 2^6636 has 1,998 digits and the Euler
+    # factor's numerator q_v^2 3,996, both under CPython's int-to-str limit
+    code, report = run_report(capsys, "theorem3", "--config", pipeline(
+        p=6637, chi_gamma="1", extension={"p": 6637, "m": 2}))
+    assert code == 0
+    [row] = report["results"]["places"]
+    assert (row["f"], row["q_v"]) == (6636, 2 ** 6636)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_example_report_counts_each_prime_once_per_place(capsys, monkeypatch):
+    from eulerchar import cli, curves
+
+    calls = _count_calls(monkeypatch, curves, "count_points")
+    monkeypatch.setattr(cli, "count_points", curves.count_points)
+    code, _ = run_report(capsys, "example-x1-11")
+    assert code == 0
+    assert sorted(q for _, q in calls) == [7] + [113] * 6  # one place above 7, six above 113
+
+
+def test_inertia_set_report_splits_each_prime_once(capsys, monkeypatch):
+    from eulerchar import cli, cyclotomic_fields
+
+    calls = _count_calls(monkeypatch, cyclotomic_fields, "split")
+    monkeypatch.setattr(cli, "split", cyclotomic_fields.split)
+    code, report = run_report(capsys, "inertia-set", "--p", "7", "--m", "226")
+    assert code == 0
+    assert report["results"]["primes_with_infinite_inertia"] == [2, 7, 113]
+    assert sorted(calls) == [(2, 7), (7, 7), (113, 7)]
 
 
 def test_calls_in_one_process_share_no_state(capsys):

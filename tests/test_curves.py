@@ -7,6 +7,7 @@ from eulerchar.curves import (MAX_COUNT_Q, MESTRE_FROM_Q, Curve, CurveLocalData,
                               _count_exhaustive, _count_mestre, count_points,
                               euler_factor, extension_trace, is_ordinary, local_data,
                               quadratic_twist, x1_11)
+from eulerchar.cyclotomic_fields import split
 from eulerchar.errors import InputError
 from eulerchar.padics import is_prime
 
@@ -188,7 +189,7 @@ def test_hasse_and_twist_sum():
 
 
 def test_local_data_at_split_place():
-    data = local_data(x1_11(), 113, 7)
+    data = local_data(x1_11(), split(113, 7))
     assert data.q == 113
     assert data.point_count == 105
     assert data.a_v == 9
@@ -196,7 +197,7 @@ def test_local_data_at_split_place():
 
 
 def test_local_data_above_p():
-    data = local_data(x1_11(), 7, 7)
+    data = local_data(x1_11(), split(7, 7))
     assert data.a_v == -2
     assert data.point_count == 10
     assert data.euler_valuation_at_p == 2
@@ -204,7 +205,7 @@ def test_local_data_above_p():
 
 
 def test_local_data_with_residue_degree():
-    data = local_data(x1_11(), 2, 7, residue_degree=3)
+    data = local_data(x1_11(), split(2, 7))  # f = 3
     assert data.q == 8
     assert data.a_v == 4
     assert data.point_count == 5

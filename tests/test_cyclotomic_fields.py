@@ -1,8 +1,7 @@
 import pytest
 
-from eulerchar.cyclotomic_fields import (ExtensionSpec, infinite_inertia_places,
-                                         infinite_inertia_set,
-                                         multiplicative_order, split)
+from eulerchar.cyclotomic_fields import (MAX_Q_V, ExtensionSpec, infinite_inertia_places,
+                                         infinite_inertia_set, multiplicative_order, split)
 from eulerchar.errors import InputError
 from eulerchar.padics import is_prime
 
@@ -45,17 +44,44 @@ def test_multiplicative_order_errors():
         multiplicative_order(7, 7)
 
 
+def _order_by_powers(a, p):
+    """The slow route: multiply by a until the power returns to 1."""
+    order, x = 1, a % p
+    while x != 1:
+        x = x * a % p
+        order += 1
+    return order
+
+
+def test_multiplicative_order_matches_repeated_multiplication():
+    for p in range(2, 200):
+        if is_prime(p):
+            assert [multiplicative_order(a, p) for a in range(1, p)] == \
+                [_order_by_powers(a, p) for a in range(1, p)]
+    for a in (2, 3, 10, 7918):
+        assert multiplicative_order(a, 7919) == _order_by_powers(a, 7919)
+
+
+def test_split_refuses_residue_fields_past_the_bound():
+    assert split(2, 6637).q_v == 2 ** 6636 < MAX_Q_V  # the largest f for l = 2 below the bound
+    with pytest.raises(InputError, match=r"l = 2 has residue degree f = 6652 in Q\(mu_6653\)"):
+        split(2, 6653)
+    # f = (p - 1)/2: refused before 2^f is formed
+    with pytest.raises(InputError, match="f = 500000003 in Q"):
+        split(2, 1000000007)
+
+
 def test_inertia_set_worked_example():
     ext = ExtensionSpec(7, 113)
     full = infinite_inertia_set(ext)
     assert [d.l for d in full] == [7, 113]
-    places = infinite_inertia_places(ext)
+    places = infinite_inertia_places(full)
     assert len(places) == 6
     assert all(d.l == 113 and d.q_v == 113 for d in places)
 
 
 def test_inertia_set_small_m():
-    places = infinite_inertia_places(ExtensionSpec(7, 2))
+    places = infinite_inertia_places(infinite_inertia_set(ExtensionSpec(7, 2)))
     assert len(places) == 2
     assert all(d.l == 2 and d.q_v == 8 for d in places)
 
@@ -63,7 +89,7 @@ def test_inertia_set_small_m():
 def test_inertia_set_m_10_p_5():
     ext = ExtensionSpec(5, 10)
     assert [d.l for d in infinite_inertia_set(ext)] == [2, 5]
-    places = infinite_inertia_places(ext)
+    places = infinite_inertia_places(infinite_inertia_set(ext))
     assert len(places) == 1  # order of 2 mod 5 is 4, so g = 1
     assert places[0].q_v == 16
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from eulerchar.curves import Curve, CurveLocalData, local_data, x1_11
-from eulerchar.cyclotomic_fields import ExtensionSpec, SplittingData
+from eulerchar.cyclotomic_fields import ExtensionSpec, SplittingData, split
 from eulerchar.errors import InputError
 from eulerchar.euler_char import (ConventionViolationError, build_chi_input,
                                   local_cardinalities, theorem_chi)
@@ -49,10 +49,11 @@ def test_single_place_with_valuation_two():
 
 def test_chi_gamma_jv_values():
     # the local characteristic at a place away from p is p^(v_p(L_v))
-    assert local_data(x1_11(), 113, 7).euler_valuation_at_p == 0
-    # y^2 = x^3 - x has a_3 = 0, so the factor at 3 is 9/10 and v_5 = -1
+    assert local_data(x1_11(), split(113, 7)).euler_valuation_at_p == 0
+    # y^2 = x^3 - x has a_3 = 0, so the factor at 3 is 9/10 and v_5 = -1; 3 has
+    # order 4 mod 5, so no real place above 3 has residue field F_3
     curve = Curve(Fraction(0), Fraction(0), Fraction(0), Fraction(-1), Fraction(0))
-    data = local_data(curve, 3, 5)
+    data = local_data(curve, SplittingData(3, 5, 1))
     assert data.euler_value == Fraction(9, 10)
     assert data.euler_valuation_at_p == -1
 
