@@ -374,17 +374,23 @@ def test_document_numbers_are_not_coerced(capsys, argv, message):
     assert message in err
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_akashi_report_computes_the_product_once(capsys, monkeypatch):
     from eulerchar import akashi, cli
 
-    calls = []
-
-    def counted(data, original=akashi.akashi_series):
-        calls.append(data)
-        return original(data)
-
-    monkeypatch.setattr(akashi, "akashi_series", counted)
-    monkeypatch.setattr(cli, "akashi_series", counted)
+    calls = _count_calls(monkeypatch, akashi, "akashi_series")
+    monkeypatch.setattr(cli, "akashi_series", akashi.akashi_series)
     code, report = run_report(capsys, "akashi", "--data",
                               '{"p":7,"char_elements":["T","T^2*(1+T)"],"coranks":[1,2]}')
     assert code == 0
@@ -400,18 +406,6 @@ def test_residue_field_below_the_bound_is_reported(capsys):
     assert code == 0
     [row] = report["results"]["places"]
     assert (row["f"], row["q_v"]) == (6636, 2 ** 6636)
-
-
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def test_example_report_counts_each_prime_once_per_place(capsys, monkeypatch):
