@@ -10,14 +10,18 @@ factors, since characteristic elements are only defined up to units.
 
 The leading term of the fraction encodes the generalized Euler
 characteristic: if the numerator and denominator lead with a*T^j and
-b*T^i, the fraction leads with (a/b)*T^(j-i) and the characteristic, when
-it is finite, is p^(v_p(a) - v_p(b)).  Finiteness itself is a hypothesis
-on the module the data came from and cannot be certified from the series
-alone; callers are told as much.
+b*T^i, the fraction leads with (a/b)*T^(j-i): its ``k`` is j - i and its
+``chi``, when the characteristic is finite, is p^(v_p(a) - v_p(b)).
+Finiteness is a hypothesis on the module the data came from and cannot be
+certified from the series alone; callers are told as much.  A document's
+"coranks" claim is checked against k by ``akashi --data``; ``--check``
+refuses it.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from .errors import InputError, PrecisionError, PrimeMismatchError
@@ -57,25 +61,21 @@ class AkashiFraction:
     numerator: LambdaSeries
     denominator: LambdaSeries
 
-    def leading(self) -> "AkashiLeading":
-        """Leading T-exponent and alpha-valuation: numerator's minus denominator's."""
-        num, den = leading_term(self.numerator), leading_term(self.denominator)
-        return AkashiLeading(self.numerator.prime, num.alpha_valuation - den.alpha_valuation,
-                             num.k - den.k)
+    @property
+    def k(self) -> int:
+        """Leading T-exponent: the numerator's minus the denominator's."""
+        return leading_term(self.numerator).k - leading_term(self.denominator).k
 
-
-@dataclass(frozen=True)
-class AkashiLeading:
-    """Leading data of the fraction: T-exponent k and p-valuation of alpha."""
-
-    prime: int
-    alpha_valuation: int
-    k: int
+    @property
+    def alpha_valuation(self) -> int:
+        """v_p of the leading coefficient alpha: the numerator's minus the denominator's."""
+        return (leading_term(self.numerator).alpha_valuation
+                - leading_term(self.denominator).alpha_valuation)
 
     @property
     def chi(self) -> PowerOfP:
         """The Euler characteristic implied when it is finite: p^(v_p(alpha))."""
-        return PowerOfP(self.prime, self.alpha_valuation)
+        return PowerOfP(self.numerator.prime, self.alpha_valuation)
 
 
 def akashi_series(data: AkashiData) -> AkashiFraction:
@@ -83,15 +83,9 @@ def akashi_series(data: AkashiData) -> AkashiFraction:
     for g in data.char_elements:
         if g.is_zero():
             raise PrecisionError("characteristic element vanishes at precision")
-    num = None
-    den = None
-    for i, g in enumerate(data.char_elements):
-        if i % 2 == 0:
-            num = g if num is None else num * g
-        else:
-            den = g if den is None else den * g
-    if den is None:
-        den = LambdaSeries.one(data.prime, num.coeff_precision, num.trunc_degree)
+    num = functools.reduce(operator.mul, data.char_elements[::2])
+    den = functools.reduce(operator.mul, data.char_elements[1::2] or (
+        LambdaSeries.one(data.prime, num.coeff_precision, num.trunc_degree),))
     if num.is_zero() or den.is_zero():
         raise PrecisionError("product of characteristic elements vanishes at precision")
 
@@ -102,34 +96,25 @@ def akashi_series(data: AkashiData) -> AkashiFraction:
     return AkashiFraction(num, den)
 
 
-def akashi_leading(data: AkashiData) -> AkashiLeading:
-    """Leading T-exponent and alpha-valuation of the alternating product."""
-    return akashi_series(data).leading()
-
-
-def fractions_equivalent(a: AkashiFraction, b: AkashiFraction) -> bool:
-    """Equality up to units, via prepared forms of the cross-products."""
-    left = weierstrass_prepare(a.numerator * b.denominator)
-    right = weierstrass_prepare(b.numerator * a.denominator)
-    return left.same_characteristic_element(right)
-
-
 def check_multiplicativity(l_data: AkashiData, m_data: AkashiData,
                            n_data: AkashiData) -> bool:
     """Does the middle term's series equal the product of the outer two?
 
     For a short exact sequence of modules L -> M -> N the alternating
     products satisfy f_M = f_N * f_L; this checks that identity on the
-    supplied data, up to units.
+    supplied data, up to units, by comparing the prepared forms of the
+    cross-products f_M.num * f_N.den * f_L.den and f_N.num * f_L.num * f_M.den.
     """
     if not (l_data.prime == m_data.prime == n_data.prime):
         raise PrimeMismatchError("prime mismatch")
     f_l = akashi_series(l_data)
     f_m = akashi_series(m_data)
     f_n = akashi_series(n_data)
-    product = AkashiFraction(f_n.numerator * f_l.numerator,
-                             f_n.denominator * f_l.denominator)
-    return fractions_equivalent(f_m, product)
+    num = f_n.numerator * f_l.numerator
+    den = f_n.denominator * f_l.denominator
+    left = weierstrass_prepare(f_m.numerator * den)
+    right = weierstrass_prepare(num * f_m.denominator)
+    return left.same_characteristic_element(right)
 
 
 def coranks_consistent(data: AkashiData, coranks, k: int) -> bool:
@@ -148,23 +133,3 @@ def coranks_consistent(data: AkashiData, coranks, k: int) -> bool:
         raise InputError("coranks must be nonnegative")
     alternating = sum(c if i % 2 == 0 else -c for i, c in enumerate(coranks))
     return alternating == k
-
-
-def degreewise_product(a: AkashiData, b: AkashiData) -> AkashiData:
-    """Multiply characteristic elements degree by degree, padding with 1."""
-    if a.prime != b.prime:
-        raise PrimeMismatchError("prime mismatch")
-    length = max(len(a.char_elements), len(b.char_elements))
-    elements = []
-    for i in range(length):
-        if i < len(a.char_elements):
-            x = a.char_elements[i]
-        else:
-            ref = b.char_elements[i]
-            x = LambdaSeries.one(a.prime, ref.coeff_precision, ref.trunc_degree)
-        if i < len(b.char_elements):
-            y = b.char_elements[i]
-        else:
-            y = LambdaSeries.one(b.prime, x.coeff_precision, x.trunc_degree)
-        elements.append(x * y)
-    return AkashiData(a.prime, tuple(elements))

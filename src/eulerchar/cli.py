@@ -44,7 +44,7 @@ def _load_json(text_or_path: str):
             raise InputError(f"cannot read {text_or_path!r}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise InputError(f"malformed JSON: {exc}") from None
 
 
@@ -116,27 +116,32 @@ def _handle_akashi(args):
         paths = [part.strip() for part in args.check.split(",")]
         if len(paths) != 3:
             raise InputError("--check needs three files: L,M,N")
-        l_data, m_data, n_data = (AkashiData.from_json(_load_json(p)) for p in paths)
-        ok = check_multiplicativity(l_data, m_data, n_data)
+        data = []
+        for path in paths:
+            doc = _load_json(path)
+            if isinstance(doc, dict) and "coranks" in doc:
+                raise InputError(f"malformed Akashi document {path!r}: 'coranks' is read "
+                                 "only by akashi --data")
+            data.append(AkashiData.from_json(doc))
+        ok = check_multiplicativity(*data)
         return {"check": paths}, {"multiplicative": ok}, [EXACT_NOTE]
     if not args.data:
         raise InputError("akashi needs --data or --check")
     doc = _load_json(args.data)
     data = AkashiData.from_json(doc)
     fraction = akashi_series(data)
-    lead = fraction.leading()
     results = {
         "numerator": fraction.numerator.to_json(),
         "denominator": fraction.denominator.to_json(),
-        "leading": {"alpha_valuation": lead.alpha_valuation, "k": lead.k,
-                    "chi_if_finite": str(lead.chi)},
+        "leading": {"alpha_valuation": fraction.alpha_valuation, "k": fraction.k,
+                    "chi_if_finite": str(fraction.chi)},
     }
     if "coranks" in doc:
         if not isinstance(doc["coranks"], list):
             raise InputError("malformed Akashi document: 'coranks' must be a list")
         claimed = [json_int(c, "coranks", "Akashi") for c in doc["coranks"]]
         results["coranks_claimed"] = claimed
-        results["coranks_consistent_with_k"] = coranks_consistent(data, claimed, lead.k)
+        results["coranks_consistent_with_k"] = coranks_consistent(data, claimed, fraction.k)
     return ({"data": data.to_json()}, results,
             ["chi_if_finite is p^(v_p(alpha)), the standard-magnitude "
              "reciprocal of the fraction's leading coefficient", CONDITIONAL_NOTE])

@@ -24,6 +24,8 @@ from .errors import InputError, PrecisionError, PrimeMismatchError
 from .padics import check_keys, check_prime, int_valuation, json_int
 
 _MAX_PARSE_DEGREE = 512
+_MAX_MODULUS = 10 ** 2000  # bounds a document's p^N: coefficients print within int's digit limit
+_MAX_DEGREE = 1024  # bounds a document's D
 
 
 @dataclass(frozen=True)
@@ -394,7 +396,14 @@ def _series_shape(p, n, d):
                json_int(d, "D", "series"))
     if n < 1 or d < 1:
         raise InputError("malformed series document: 'N' and 'D' must be >= 1")
-    return check_prime(p), n, d
+    check_prime(p)
+    # p^N >= 2^(N*(bits(p) - 1)), so the first test refuses before a huge power is formed
+    if n * (p.bit_length() - 1) >= _MAX_MODULUS.bit_length() or p ** n >= _MAX_MODULUS:
+        raise InputError(f"malformed series document: 'N' = {n} makes p^N = {p}^{n} "
+                         "pass the bound 10^2000")
+    if d > _MAX_DEGREE:
+        raise InputError(f"malformed series document: 'D' = {d} passes the bound {_MAX_DEGREE}")
+    return p, n, d
 
 
 def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:

@@ -343,6 +343,19 @@ def pipeline(**changes):
      "malformed Akashi document: unknown key 'corank'"),
     (["prep", "--series", '{"p":7,"N":4,"D":4,"coeffs":[7,1],"poly":"T"}'], 2,
      "malformed series document: unknown key 'poly'"),
+    # --check reads no corank claim, so it refuses one; the first file is inline
+    (["akashi", "--check", '{"coranks":[5]},b.json,c.json'], 2,
+     "malformed Akashi document '{\"coranks\":[5]}': 'coranks' is read only by akashi --data"),
+    # N and D are bounded before any power or list is formed
+    (["prep", "--series", '{"p":7,"N":3,"D":100000000,"poly":"T"}'], 2,
+     "malformed series document: 'D' = 100000000 passes the bound 1024"),
+    (["leading", "--series", '{"p":7,"N":6000,"D":1,"coeffs":[-1]}'], 2,
+     "malformed series document: 'N' = 6000 makes p^N = 7^6000 pass the bound 10^2000"),
+    (["chi-module", "--module", '{"p":7,"N":6000,"generators":["T-1"]}'], 2,
+     "'N' = 6000 makes p^N"),
+    # an integer literal past CPython's 4,300-digit limit
+    (["leading", "--series", '{"p":7,"N":3,"D":2,"coeffs":[%s]}' % ("1" * 4401)], 2,
+     "malformed JSON: Exceeds the limit (4300 digits)"),
 ])
 def test_input_errors_exit_with_a_message(capsys, argv, code, message):
     got, out, err = run(capsys, *argv)

@@ -1,0 +1,111 @@
+"""Compare the CLI calls that the CLI tests make on the working tree and on a git revision.
+
+Usage: python3 tools/cli_diff.py REV
+
+Runs tests/test_cli.py and tests/test_acceptance.py on the working tree and
+on an export of REV (``git archive``), each with this file loaded as a
+pytest plugin.  The plugin wraps ``eulerchar.cli.main`` and records the argv,
+exit code, stdout and stderr of every call, keyed by the test that made it.
+Both runs use the same --basetemp, so temporary paths in argv and messages
+match.  Prints each call whose record differs and each call made on one side
+only; exits 1 if there is any.  Standard library only.
+"""
+
+import contextlib
+import difflib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ["tests/test_cli.py", "tests/test_acceptance.py"]
+_RECORDS = []
+
+
+def pytest_configure(config):
+    """Plugin side: wrap cli.main before the test modules import it."""
+    from eulerchar import cli
+    main = cli.main
+
+    def recorded(argv=None):
+        out, err = io.StringIO(), io.StringIO()
+        code = None
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except BaseException as exc:
+            code = f"raised {exc!r}"
+            raise
+        finally:
+            test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0]
+            _RECORDS.append([test, list(argv or []), code, out.getvalue(), err.getvalue()])
+            sys.stdout.write(out.getvalue())
+            sys.stderr.write(err.getvalue())
+        return code
+
+    cli.main = recorded
+
+
+def pytest_unconfigure(config):
+    Path(os.environ["CLI_DIFF_OUT"]).write_text(json.dumps(_RECORDS))
+
+
+def _record(tree: Path, scratch: Path) -> dict:
+    """{(test, argv as JSON): [(code, stdout, stderr), ...]} for the tests in ``tree``."""
+    out = scratch / "calls.json"
+    env = {**os.environ, "CLI_DIFF_OUT": str(out),
+           "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(ROOT / "tools")])}
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "cli_diff",
+                          "-p", "no:cacheprovider", "--basetemp", str(scratch / "basetemp"),
+                          *TESTS], cwd=tree, env=env, capture_output=True, text=True)
+    print(f"{tree}: {(run.stdout.strip().splitlines() or ['no output'])[-1]}")
+    calls = {}
+    for test, argv, code, stdout, stderr in json.loads(out.read_text()):
+        calls.setdefault((test, json.dumps(argv)), []).append((code, stdout, stderr))
+    return calls
+
+
+def _text(records) -> list:
+    return [line for code, stdout, stderr in records
+            for line in [f"exit {code}", "stdout:", *stdout.splitlines(),
+                         "stderr:", *stderr.splitlines()]]
+
+
+def main(rev: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        tree = scratch / "rev"
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        old = _record(tree, scratch)
+        new = _record(ROOT, scratch)
+    differ = 0
+    for key in sorted(old.keys() | new.keys()):
+        test, argv = key
+        name = f"{test} {argv if len(argv) < 300 else argv[:300] + '...'}"
+        if key not in new:
+            print(f"only at {rev}: {name}")
+        elif key not in old:
+            print(f"only in the working tree: {name}")
+            print("\n".join("    " + line for line in _text(new[key])))
+        elif old[key] != new[key]:
+            print(f"differs: {name}")
+            print("\n".join(difflib.unified_diff(_text(old[key]), _text(new[key]), rev,
+                                                 "working tree", lineterm="")))
+        else:
+            continue
+        differ += 1
+    print(f"{len(old.keys() | new.keys())} distinct (test, argv) calls, {differ} not identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))
