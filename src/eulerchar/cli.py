@@ -16,13 +16,13 @@ from pathlib import Path
 
 from .akashi import AkashiData, akashi_series, check_multiplicativity, coranks_consistent
 from .curves import Curve, count_points, euler_factor, is_ordinary, local_data, x1_11
-from .cyclotomic_fields import (MAX_Q_V, ExtensionSpec, SplittingData, infinite_inertia_places,
+from .cyclotomic_fields import (ExtensionSpec, SplittingData, infinite_inertia_places,
                                 infinite_inertia_set, split)
 from .errors import InputError, PrecisionError
 from .euler_char import build_chi_input, local_cardinalities, theorem_chi
 from .gamma_modules import TorsionModule, finite_level_oracle, generalized_chi
 from .lambda_algebra import leading_term, series_from_doc, weierstrass_prepare
-from .padics import PowerOfP, check_keys, format_rational, json_int, prime_factors
+from .padics import MAX_VALUE, PowerOfP, check_keys, format_rational, json_int, prime_factors
 
 PAPER_NOTE = "magnitude convention: paper, |x|_p = p^(+v_p(x)), applied to Euler-factor products"
 MIXED_NOTE = ("magnitude convention: h1_Fv uses the standard reading of |c_v|_p^(-1), "
@@ -61,7 +61,7 @@ def _handle_count_points(args):
 
 def _handle_euler_factor(args):
     # 2 <= q first: prime_factors(0) never returns
-    if not (2 <= args.q < MAX_Q_V and len(prime_factors(args.q)) == 1):
+    if not (2 <= args.q < MAX_VALUE and len(prime_factors(args.q)) == 1):
         raise InputError(f"q must be a prime power with 2 <= q < 10^2000, got {args.q}")
     if args.a * args.a > 4 * args.q:
         raise InputError(f"trace a = {args.a} is past the Hasse bound a^2 <= 4q at q = {args.q}")
@@ -337,8 +337,7 @@ def main(argv=None) -> int:
         return 3
     report = {"command": args.subcommand, "inputs_echo": inputs, "results": results,
               "provenance_notes": notes}
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if results.get("all_checks_pass", True) else 4
 
 

@@ -21,20 +21,34 @@ non-minimal model may falsely report bad reduction.
 
 from __future__ import annotations
 
-import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .cyclotomic_fields import SplittingData
 from .errors import InputError
-from .padics import check_prime, format_rational, int_valuation, parse_rational, prime_factors
+from .padics import MAX_DIGITS, check_prime, format_rational, int_valuation, prime_factors
 
 MAX_COUNT_Q = 10 ** 12
 # Below this, the O(q) loop over x is as fast as baby-step giant-step; it
 # must be above 229 for Mestre's theorem to guarantee the search ends.
 MESTRE_FROM_Q = 400
+_DECIMAL_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _document_rational(c) -> Optional[Fraction]:
+    """c as a Fraction, or None unless it is a JSON integer or a decimal "n" or "n/d".
+
+    d is nonzero, and |n| and d are below 10^2000; leading zeros do not count.
+    """
+    match = _DECIMAL_RATIONAL.fullmatch(str(c)) if type(c) in (int, str) else None
+    if match:
+        sign, num, den = match[1], match[2].lstrip("0"), (match[3] or "1").lstrip("0")
+        if den and len(num) <= MAX_DIGITS and len(den) <= MAX_DIGITS:  # den: d != 0
+            return Fraction(int(sign + (num or "0")), int(den))
+    return None
 
 
 @dataclass(frozen=True)
@@ -77,11 +91,12 @@ class Curve:
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed curve document: {exc}") from None
         # exact types: a JSON float may have lost digits, and a string is not a list
-        if (type(entries) is not list or len(entries) != 5
-                or any(type(c) not in (str, int) for c in entries)):
+        values = ([_document_rational(c) for c in entries]
+                  if type(entries) is list and len(entries) == 5 else [None])
+        if None in values:
             raise InputError("malformed curve document: 'a' must be a list of five rational "
                              f"strings or JSON integers a1,a2,a3,a4,a6, got {entries!r}")
-        return cls(*(parse_rational(str(c)) for c in entries))
+        return cls(*values)
 
 
 def x1_11() -> Curve:
@@ -193,20 +208,21 @@ def _mul(k, P, a, b, q):
     return result
 
 
-def _twisted_points(b2, b4, b6, q, square):
-    """Points on E (square true) or on its twist E', from x = 0, 1, 2, ...
+def _twisted_points(b2, b4, b6, q):
+    """Points on E and on its twist E', from x = 0, 1, 2, ...
 
-    With A, B, C = b2, 8*b4, 16*b6 and v = x^3 + A*x^2 + B*x + C nonzero
-    and a square (or not), yields ((x*v, v^2), v*A, v^2*B): the point and the
-    x^2 and x coefficients of y^2 = x^3 + v*A*x^2 + v^2*B*x + v^3*C.
+    With A, B, C = b2, 8*b4, 16*b6 and v = x^3 + A*x^2 + B*x + C nonzero,
+    yields (side, (x*v, v^2), v*A, v^2*B): side 0 (E) when v is a square and
+    1 (E') when not, the point, and the x^2 and x coefficients of
+    y^2 = x^3 + v*A*x^2 + v^2*B*x + v^3*C.
     """
     A, B, C = b2, 8 * b4 % q, 16 * b6 % q
     half = (q - 1) // 2
     for x in range(q):
         v = (((x + A) * x + B) * x + C) % q
-        if v and (pow(v, half, q) == 1) == square:
+        if v:
             v2 = v * v % q
-            yield (x * v % q, v2), v * A % q, v2 * B % q
+            yield 0 if pow(v, half, q) == 1 else 1, (x * v % q, v2), v * A % q, v2 * B % q
 
 
 def _order_multiple(P, a, b, q, m0, step, count):
@@ -251,10 +267,10 @@ def _count_mestre(curve: Curve, q: int) -> int:
     is a square and to E' when it is not, so no square root is taken and
     the point's order is that of a point of E or E'.
 
-    Loop.  Points come from X = 0, 1, 2, ..., taken alternately on E and on
-    E'.  With L and L' the lcms of the exact point orders found so far on E
-    and E', #E = 0 mod L and 2q + 2 - #E = 0 mod L'.  For each new point, a
-    multiple of its order is found by baby-step giant-step over the
+    Loop.  Points come from X = 0, 1, 2, ..., each on E or on E' as g(X) is a
+    square or not.  With L and L' the lcms of the exact point orders found so
+    far on E and E', #E = 0 mod L and 2q + 2 - #E = 0 mod L'.  For each new
+    point, a multiple of its order is found by baby-step giant-step over the
     candidates for #E (or 2q + 2 - #E) that these congruences leave in the
     interval, and is reduced prime by prime to the exact order.  The loop
     stops when one N in the interval meets both congruences.
@@ -270,24 +286,18 @@ def _count_mestre(curve: Curve, q: int) -> int:
     lo, hi = q + 1 - s, q + 1 + s
     lcms = [1, 1]  # L on E, L' on E'
     first, modulus, count = _candidates(*lcms, q, lo, hi)
-    sides = itertools.zip_longest(_twisted_points(b2, b4, b6, q, True),
-                                  _twisted_points(b2, b4, b6, q, False))
-    for pair in sides:
-        for side, item in enumerate(pair):
-            if item is None:
-                continue
-            P, a, b = item
-            if side == 0:
-                m = _order_multiple(P, a, b, q, first, modulus, count)
-            else:
-                m = _order_multiple(P, a, b, q, 2 * q + 2 - first, -modulus, count)
-            for r in prime_factors(m):
-                while m % r == 0 and _mul(m // r, P, a, b, q) is None:
-                    m //= r
-            lcms[side] = math.lcm(lcms[side], m)
-            first, modulus, count = _candidates(*lcms, q, lo, hi)
-            if count == 1:
-                return first
+    for side, P, a, b in _twisted_points(b2, b4, b6, q):
+        if side == 0:
+            m = _order_multiple(P, a, b, q, first, modulus, count)
+        else:
+            m = _order_multiple(P, a, b, q, 2 * q + 2 - first, -modulus, count)
+        for r in prime_factors(m):
+            while m % r == 0 and _mul(m // r, P, a, b, q) is None:
+                m //= r
+        lcms[side] = math.lcm(lcms[side], m)
+        first, modulus, count = _candidates(*lcms, q, lo, hi)
+        if count == 1:
+            return first
     raise ValueError(f"point count at q = {q} not pinned down")  # excluded by Mestre for q > 229
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 from .errors import InputError
-from .padics import check_prime, prime_factors
+from .padics import check_prime, power_below_bound, prime_factors
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,6 @@ class SplittingData:
                 "ramified": self.ramified, "q_v": self.q_v}
 
 
-# q_v = l^f stays below this, so that a report's Euler factor q_v^2/(q_v^2 + a*q_v + 1)
-# keeps under CPython's default 4,300-digit limit on converting an int to a string
-MAX_Q_V = 10 ** 2000
-
-
 def multiplicative_order(a: int, p: int) -> int:
     """The order of a mod the prime p: p - 1 reduced one prime factor at a time."""
     a %= p
@@ -68,13 +63,12 @@ def multiplicative_order(a: int, p: int) -> int:
 def split(l: int, p: int) -> SplittingData:
     """Splitting data of l in Q(mu_p); l = p is the totally ramified case.
 
-    A residue field of size l^f >= MAX_Q_V is refused before l^f is formed.
+    A residue field of size l^f >= MAX_VALUE (10^2000) is refused before l^f is formed.
     """
     check_prime(l)
     check_prime(p)
     f = 1 if l == p else multiplicative_order(l, p)
-    # l^f >= 2^(f*(bits(l) - 1)), so the first test refuses before a huge power is formed
-    if f * (l.bit_length() - 1) >= MAX_Q_V.bit_length() or l ** f >= MAX_Q_V:
+    if not power_below_bound(l, f):
         raise InputError(f"residue field too large: l = {l} has residue degree f = {f} "
                          f"in Q(mu_{p}), and l^f passes the bound 10^2000")
     return SplittingData(l, p, f)

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .errors import InputError, PrecisionError, PrimeMismatchError
-from .padics import check_keys, check_prime, int_valuation, json_int
+from .padics import MAX_VALUE, check_keys, check_prime, int_valuation, json_int, power_below_bound
 
 _MAX_PARSE_DEGREE = 512
-_MAX_MODULUS = 10 ** 2000  # bounds a document's p^N: coefficients print within int's digit limit
 _MAX_DEGREE = 1024  # bounds a document's D
 
 
@@ -102,16 +101,14 @@ class LambdaSeries:
             raise PrimeMismatchError("prime mismatch")
         n = min(self.coeff_precision, other.coeff_precision)
         d = min(self.trunc_degree, other.trunc_degree)
-        m = self.prime ** n
-        out = [0] * d
+        b = other.coeffs
+        out = [0] * d  # exact sums, each reduced mod p^N once
         for i, a in enumerate(self.coeffs[:d]):
-            if a == 0:
-                continue
-            for j in range(d - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % m
-        return LambdaSeries(self.prime, n, tuple(out))
+            if a:
+                for j in range(d - i):
+                    out[i + j] += a * b[j]
+        m = self.prime ** n
+        return LambdaSeries(self.prime, n, tuple([c % m for c in out]))
 
     def shift_down(self, k: int) -> "LambdaSeries":
         """Divide by T^k; requires the first k coefficients to vanish at precision."""
@@ -232,17 +229,11 @@ class WeierstrassForm:
 
 def _invert_unit(u: LambdaSeries) -> LambdaSeries:
     """Inverse of a series with invertible constant term, mod (p^N, T^D)."""
-    m = u.modulus
-    inv0 = pow(u.coeffs[0], -1, m)
-    d = u.trunc_degree
-    out = [0] * d
-    out[0] = inv0
-    for k in range(1, d):
-        acc = 0
-        for j in range(1, k + 1):
-            if u.coeffs[j]:
-                acc = (acc + u.coeffs[j] * out[k - j]) % m
-        out[k] = (-inv0 * acc) % m
+    m, c = u.modulus, u.coeffs
+    inv0 = pow(c[0], -1, m)
+    out = [inv0]
+    for k in range(1, len(c)):
+        out.append(-inv0 * sum(c[j] * out[k - j] for j in range(1, k + 1)) % m)
     return LambdaSeries(u.prime, u.coeff_precision, tuple(out))
 
 
@@ -323,7 +314,8 @@ def _poly_add(a: List[int], b: List[int]) -> List[int]:
     return out
 
 
-def _poly_mul(a: List[int], b: List[int]) -> List[int]:
+def _poly_mul(a: List[int], b: List[int], text: str) -> List[int]:
+    """The product a*b in the polynomial ``text``, refused past degree or coefficient bounds."""
     if len(a) + len(b) - 1 > _MAX_PARSE_DEGREE:
         raise InputError(f"polynomial degree exceeds parser cap {_MAX_PARSE_DEGREE}")
     out = [0] * (len(a) + len(b) - 1)
@@ -331,6 +323,8 @@ def _poly_mul(a: List[int], b: List[int]) -> List[int]:
         if c:
             for j, e in enumerate(b):
                 out[i + j] += c * e
+    if max(map(abs, out)) >= MAX_VALUE:
+        raise InputError(f"polynomial {text!r} has a coefficient past the bound 10^2000")
     return out
 
 
@@ -360,7 +354,7 @@ def polynomial_from_text(text: str) -> List[int]:
             if isinstance(node.op, ast.Sub):
                 return _poly_add(ev(node.left), [-c for c in ev(node.right)])
             if isinstance(node.op, ast.Mult):
-                return _poly_mul(ev(node.left), ev(node.right))
+                return _poly_mul(ev(node.left), ev(node.right), text)
             if isinstance(node.op, ast.Pow):
                 exp = node.right
                 if not (isinstance(exp, ast.Constant) and type(exp.value) is int
@@ -369,7 +363,7 @@ def polynomial_from_text(text: str) -> List[int]:
                 base = ev(node.left)
                 out = [1]
                 for _ in range(exp.value):
-                    out = _poly_mul(out, base)
+                    out = _poly_mul(out, base, text)
                 return out
         raise InputError(f"unsupported expression in polynomial {text!r}")
 
@@ -397,8 +391,7 @@ def _series_shape(p, n, d):
     if n < 1 or d < 1:
         raise InputError("malformed series document: 'N' and 'D' must be >= 1")
     check_prime(p)
-    # p^N >= 2^(N*(bits(p) - 1)), so the first test refuses before a huge power is formed
-    if n * (p.bit_length() - 1) >= _MAX_MODULUS.bit_length() or p ** n >= _MAX_MODULUS:
+    if not power_below_bound(p, n):
         raise InputError(f"malformed series document: 'N' = {n} makes p^N = {p}^{n} "
                          "pass the bound 10^2000")
     if d > _MAX_DEGREE:

@@ -28,6 +28,16 @@ _MR_DECIDED_BELOW = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749
                      318665857834031151167461, 3317044064679887385961981)
 MR_PROVEN_BELOW = _MR_DECIDED_BELOW[-1]
 
+# Integers that a document gives or makes (p^N, q_v = l^f, polynomial and curve coefficients)
+# stay below MAX_VALUE: a report prints them, and q_v^2, within CPython's 4,300-digit limit
+MAX_DIGITS = 2000
+MAX_VALUE = 10 ** MAX_DIGITS
+
+
+def power_below_bound(base: int, exp: int) -> bool:
+    """Whether base^exp < MAX_VALUE; bit lengths refuse a power far past it before it is formed."""
+    return exp * (base.bit_length() - 1) < MAX_VALUE.bit_length() and base ** exp < MAX_VALUE
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n below MR_PROVEN_BELOW.
@@ -203,10 +213,3 @@ def check_keys(doc: dict, allowed, document: str, prefix: str = "") -> None:
         if key not in allowed:
             raise InputError(f"malformed {document} document: unknown key {prefix + key!r}; "
                              f"the keys read here are {', '.join(allowed)}")
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"cannot parse rational {text!r}") from None

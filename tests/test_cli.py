@@ -356,6 +356,18 @@ def pipeline(**changes):
     # an integer literal past CPython's 4,300-digit limit
     (["leading", "--series", '{"p":7,"N":3,"D":2,"coeffs":[%s]}' % ("1" * 4401)], 2,
      "malformed JSON: Exceeds the limit (4300 digits)"),
+    # curve coefficients: JSON integers or decimal "n" and "n/d", each below 10^2000
+    (["count-points", "--curve", '{"a":["0","-1","1","0","1e5000"]}', "--q", "7"], 2,
+     "'a' must be a list of five rational strings or JSON integers"),
+    (["count-points", "--curve", '{"a":["0","-1","1","0","1e10000000"]}', "--q", "7"], 2,
+     "got ['0', '-1', '1', '0', '1e10000000']"),
+    (["count-points", "--curve", '{"a":["0","-1","1","0","0.5"]}', "--q", "7"], 2,
+     "got ['0', '-1', '1', '0', '0.5']"),
+    (["theorem3", "--config", pipeline(curve={"a": ["0", "-1", "1", "0", "1e5000"]})], 2,
+     "'a' must be a list of five rational strings or JSON integers"),
+    # a polynomial's products stay below 10^2000
+    (["prep", "--series", '{"p":7,"N":4,"D":8,"poly":"((10^500)^500)^20"}'], 2,
+     "polynomial '((10^500)^500)^20' has a coefficient past the bound 10^2000"),
 ])
 def test_input_errors_exit_with_a_message(capsys, argv, code, message):
     got, out, err = run(capsys, *argv)

@@ -222,10 +222,18 @@ def test_curve_json_roundtrip():
     assert doc == {"a": ["0", "-1", "1", "0", "0"]}
     assert Curve.from_json(doc) == curve
     assert Curve.from_json({"a": [0, -1, 1, 0, 0]}) == curve
-    half = Curve.from_json({"a": ["0", "0", "0", "1/2", "1"]})
-    assert half.a4 == Fraction(1, 2)
+    half = Curve.from_json({"a": ["0", "0", "0", "49/36", "-5"]})
+    assert (half.a4, half.a6) == (Fraction(49, 36), -5)
+    big = Curve.from_json({"a": [0, "-" + "0" * 5000, 0, "0" * 5000 + "7/" + "9" * 2000,
+                                 10 ** 2000 - 1]})
+    assert (big.a2, big.a4, big.a6) == (0, Fraction(7, 10 ** 2000 - 1), 10 ** 2000 - 1)
     with pytest.raises(InputError):
         Curve.from_json({"a": ["1", "2"]})
+    # only JSON integers and decimal "n" or "n/d" are read, each below 10^2000
+    for bad in ("1/0", "0.5", "1e3", "+1", " 1", "1_000", "1/-2", 1.0, True, None,
+                10 ** 2000, "1" + "0" * 2000, "1/1" + "0" * 2000):
+        with pytest.raises(InputError, match="'a' must be a list of five rational"):
+            Curve.from_json({"a": [0, 0, 0, 1, bad]})
 
 
 # The four benchmark curves X_1(11), 37a1, y^2 = x^3 - x and 53a1 (which has

@@ -1,9 +1,9 @@
 import pytest
 
-from eulerchar.cyclotomic_fields import (MAX_Q_V, ExtensionSpec, infinite_inertia_places,
+from eulerchar.cyclotomic_fields import (ExtensionSpec, infinite_inertia_places,
                                          infinite_inertia_set, multiplicative_order, split)
 from eulerchar.errors import InputError
-from eulerchar.padics import is_prime
+from eulerchar.padics import MAX_VALUE, is_prime
 
 
 def test_split_completely():
@@ -63,7 +63,7 @@ def test_multiplicative_order_matches_repeated_multiplication():
 
 
 def test_split_refuses_residue_fields_past_the_bound():
-    assert split(2, 6637).q_v == 2 ** 6636 < MAX_Q_V  # the largest f for l = 2 below the bound
+    assert split(2, 6637).q_v == 2 ** 6636 < MAX_VALUE  # the largest f for l = 2 below the bound
     with pytest.raises(InputError, match=r"l = 2 has residue degree f = 6652 in Q\(mu_6653\)"):
         split(2, 6653)
     # f = (p - 1)/2: refused before 2^f is formed

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from eulerchar.akashi import AkashiData
 from eulerchar.errors import InputError, PrecisionError, PrimeMismatchError
 from eulerchar.gamma_modules import TorsionModule
-from eulerchar.lambda_algebra import (LambdaSeries, leading_term,
+from eulerchar.lambda_algebra import (LambdaSeries, _invert_unit, leading_term,
                                       min_coeff_valuation, mu_lambda,
                                       polynomial_from_text, series_from_doc,
                                       series_from_text, weierstrass_prepare)
@@ -39,15 +39,33 @@ def test_multiplication_examples():
     assert prod.coeffs == (7, 50, 7, 0, 0)
 
 
+def random_coeffs(rng, p, n, d, density):
+    """d coefficients mod p^n, each nonzero only with probability ``density``."""
+    return [rng.randrange(p ** n) if rng.random() < density else 0 for _ in range(d)]
+
+
 def test_multiplication_matches_oracle_on_random_inputs():
     rng = random.Random(11)
-    for _ in range(50):
+    for trial in range(100):
         p = rng.choice([3, 5, 7])
-        n, d = rng.randint(2, 6), rng.randint(3, 12)
-        a = [rng.randrange(p ** n) for _ in range(d)]
-        b = [rng.randrange(p ** n) for _ in range(d)]
-        got = series(p, a, n, d) * series(p, b, n, d)
+        (na, da), (nb, db) = [(rng.randint(2, 6), rng.randint(3, 12)) for _ in range(2)]
+        a = random_coeffs(rng, p, na, da, 1 if trial % 2 else 0.2)  # odd trials: mostly zero
+        b = random_coeffs(rng, p, nb, db, 1)
+        got = series(p, a, na, da) * series(p, b, nb, db)
+        n, d = min(na, nb), min(da, db)
+        assert (got.coeff_precision, got.trunc_degree) == (n, d)
         assert got.coeffs == naive_product(p, a, b, n, d)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_invert_unit_is_an_inverse(p):
+    rng = random.Random(p)
+    for n, d in [(1, 1), (1, 9), (3, 16), (12, 40), (30, 64)]:
+        for density in (1, 0.1):
+            coeffs = random_coeffs(rng, p, n, d, density)
+            coeffs[0] = p * rng.randrange(p ** (n - 1)) + rng.randrange(1, p)  # a unit
+            u = series(p, coeffs, n, d)
+            assert u * _invert_unit(u) == LambdaSeries.one(p, n, d)
 
 
 def test_precision_min_rule():

@@ -5,7 +5,7 @@ import pytest
 
 from eulerchar.errors import InputError, PrimeMismatchError
 from eulerchar.padics import (MR_PROVEN_BELOW, PowerOfP, format_rational, int_valuation,
-                              is_prime, parse_rational, prime_factors)
+                              is_prime, prime_factors)
 
 
 def test_valuation_examples():
@@ -79,10 +79,6 @@ def test_power_arithmetic():
 def test_rational_serialization():
     assert format_rational(Fraction(49, 36)) == "49/36"
     assert format_rational(Fraction(-5, 1)) == "-5"
-    assert parse_rational("49/36") == Fraction(49, 36)
-    assert parse_rational("-5") == Fraction(-5)
-    with pytest.raises(InputError):
-        parse_rational("1/0")
 
 
 def _slow_prime(n):
