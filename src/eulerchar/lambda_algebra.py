@@ -25,6 +25,10 @@ from .padics import MAX_VALUE, check_keys, check_prime, int_valuation, json_int,
 
 _MAX_PARSE_DEGREE = 512
 _MAX_DEGREE = 1024  # bounds a document's D
+# Bounds a document's N * D * bitlen(p^N): preparation runs up to N rounds of one
+# D-term product of p^N-sized coefficients.  At the bound the slowest shape found,
+# the largest prime p < MR_PROVEN_BELOW at D = 1024, N = 6, prepares in 1.8 s (2-vCPU Xeon).
+_MAX_COST = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -101,14 +105,8 @@ class LambdaSeries:
             raise PrimeMismatchError("prime mismatch")
         n = min(self.coeff_precision, other.coeff_precision)
         d = min(self.trunc_degree, other.trunc_degree)
-        b = other.coeffs
-        out = [0] * d  # exact sums, each reduced mod p^N once
-        for i, a in enumerate(self.coeffs[:d]):
-            if a:
-                for j in range(d - i):
-                    out[i + j] += a * b[j]
-        m = self.prime ** n
-        return LambdaSeries(self.prime, n, tuple([c % m for c in out]))
+        return LambdaSeries(self.prime, n,
+                            tuple(_kronecker(self.coeffs, other.coeffs, d, self.prime ** n)))
 
     def shift_down(self, k: int) -> "LambdaSeries":
         """Divide by T^k; requires the first k coefficients to vanish at precision."""
@@ -227,13 +225,34 @@ class WeierstrassForm:
                    zip(self.distinguished_poly, other.distinguished_poly))
 
 
+def _kronecker(a: Sequence[int], b: Sequence[int], d: int, m: int) -> List[int]:
+    """The first d coefficients of a*b, reduced mod m, by Kronecker substitution.
+
+    a and b hold nonnegative integers.  Each is packed into one integer, a
+    coefficient per fixed-width slot, so that one big-integer product does
+    the convolution.  A slot holds d * (max a + 1) * (max b + 1), which bounds
+    every output coefficient, so no slot carries into the next.
+    """
+    a, b = a[:d], b[:d]
+    w = ((d * (max(a, default=0) + 1) * (max(b, default=0) + 1)).bit_length() + 7) // 8
+    x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
+    y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little")
+    z = (x * y).to_bytes((len(a) + len(b)) * w, "little")
+    return [int.from_bytes(z[i:i + w], "little") % m for i in range(0, d * w, w)]
+
+
 def _invert_unit(u: LambdaSeries) -> LambdaSeries:
-    """Inverse of a series with invertible constant term, mod (p^N, T^D)."""
+    """Inverse of a series with invertible constant term, mod (p^N, T^D).
+
+    Newton iteration: if v = 1/u mod T^k, then u*v - 1 vanishes below T^k and
+    v - (u*v - 1)*v = 1/u mod T^2k, so about log2 D rounds of two products.
+    """
     m, c = u.modulus, u.coeffs
-    inv0 = pow(c[0], -1, m)
-    out = [inv0]
-    for k in range(1, len(c)):
-        out.append(-inv0 * sum(c[j] * out[k - j] for j in range(1, k + 1)) % m)
+    out = [pow(c[0], -1, m)]
+    while len(out) < len(c):
+        k, k2 = len(out), min(2 * len(out), len(c))
+        err = _kronecker(c, out, k2, m)[k:]  # u*out - 1, which vanishes below T^k
+        out += [-x % m for x in _kronecker(err, out, k2 - k, m)]
     return LambdaSeries(u.prime, u.coeff_precision, tuple(out))
 
 
@@ -260,8 +279,12 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     index of the first unit coefficient of h = g / p^mu = h_low + T^lambda * h_high.
     Division of T^lambda by h keeps the dividend's part T^lambda * high; a round
     takes q = high / h_high and subtracts q * h, which from T^lambda on is
-    q * h_low + T^lambda * high exactly, so only q * h_low is computed.  As
-    h_low = 0 mod p, high gains a factor of p per round: at most N rounds.
+    q * h_low + T^lambda * high exactly, so only q * h_low matters.  That is
+    high * G with G = h_low / h_high, formed once, so a round costs one product,
+    and the quotient, the sum of the q, is (sum of the high) / h_high, one
+    product after the loop.  Every product is in the associative ring
+    Z/p^N[T]/(T^D), so the rounds and the result are those of forming each q.
+    As h_low = 0 mod p, high gains a factor of p per round: at most N rounds.
     The remainder r gives P = T^lambda - r, and U is the inverse of the quotient.
     """
     p = g.prime
@@ -272,18 +295,17 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     # mu is attained by a stored coefficient, so h has a unit coefficient.
     lam = next(i for i, c in enumerate(h.coeffs) if c % p)
 
-    # h_low on the left: __mul__ skips its zero coefficients, O(lam * D).
-    h_low = LambdaSeries(p, n, h.coeffs[:lam] + (0,) * (d - lam))
-    h_high_inv = _invert_unit(LambdaSeries(p, n, h.coeffs[lam:] + (0,) * lam))
-    quotient, poly = [0] * d, [0] * lam  # poly holds -r
-    high = (1,) + (0,) * (d - 1)
-    while any(high):  # h_low = 0 mod p, so high gains a factor p per round: N rounds at most
-        q = LambdaSeries(p, n, high) * h_high_inv
-        quotient = [(a + b) % m for a, b in zip(quotient, q.coeffs)]
-        hq = (h_low * q).coeffs
+    h_high_inv = _invert_unit(LambdaSeries(p, n, h.coeffs[lam:] + (0,) * lam)).coeffs
+    g_low = _kronecker(h.coeffs[:lam], h_high_inv, d, m)  # G = h_low / h_high
+    high_sum, poly = [0] * d, [0] * lam  # poly holds -r
+    high = [1] + [0] * (d - 1)
+    while any(high):
+        high_sum = [(a + b) % m for a, b in zip(high_sum, high)]
+        hq = _kronecker(high, g_low, d, m)
         poly = [(a + b) % m for a, b in zip(poly, hq)]
-        high = tuple(-c % m for c in hq[lam:]) + (0,) * lam
+        high = [-c % m for c in hq[lam:]] + [0] * lam
 
+    quotient = _kronecker(high_sum, h_high_inv, d, m)
     unit = _invert_unit(LambdaSeries(p, n, tuple(quotient)))  # unit: 1/h_high mod p
     return WeierstrassForm(mu, tuple(poly) + (1,), unit)
 
@@ -328,6 +350,27 @@ def _poly_mul(a: List[int], b: List[int], text: str) -> List[int]:
     return out
 
 
+def _poly_pow(base: List[int], k: int, text: str) -> List[int]:
+    """base^k in the polynomial ``text``: base's T-power as a shift, the rest by squaring.
+
+    The degree cap is checked on base^k up front; the coefficient bound on each
+    product, all of them powers of base with exponent at most k.
+    """
+    if k == 0:
+        return [1]
+    if k * (len(base) - 1) >= _MAX_PARSE_DEGREE:
+        raise InputError(f"polynomial degree exceeds parser cap {_MAX_PARSE_DEGREE}")
+    s = next((i for i, c in enumerate(base) if c), 0)  # base = T^s * rest
+    rest, out, e = base[s:], [1], k
+    while e and rest != [1]:
+        if e & 1:
+            out = _poly_mul(out, rest, text)
+        e >>= 1
+        if e:
+            rest = _poly_mul(rest, rest, text)
+    return [0] * (s * k) + out
+
+
 def polynomial_from_text(text: str) -> List[int]:
     """Parse an integer polynomial in T.
 
@@ -360,11 +403,7 @@ def polynomial_from_text(text: str) -> List[int]:
                 if not (isinstance(exp, ast.Constant) and type(exp.value) is int
                         and 0 <= exp.value <= _MAX_PARSE_DEGREE):
                     raise InputError(f"unsupported exponent in polynomial {text!r}")
-                base = ev(node.left)
-                out = [1]
-                for _ in range(exp.value):
-                    out = _poly_mul(out, base, text)
-                return out
+                return _poly_pow(ev(node.left), exp.value, text)
         raise InputError(f"unsupported expression in polynomial {text!r}")
 
     try:
@@ -396,6 +435,9 @@ def _series_shape(p, n, d):
                          "pass the bound 10^2000")
     if d > _MAX_DEGREE:
         raise InputError(f"malformed series document: 'D' = {d} passes the bound {_MAX_DEGREE}")
+    if n * d * (p ** n).bit_length() > _MAX_COST:
+        raise InputError(f"malformed series document: 'N' = {n} and 'D' = {d} make "
+                         f"N * D * bitlen(p^N) pass the cost bound {_MAX_COST}")
     return p, n, d
 
 

@@ -368,6 +368,13 @@ def pipeline(**changes):
     # a polynomial's products stay below 10^2000
     (["prep", "--series", '{"p":7,"N":4,"D":8,"poly":"((10^500)^500)^20"}'], 2,
      "polynomial '((10^500)^500)^20' has a coefficient past the bound 10^2000"),
+    # a power's degree is capped before any product is formed
+    (["prep", "--series", '{"p":7,"N":4,"D":8,"poly":"(T^2)^300"}'], 2,
+     "polynomial degree exceeds parser cap 512"),
+    # up to N preparation rounds of a D-term product: N * D * bitlen(p^N) is bounded
+    (["prep", "--series", json.dumps({"p": 2, "N": 6000, "D": 1024,
+                                      "coeffs": [2, 1] + [2] * 1022})], 2,
+     "'N' = 6000 and 'D' = 1024 make N * D * bitlen(p^N) pass the cost bound 4000000"),
 ])
 def test_input_errors_exit_with_a_message(capsys, argv, code, message):
     got, out, err = run(capsys, *argv)

@@ -11,6 +11,7 @@ from eulerchar.lambda_algebra import (LambdaSeries, _invert_unit, leading_term,
                                       min_coeff_valuation, mu_lambda,
                                       polynomial_from_text, series_from_doc,
                                       series_from_text, weierstrass_prepare)
+from eulerchar.padics import int_valuation
 
 
 def series(p, coeffs, n, d):
@@ -46,11 +47,21 @@ def random_coeffs(rng, p, n, d, density):
 
 def test_multiplication_matches_oracle_on_random_inputs():
     rng = random.Random(11)
+    cases = []
     for trial in range(100):
         p = rng.choice([3, 5, 7])
         (na, da), (nb, db) = [(rng.randint(2, 6), rng.randint(3, 12)) for _ in range(2)]
         a = random_coeffs(rng, p, na, da, 1 if trial % 2 else 0.2)  # odd trials: mostly zero
-        b = random_coeffs(rng, p, nb, db, 1)
+        cases.append((p, a, na, da, random_coeffs(rng, p, nb, db, 1), nb, db))
+    cases += [
+        (7, [0] * 9, 4, 9, random_coeffs(rng, 7, 4, 9, 1), 4, 9),  # an all-zero operand
+        (5, [3], 3, 1, [4, 2], 2, 2),  # D = 1
+        # unequal N: a's coefficients pass b's p^N
+        (3, random_coeffs(rng, 3, 40, 12, 1), 40, 12, random_coeffs(rng, 3, 2, 15, 1), 2, 15),
+        # p^N = 2^6000, near the 10^2000 bound
+        (2, random_coeffs(rng, 2, 6000, 24, 1), 6000, 24, [2 ** 6000 - 1] * 24, 6000, 24),
+    ]
+    for p, a, na, da, b, nb, db in cases:
         got = series(p, a, na, da) * series(p, b, nb, db)
         n, d = min(na, nb), min(da, db)
         assert (got.coeff_precision, got.trunc_degree) == (n, d)
@@ -107,6 +118,48 @@ def test_prepare_full_factorization():
     assert form.distinguished_poly == (7, 1)
     assert form.unit.agrees_with(series(7, [1, 7], 3, 8))
     assert form.reconstruct().agrees_with(g)
+
+
+def naive_inverse(p, u, n):
+    """1/u mod (p^n, T^len(u)), one coefficient at a time."""
+    inv0 = pow(u[0], -1, p ** n)
+    out = [inv0]
+    for k in range(1, len(u)):
+        out.append(-inv0 * sum(u[j] * out[k - j] for j in range(1, k + 1)) % p ** n)
+    return out
+
+
+def naive_prepare(p, coeffs, n):
+    """(mu, P, U) by the division loop with two schoolbook products per round."""
+    d = len(coeffs)
+    mu = min(int_valuation(c, p) for c in coeffs if c)
+    n, h = n - mu, [c // p ** mu for c in coeffs]
+    m, lam = p ** n, next(i for i, c in enumerate(h) if c % p)
+    h_low = h[:lam] + [0] * (d - lam)
+    h_high_inv = naive_inverse(p, h[lam:] + [0] * lam, n)
+    quotient, poly, high = [0] * d, [0] * lam, [1] + [0] * (d - 1)
+    while any(high):
+        q = naive_product(p, high, h_high_inv, n, d)
+        quotient = [(a + b) % m for a, b in zip(quotient, q)]
+        hq = naive_product(p, h_low, q, n, d)
+        poly = [(a + b) % m for a, b in zip(poly, hq)]
+        high = [-c % m for c in hq[lam:]] + [0] * lam
+    return mu, tuple(poly) + (1,), tuple(naive_inverse(p, quotient, n))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prepare_matches_the_two_product_loop(p):
+    rng = random.Random(100 + p)
+    for n, d in [(1, 1), (3, 5), (6, 12), (10, 24), (16, 40)]:
+        for lam in sorted({0, d // 2, d - 1}):
+            coeffs = random_coeffs(rng, p, n, d, 1)
+            coeffs[:lam] = [p * c for c in coeffs[:lam]]
+            coeffs[lam] = p * rng.randrange(p ** n) + rng.randrange(1, p)  # a unit
+            e = rng.randint(0, n - 1)
+            g = series(p, [c * p ** e for c in coeffs], n, d)
+            form = weierstrass_prepare(g)
+            assert (form.mu, form.distinguished_poly, form.unit.coeffs) == \
+                naive_prepare(p, g.coeffs, n)
 
 
 def test_prepare_reports_zero_series():
