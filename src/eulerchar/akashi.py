@@ -80,9 +80,6 @@ class AkashiFraction:
 
 def akashi_series(data: AkashiData) -> AkashiFraction:
     """Alternating product, reduced by common T-powers and p-powers only."""
-    for g in data.char_elements:
-        if g.is_zero():
-            raise PrecisionError("characteristic element vanishes at precision")
     num = functools.reduce(operator.mul, data.char_elements[::2])
     den = functools.reduce(operator.mul, data.char_elements[1::2] or (
         LambdaSeries.one(data.prime, num.coeff_precision, num.trunc_degree),))
@@ -104,9 +101,8 @@ def check_multiplicativity(l_data: AkashiData, m_data: AkashiData,
     products satisfy f_M = f_N * f_L; this checks that identity on the
     supplied data, up to units, by comparing the prepared forms of the
     cross-products f_M.num * f_N.den * f_L.den and f_N.num * f_L.num * f_M.den.
+    Data at different primes raise PrimeMismatchError from the first product that mixes them.
     """
-    if not (l_data.prime == m_data.prime == n_data.prime):
-        raise PrimeMismatchError("prime mismatch")
     f_l = akashi_series(l_data)
     f_m = akashi_series(m_data)
     f_n = akashi_series(n_data)
@@ -117,7 +113,7 @@ def check_multiplicativity(l_data: AkashiData, m_data: AkashiData,
     return left.same_characteristic_element(right)
 
 
-def coranks_consistent(data: AkashiData, coranks, k: int) -> bool:
+def coranks_consistent(data: AkashiData, coranks: list, k: int) -> bool:
     """Check a claimed corank-per-degree list against the leading T-exponent k.
 
     The leading exponent k of the alternating product of ``data`` equals the
@@ -126,7 +122,6 @@ def coranks_consistent(data: AkashiData, coranks, k: int) -> bool:
     is never trusted -- it is accepted exactly when its alternating sum
     reproduces k.
     """
-    coranks = list(coranks)
     if len(coranks) != len(data.char_elements):
         raise InputError("need one corank per homological degree")
     if any(c < 0 for c in coranks):

@@ -22,7 +22,8 @@ from .errors import InputError, PrecisionError
 from .euler_char import build_chi_input, local_cardinalities, theorem_chi
 from .gamma_modules import TorsionModule, finite_level_oracle, generalized_chi
 from .lambda_algebra import leading_term, series_from_doc, weierstrass_prepare
-from .padics import MAX_VALUE, PowerOfP, check_keys, format_rational, json_int, prime_factors
+from .padics import (DECIMAL_INT, MAX_VALUE, PowerOfP, check_keys, format_rational, json_int,
+                     prime_factors)
 
 PAPER_NOTE = "magnitude convention: paper, |x|_p = p^(+v_p(x)), applied to Euler-factor products"
 MIXED_NOTE = ("magnitude convention: h1_Fv uses the standard reading of |c_v|_p^(-1), "
@@ -97,6 +98,8 @@ def _handle_leading(args):
 def _handle_chi_module(args):
     if args.prec is not None and not args.oracle:
         raise InputError("--prec requires --oracle")
+    if args.prec is not None and args.prec < 1:
+        raise InputError(f"--prec must be >= 1, got {args.prec}")
     module = TorsionModule.from_json(_load_json(args.module))
     closed = generalized_chi(module)
     results = {"closed_form": closed.to_json()}
@@ -251,6 +254,13 @@ def _handle_example(args):
 # -- parser ------------------------------------------------------------------
 
 
+def _int_option(text: str) -> int:
+    """An integer option, read by the digit rule of documents (see padics.DECIMAL_INT)."""
+    if not DECIMAL_INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 @functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -262,13 +272,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("count-points", help="count points of a curve over F_q")
     cp.add_argument("--curve", required=True, help="curve JSON file or inline JSON")
-    cp.add_argument("--q", required=True, type=int, help="prime of good reduction")
+    cp.add_argument("--q", required=True, type=_int_option, help="prime of good reduction")
     cp.set_defaults(handler=_handle_count_points)
 
     ef = sub.add_parser("euler-factor", help="local Euler factor value and valuation")
-    ef.add_argument("--a", required=True, type=int)
-    ef.add_argument("--q", required=True, type=int)
-    ef.add_argument("--p", required=True, type=int)
+    ef.add_argument("--a", required=True, type=_int_option)
+    ef.add_argument("--q", required=True, type=_int_option)
+    ef.add_argument("--p", required=True, type=_int_option)
     ef.set_defaults(handler=_handle_euler_factor)
 
     pr = sub.add_parser("prep", help="Weierstrass preparation of a series")
@@ -283,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cm.add_argument("--module", required=True, help="module JSON file or inline JSON")
     cm.add_argument("--oracle", action="store_true",
                     help="also run the finite-level linear-algebra oracle")
-    cm.add_argument("--prec", type=int, default=None,
+    cm.add_argument("--prec", type=_int_option, default=None,
                     help="oracle precision exponent (requires --oracle)")
     cm.set_defaults(handler=_handle_chi_module)
 
@@ -296,14 +306,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ak.set_defaults(handler=_handle_akashi)
 
     sp = sub.add_parser("split", help="splitting of a prime in the p-th cyclotomic field")
-    sp.add_argument("--l", required=True, type=int)
-    sp.add_argument("--p", required=True, type=int)
+    sp.add_argument("--l", required=True, type=_int_option)
+    sp.add_argument("--p", required=True, type=_int_option)
     sp.set_defaults(handler=_handle_split)
 
     ins = sub.add_parser("inertia-set", help="primes with infinite inertia in the "
                                              "Kummer tower for (p, m)")
-    ins.add_argument("--p", required=True, type=int)
-    ins.add_argument("--m", required=True, type=int)
+    ins.add_argument("--p", required=True, type=_int_option)
+    ins.add_argument("--m", required=True, type=_int_option)
     ins.set_defaults(handler=_handle_inertia_set)
 
     th = sub.add_parser("theorem3", help="evaluate the product formula from a "

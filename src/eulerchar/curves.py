@@ -38,6 +38,15 @@ MESTRE_FROM_Q = 400
 _DECIMAL_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
 
+def weierstrass_invariants(a1, a2, a3, a4, a6):
+    """(b2, b4, b6, b8, discriminant) of the long Weierstrass model, in any commutative ring."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return b2, b4, b6, b8, -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
 def _document_rational(c) -> Optional[Fraction]:
     """c as a Fraction, or None unless it is a JSON integer or a decimal "n" or "n/d".
 
@@ -67,18 +76,8 @@ class Curve:
         if self.discriminant() == 0:
             raise InputError("singular curve: discriminant is zero")
 
-    def b_invariants(self):
-        b2 = self.a1 ** 2 + 4 * self.a2
-        b4 = 2 * self.a4 + self.a1 * self.a3
-        b6 = self.a3 ** 2 + 4 * self.a6
-        b8 = (self.a1 ** 2 * self.a6 + 4 * self.a2 * self.a6
-              - self.a1 * self.a3 * self.a4 + self.a2 * self.a3 ** 2
-              - self.a4 ** 2)
-        return b2, b4, b6, b8
-
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 ** 2 * b8 - 8 * b4 ** 3 - 27 * b6 ** 2 + 9 * b2 * b4 * b6
+        return weierstrass_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)[4]
 
     def to_json(self) -> dict:
         return {"a": [format_rational(c) for c in
@@ -112,16 +111,11 @@ def _reduce_mod(value: Fraction, q: int) -> int:
 
 def _reduction(curve: Curve, q: int):
     """((a1, a2, a3, a4, a6), (b2, b4, b6)) mod q; refuses a non-q-integral or singular model."""
-    a1, a2, a3, a4, a6 = (_reduce_mod(c, q) for c in
-                          (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
-    b2 = (a1 * a1 + 4 * a2) % q
-    b4 = (2 * a4 + a1 * a3) % q
-    b6 = (a3 * a3 + 4 * a6) % q
-    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4) % q
-    disc = (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % q
-    if disc == 0:
+    a = tuple(_reduce_mod(c, q) for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    b2, b4, b6, _, disc = weierstrass_invariants(*a)
+    if disc % q == 0:
         raise InputError(f"singular reduction at q = {q}")
-    return (a1, a2, a3, a4, a6), (b2, b4, b6)
+    return a, (b2 % q, b4 % q, b6 % q)
 
 
 def count_points(curve: Curve, q: int) -> int:
@@ -302,14 +296,12 @@ def _count_mestre(curve: Curve, q: int) -> int:
 
 
 def extension_trace(a: int, q: int, f: int) -> int:
-    """Trace over F_{q^f} from the trace over F_q.
+    """Trace over F_{q^f}, f >= 1, from the trace over F_q.
 
     If alpha, beta are the Frobenius eigenvalues (alpha + beta = a,
     alpha*beta = q), the trace over the degree-f extension is
     alpha^f + beta^f, computed by the standard linear recurrence.
     """
-    if f < 1:
-        raise InputError("residue degree must be >= 1")
     prev, cur = 2, a
     for _ in range(f - 1):
         prev, cur = cur, a * cur - q * prev
@@ -332,8 +324,7 @@ def euler_factor(a_v: int, q: int, p: int) -> EulerFactor:
 
 
 def is_ordinary(a_p: int, p: int) -> bool:
-    """Good ordinary reduction criterion: a_p is a unit mod p."""
-    check_prime(p)
+    """Good ordinary reduction criterion: a_p is a unit mod the prime p."""
     return a_p % p != 0
 
 
@@ -345,7 +336,7 @@ def quadratic_twist(curve: Curve, d: int) -> Curve:
     """
     if d == 0:
         raise InputError("twist parameter must be nonzero")
-    b2, b4, b6, _ = curve.b_invariants()
+    b2, b4, b6, _, _ = weierstrass_invariants(curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
     return Curve(Fraction(0), d * b2 / 4, Fraction(0),
                  d * d * b4 / 2, d ** 3 * b6 / 4)
 
@@ -354,17 +345,13 @@ def quadratic_twist(curve: Curve, d: int) -> Curve:
 class CurveLocalData:
     """Local invariants of a curve at one place with residue field size q.
 
-    The point count is q + 1 - a_v; a trace past the Hasse bound is refused.
+    The point count is q + 1 - a_v; :func:`local_data`, the only constructor, keeps a_v^2 <= 4q.
     """
 
     q: int
     a_v: int
     euler_value: Fraction
     euler_valuation_at_p: int
-
-    def __post_init__(self):
-        if self.a_v * self.a_v > 4 * self.q:
-            raise InputError("inconsistent local data: Hasse bound violated")
 
     @property
     def point_count(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 from .errors import InputError
-from .padics import check_prime, power_below_bound, prime_factors
+from .padics import MAX_VALUE, check_prime, power_below_bound, prime_factors
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,11 @@ def split(l: int, p: int) -> SplittingData:
 
 
 def _is_perfect_power(m: int, k: int) -> bool:
-    lo, hi = 1, m
+    """Whether m > 1 is a k-th power: a root r >= 2 is below 2^(bitlen(m)/k), so k < bitlen(m)."""
+    b = m.bit_length()
+    if k >= b:
+        return False
+    lo, hi = 1, 1 << (b // k + 1)
     while lo <= hi:
         mid = (lo + hi) // 2
         t = mid ** k
@@ -101,6 +105,8 @@ class ExtensionSpec:
             raise InputError("extension prime must be >= 5")
         if self.m <= 1:
             raise InputError("invalid extension parameter")
+        if self.m >= MAX_VALUE:
+            raise InputError("invalid extension parameter: m passes the bound 10^2000")
         if _is_perfect_power(self.m, self.p):
             raise InputError("invalid extension parameter: m is a perfect p-th power")
 

@@ -21,10 +21,6 @@ from .errors import InputError
 from .padics import PowerOfP, int_valuation
 
 
-class ConventionViolationError(InputError):
-    """The cardinality formulas produce a negative exponent at this place."""
-
-
 def theorem_chi(chi_gamma: PowerOfP, places) -> PowerOfP:
     """chi over the big extension: chi_gamma times p^(sum of local valuations).
 
@@ -65,7 +61,8 @@ def local_cardinalities(c_v: int, local: CurveLocalData, p: int) -> LocalCardina
     v_c = int_valuation(c_v, p)
     v_l = local.euler_valuation_at_p
     if v_l - v_c < 0:
-        raise ConventionViolationError("convention violation at this place")
+        raise InputError(f"convention violation at the place with q_v = {local.q}: c_v = {c_v} "
+                         f"has v_p(c_v) = {v_c} > v_p(L_v) = {v_l}, with p = {p}")
     return LocalCardinalities(
         h1_gamma=PowerOfP(p, v_l - v_c),
         h1_Fv=PowerOfP(p, v_c),

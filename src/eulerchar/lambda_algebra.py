@@ -109,24 +109,17 @@ class LambdaSeries:
                             tuple(_kronecker(self.coeffs, other.coeffs, d, self.prime ** n)))
 
     def shift_down(self, k: int) -> "LambdaSeries":
-        """Divide by T^k; requires the first k coefficients to vanish at precision."""
+        """Divide by T^k; callers take k from :meth:`t_order`, so T^k divides and k < D."""
         if k == 0:
             return self
-        if any(self.coeffs[i] != 0 for i in range(k)):
-            raise InputError("series not divisible by the requested T power")
-        if self.trunc_degree - k < 1:
-            raise PrecisionError("truncation degree exhausted by T-power division")
         return LambdaSeries(self.prime, self.coeff_precision, self.coeffs[k:])
 
     def divide_p_power(self, e: int) -> "LambdaSeries":
-        """Divide by p^e, losing e digits of coefficient precision."""
+        """Divide by p^e, losing e digits of precision; callers take e from
+        :func:`min_coeff_valuation`, so p^e divides and e < N."""
         if e == 0:
             return self
-        if e >= self.coeff_precision:
-            raise PrecisionError("coefficient precision exhausted by p-power division")
         pe = self.prime ** e
-        if any(c % pe for c in self.coeffs):
-            raise InputError("series not divisible by the requested p power")
         return LambdaSeries(self.prime, self.coeff_precision - e,
                             tuple(c // pe for c in self.coeffs))
 
@@ -172,23 +165,12 @@ class WeierstrassForm:
     ``distinguished_poly`` P is little-endian and monic of degree lambda,
     with all lower coefficients divisible by p.  The invertible series
     ``unit`` U carries the prime and the precision N - mu of both P and U.
+    :func:`weierstrass_prepare`, the only constructor, guarantees these.
     """
 
     mu: int
     distinguished_poly: tuple
     unit: LambdaSeries
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise InputError("factorization exponents must be nonnegative")
-        poly = self.distinguished_poly
-        if not poly or poly[-1] != 1:
-            raise InputError("distinguished polynomial must be monic of degree lambda")
-        if any(c % self.prime for c in poly[:-1]):
-            raise InputError("distinguished polynomial has a unit coefficient "
-                             "below the leading term")
-        if self.unit.coeffs[0] % self.prime == 0:
-            raise InputError("unit part has constant term divisible by p")
 
     @property
     def prime(self) -> int:
@@ -316,12 +298,6 @@ def leading_term(g: LambdaSeries) -> LeadingTerm:
     if k is None:
         raise PrecisionError("indistinguishable from zero at precision")
     return LeadingTerm(g.prime, g.coeffs[k], k)
-
-
-def mu_lambda(g: LambdaSeries):
-    """The classical (mu, lambda) invariants, via preparation."""
-    form = weierstrass_prepare(g)
-    return form.mu, form.lam
 
 
 # -- compact polynomial notation ---------------------------------------------

@@ -11,6 +11,7 @@ report names the one it took in its provenance notes.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
@@ -32,6 +33,10 @@ MR_PROVEN_BELOW = _MR_DECIDED_BELOW[-1]
 # stay below MAX_VALUE: a report prints them, and q_v^2, within CPython's 4,300-digit limit
 MAX_DIGITS = 2000
 MAX_VALUE = 10 ** MAX_DIGITS
+
+# An integer in text is ASCII decimal digits; int() alone also reads "1_3", "+13", " 13" and "١٣"
+DECIMAL_INT = re.compile(r"-?[0-9]+")
+_POWER_OF_P = re.compile(r"([0-9]+)(?:\^(-?[0-9]+))?")
 
 
 def power_below_bound(base: int, exp: int) -> bool:
@@ -170,22 +175,19 @@ class PowerOfP:
 
     @classmethod
     def parse(cls, prime: int, text: str) -> "PowerOfP":
-        """Parse "p^e" (e possibly negative) or a positive integer power of p."""
+        """Parse "p^e" (e possibly negative) or a positive integer power of p.
+
+        ASCII decimal digits (see DECIMAL_INT), at most MAX_DIGITS characters in all.
+        """
         check_prime(prime)  # before int_valuation, which never returns for p = 1
-        text = text.strip()
-        if "^" in text:
-            base_s, _, exp_s = text.partition("^")
-            try:
-                base, exp = int(base_s), int(exp_s)
-            except ValueError:
-                raise InputError(f"cannot parse power of {prime}: {text!r}") from None
-            if base != prime:
-                raise InputError(f"expected a power of {prime}, got base {base}")
-            return cls(prime, exp)
-        try:
-            n = int(text)
-        except ValueError:
-            raise InputError(f"cannot parse power of {prime}: {text!r}") from None
+        match = _POWER_OF_P.fullmatch(text) if len(text) <= MAX_DIGITS else None
+        if not match:
+            raise InputError(f"cannot parse power of {prime}: {text!r}")
+        n = int(match[1])
+        if match[2] is not None:
+            if n != prime:
+                raise InputError(f"expected a power of {prime}, got base {n}")
+            return cls(prime, int(match[2]))
         e = int_valuation(n, prime) if n > 0 else 0
         if n != prime ** e:
             raise InputError(f"not a power of {prime}: {text!r}")

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,16 @@ def pipeline(**changes):
     return json.dumps({**PIPELINE, **changes})
 
 
+# Refused within a second: a p-th power test over all of [1, m] once took 9.5 s on the first
+# (forming 2^1000000007) and did not finish in 100 s on the second.
+QUICK_INERTIA_REFUSALS = [
+    (["inertia-set", "--p", "1000000007", "--m", "3"], 2,
+     "l = 3 has residue degree f = 500000003 in Q(mu_1000000007)"),
+    (["inertia-set", "--p", "10007", "--m", str(10 ** 1999 + 1)], 2,
+     "past the proven Miller-Rabin range"),
+]
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["akashi", "--data", '{"p":7,"char_elements":[]}'], 2, "at least one"),
     (["akashi", "--data", '{"p":7,"char_elements":"T"}'], 2, "'char_elements' must be a list"),
@@ -375,11 +386,41 @@ def pipeline(**changes):
     (["prep", "--series", json.dumps({"p": 2, "N": 6000, "D": 1024,
                                       "coeffs": [2, 1] + [2] * 1022})], 2,
      "'N' = 6000 and 'D' = 1024 make N * D * bitlen(p^N) pass the cost bound 4000000"),
+    # chi_gamma and integer options are ASCII decimal digits; int() alone also reads these
+    (["example-x1-11", "--chi-gamma", "7^0_8"], 2, "cannot parse power of 7: '7^0_8'"),
+    (["example-x1-11", "--chi-gamma", "7^1_0"], 2, "cannot parse power of 7: '7^1_0'"),
+    (["theorem3", "--config", pipeline(chi_gamma="4_9")], 2, "cannot parse power of 7: '4_9'"),
+    (["example-x1-11", "--chi-gamma", "\u0668"], 2, "cannot parse power of 7"),
+    (["split", "--l", "1_3", "--p", "7"], 2, "argument --l: invalid int value: '1_3'"),
+    (["split", "--l", "\u0661\u0663", "--p", "7"], 2, "argument --l: invalid int value"),
+    (["split", "--l", "+13", "--p", "7"], 2, "argument --l: invalid int value: '+13'"),
+    (["chi-module", "--module", '{"p":7,"generators":["T"]}', "--oracle", "--prec", "0"], 2,
+     "--prec must be >= 1, got 0"),
+    (["chi-module", "--module", '{"p":7,"generators":["T"]}', "--oracle", "--prec", "-1"], 2,
+     "--prec must be >= 1, got -1"),
+    # m is below 10^2000
+    (["inertia-set", "--p", "7", "--m", str(10 ** 4299 + 3)], 2,
+     "invalid extension parameter: m passes the bound 10^2000"),
+    (["theorem3", "--config", pipeline(extension={"p": 7, "m": 10 ** 2000})], 2,
+     "invalid extension parameter: m passes the bound 10^2000"),
+    *QUICK_INERTIA_REFUSALS,
+    # a Tamagawa number with v_p(c_v) > v_p(L_v) would make h1_gamma a negative power of p
+    (["theorem3", "--config", pipeline(tamagawa={"113": 7})], 2,
+     "convention violation at the place with q_v = 113: c_v = 7 has v_p(c_v) = 1 > "
+     "v_p(L_v) = 0, with p = 7"),
 ])
 def test_input_errors_exit_with_a_message(capsys, argv, code, message):
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert message in err
+
+
+@pytest.mark.parametrize("argv, code, message", QUICK_INERTIA_REFUSALS)
+def test_inertia_set_refusals_take_under_a_second(capsys, argv, code, message):
+    start = time.perf_counter()
+    got, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert got == code and message in err
 
 
 @pytest.mark.parametrize("argv, message", [

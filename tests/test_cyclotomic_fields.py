@@ -1,6 +1,6 @@
 import pytest
 
-from eulerchar.cyclotomic_fields import (ExtensionSpec, infinite_inertia_places,
+from eulerchar.cyclotomic_fields import (ExtensionSpec, _is_perfect_power, infinite_inertia_places,
                                          infinite_inertia_set, multiplicative_order, split)
 from eulerchar.errors import InputError
 from eulerchar.padics import MAX_VALUE, is_prime
@@ -105,3 +105,17 @@ def test_extension_validation():
         ExtensionSpec(9, 10)
     # m sharing factors with p is fine as long as it is not a p-th power
     assert [d.l for d in infinite_inertia_set(ExtensionSpec(5, 50))] == [2, 5]
+    with pytest.raises(InputError, match="m passes the bound 10"):
+        ExtensionSpec(7, MAX_VALUE)
+    assert ExtensionSpec(7, MAX_VALUE - 1).m == MAX_VALUE - 1
+    root = 4 * 10 ** 285  # root^7 = 16384 * 10^1995 has 2000 digits
+    with pytest.raises(InputError, match="perfect p-th power"):
+        ExtensionSpec(7, root ** 7)
+
+
+def test_perfect_power_against_brute_force():
+    for k in (5, 7, 11, 13):
+        powers = {r ** k for r in range(2, 6)}
+        assert [m for m in range(2, 5000) if _is_perfect_power(m, k)] == \
+            sorted(x for x in powers if x < 5000)
+        assert _is_perfect_power(3 ** (k * 40), k) and not _is_perfect_power(3 ** (k * 40) + 1, k)

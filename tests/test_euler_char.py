@@ -5,8 +5,7 @@ import pytest
 from eulerchar.curves import Curve, CurveLocalData, local_data, x1_11
 from eulerchar.cyclotomic_fields import ExtensionSpec, SplittingData, split
 from eulerchar.errors import InputError
-from eulerchar.euler_char import (ConventionViolationError, build_chi_input,
-                                  local_cardinalities, theorem_chi)
+from eulerchar.euler_char import build_chi_input, local_cardinalities, theorem_chi
 from eulerchar.padics import PowerOfP, int_valuation
 
 
@@ -87,7 +86,8 @@ def test_local_cardinalities_convention_violation_surfaced():
     # still well-defined, but the h1_gamma exponent would be negative.
     assert PowerOfP(7, int_valuation(7, 7)) == PowerOfP(7, 1)
     _, place = synthetic_place(7, 3, 0)
-    with pytest.raises(ConventionViolationError, match="convention violation"):
+    with pytest.raises(InputError, match=r"convention violation at the place with q_v = 3: "
+                       r"c_v = 7 has v_p\(c_v\) = 1 > v_p\(L_v\) = 0, with p = 7"):
         local_cardinalities(7, place, 7)
 
 

@@ -61,7 +61,10 @@ def test_power_of_p_formatting_and_parsing():
 
 
 def test_power_of_p_parse_rejects_garbage():
-    for bad in ("6", "5^2", "7.5", "forty-nine", "0", "-7"):
+    # ASCII decimal digits only: int() would read the ones after "-7" as 7^8, 7^10, 49, 8,
+    # 49 and 7^8; and at most 2000 characters in all
+    for bad in ("6", "5^2", "7.5", "forty-nine", "0", "-7", "7^0_8", "7^1_0", "4_9", "\u0668",
+                "+49", " 7^8", "7^" + "1" * 1999):
         with pytest.raises(InputError):
             PowerOfP.parse(7, bad)
     for prime in (0, 1):
