@@ -25,8 +25,8 @@ import operator
 from dataclasses import dataclass
 
 from .errors import InputError, PrecisionError, PrimeMismatchError
-from .lambda_algebra import (LambdaSeries, leading_term, min_coeff_valuation,
-                             series_list_from_doc, weierstrass_prepare)
+from .lambda_algebra import (LambdaSeries, distinguished_part, leading_term,
+                             min_coeff_valuation, mu_lambda, series_list_from_doc)
 from .padics import PowerOfP
 
 
@@ -99,8 +99,10 @@ def check_multiplicativity(l_data: AkashiData, m_data: AkashiData,
 
     For a short exact sequence of modules L -> M -> N the alternating
     products satisfy f_M = f_N * f_L; this checks that identity on the
-    supplied data, up to units, by comparing the prepared forms of the
+    supplied data, up to units, by comparing the distinguished parts of the
     cross-products f_M.num * f_N.den * f_L.den and f_N.num * f_L.num * f_M.den.
+    Cross-products whose (mu, lambda), read off the coefficients, differ are
+    unequal without preparing either.
     Data at different primes raise PrimeMismatchError from the first product that mixes them.
     """
     f_l = akashi_series(l_data)
@@ -108,9 +110,10 @@ def check_multiplicativity(l_data: AkashiData, m_data: AkashiData,
     f_n = akashi_series(n_data)
     num = f_n.numerator * f_l.numerator
     den = f_n.denominator * f_l.denominator
-    left = weierstrass_prepare(f_m.numerator * den)
-    right = weierstrass_prepare(num * f_m.denominator)
-    return left.same_characteristic_element(right)
+    left, right = f_m.numerator * den, num * f_m.denominator
+    if mu_lambda(left) != mu_lambda(right):
+        return False
+    return distinguished_part(left).same_characteristic_element(distinguished_part(right))
 
 
 def coranks_consistent(data: AkashiData, coranks: list, k: int) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .errors import InputError, PrecisionError, PrimeMismatchError
-from .lambda_algebra import leading_term, series_list_from_doc, weierstrass_prepare
+from .lambda_algebra import distinguished_part, leading_term, series_list_from_doc
 from .padics import PowerOfP, int_valuation
 
 MAX_TOTAL_LAMBDA = 64  # desk-scale cap on the oracle's lattice rank
@@ -174,9 +174,10 @@ def companion_matrix(poly, p: int, w: int) -> List[List[int]]:
 def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiResult:
     """Euler characteristic by kernel/cokernel linear algebra at level p^a.
 
-    Per factor: prepare the generator as p^mu * P * unit, realize the
-    distinguished part as the companion lattice of P, compute kernel and
-    cokernel of multiplication by T via Smith normal form over Z/p^w
+    Per factor: read the distinguished part p^mu * P of the generator
+    g = p^mu * P * U (the unit U does not change Lambda/(g)), realize P as
+    its companion lattice, compute kernel and cokernel of multiplication
+    by T via Smith normal form over Z/p^w
     (w = min(a, available coefficient precision)), and size the map from
     the T-kernel into the coinvariants by the Smith divisors of the
     augmented matrix [C | kernel basis].  The p^mu factor contributes mu
@@ -196,13 +197,13 @@ def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiRe
     faithful finite-rank lattice and are refused.
     """
     if precision_exponent < 1:
-        raise PrecisionError("raise precision")
+        raise InputError(f"precision_exponent must be >= 1, got {precision_exponent}")
     p = module.prime
     exponent = 0
     r = 0
     total_lambda = 0
     for g in module.generators:
-        form = weierstrass_prepare(g)
+        form = distinguished_part(g)
         if form.lam == 0:
             if form.mu > 0:
                 raise InputError("component not oracle-representable")

@@ -7,18 +7,21 @@ terms are known up to T^(D-1).  All equality statements are therefore
 "equality at precision", and every operation records the precision of its
 result as the minimum of its operands'.
 
-The heavy lifting is :func:`weierstrass_prepare`, which factors a nonzero
+The heavy lifting is Weierstrass preparation, which factors a nonzero
 series as p^mu * P(T) * U(T) with P monic distinguished of degree lambda
 and U an invertible series.  The algorithm is classical Weierstrass
 division by successive approximation, run entirely in Z/p^N -- exact and
-deterministic, no floating point.
+deterministic, no floating point.  :func:`weierstrass_prepare` returns all
+three factors; :func:`distinguished_part` returns (mu, P) without forming U,
+for callers that compare characteristic elements, which are defined only up
+to units.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, PrecisionError, PrimeMismatchError
 from .padics import MAX_VALUE, check_keys, check_prime, int_valuation, json_int, power_below_bound
@@ -159,40 +162,24 @@ class LeadingTerm:
 
 
 @dataclass(frozen=True)
-class WeierstrassForm:
-    """Factorization g = p^mu * P(T) * U(T) at precision.
+class DistinguishedPart:
+    """The unit-free part (mu, P) of g = p^mu * P(T) * U(T), at precision N - mu.
 
     ``distinguished_poly`` P is little-endian and monic of degree lambda,
-    with all lower coefficients divisible by p.  The invertible series
-    ``unit`` U carries the prime and the precision N - mu of both P and U.
-    :func:`weierstrass_prepare`, the only constructor, guarantees these.
+    with all lower coefficients divisible by p.  :func:`distinguished_part`
+    and :func:`weierstrass_prepare`, the only constructors, guarantee these.
     """
 
+    prime: int
+    precision: int
     mu: int
     distinguished_poly: tuple
-    unit: LambdaSeries
-
-    @property
-    def prime(self) -> int:
-        return self.unit.prime
-
-    @property
-    def precision(self) -> int:
-        return self.unit.coeff_precision
 
     @property
     def lam(self) -> int:
         return len(self.distinguished_poly) - 1
 
-    def reconstruct(self) -> LambdaSeries:
-        """p^mu * P * U, carrying precision (N, D) of the prepared input."""
-        prod = LambdaSeries.make(self.prime, self.distinguished_poly, self.precision,
-                                 self.unit.trunc_degree) * self.unit
-        m = self.prime ** (self.precision + self.mu)
-        scaled = tuple((c * self.prime ** self.mu) % m for c in prod.coeffs)
-        return LambdaSeries(self.prime, self.precision + self.mu, scaled)
-
-    def same_characteristic_element(self, other: "WeierstrassForm") -> bool:
+    def same_characteristic_element(self, other: "DistinguishedPart") -> bool:
         """Equality up to units: compare (mu, distinguished_poly) at shared precision.
 
         Characteristic elements are only defined modulo invertible series,
@@ -205,6 +192,24 @@ class WeierstrassForm:
         m = self.prime ** min(self.precision, other.precision)
         return all((a - b) % m == 0 for a, b in
                    zip(self.distinguished_poly, other.distinguished_poly))
+
+
+@dataclass(frozen=True)
+class WeierstrassForm(DistinguishedPart):
+    """Factorization g = p^mu * P(T) * U(T) at precision: (mu, P) and the unit U.
+
+    The invertible series ``unit`` U is known to the same precision N - mu as P.
+    """
+
+    unit: LambdaSeries
+
+    def reconstruct(self) -> LambdaSeries:
+        """p^mu * P * U, carrying precision (N, D) of the prepared input."""
+        prod = LambdaSeries.make(self.prime, self.distinguished_poly, self.precision,
+                                 self.unit.trunc_degree) * self.unit
+        m = self.prime ** (self.precision + self.mu)
+        scaled = tuple((c * self.prime ** self.mu) % m for c in prod.coeffs)
+        return LambdaSeries(self.prime, self.precision + self.mu, scaled)
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int], d: int, m: int) -> List[int]:
@@ -223,19 +228,18 @@ def _kronecker(a: Sequence[int], b: Sequence[int], d: int, m: int) -> List[int]:
     return [int.from_bytes(z[i:i + w], "little") % m for i in range(0, d * w, w)]
 
 
-def _invert_unit(u: LambdaSeries) -> LambdaSeries:
-    """Inverse of a series with invertible constant term, mod (p^N, T^D).
+def _invert_unit(c: Sequence[int], m: int) -> List[int]:
+    """Inverse of coefficients c, with invertible constant term, mod (m, T^len(c)).
 
-    Newton iteration: if v = 1/u mod T^k, then u*v - 1 vanishes below T^k and
-    v - (u*v - 1)*v = 1/u mod T^2k, so about log2 D rounds of two products.
+    Newton iteration: if v = 1/c mod T^k, then c*v - 1 vanishes below T^k and
+    v - (c*v - 1)*v = 1/c mod T^2k, so about log2 D rounds of two products.
     """
-    m, c = u.modulus, u.coeffs
     out = [pow(c[0], -1, m)]
     while len(out) < len(c):
         k, k2 = len(out), min(2 * len(out), len(c))
-        err = _kronecker(c, out, k2, m)[k:]  # u*out - 1, which vanishes below T^k
+        err = _kronecker(c, out, k2, m)[k:]  # c*out - 1, which vanishes below T^k
         out += [-x % m for x in _kronecker(err, out, k2 - k, m)]
-    return LambdaSeries(u.prime, u.coeff_precision, tuple(out))
+    return out
 
 
 def min_coeff_valuation(g: LambdaSeries) -> int:
@@ -254,31 +258,39 @@ def min_coeff_valuation(g: LambdaSeries) -> int:
     return best
 
 
-def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
-    """Factor g = p^mu * P * U with P monic distinguished and U a unit.
+def mu_lambda(g: LambdaSeries) -> Tuple[int, int]:
+    """(mu, lambda) of g, read off its coefficients without preparing.
 
-    mu is the minimum p-valuation of the stored coefficients and lambda the
-    index of the first unit coefficient of h = g / p^mu = h_low + T^lambda * h_high.
-    Division of T^lambda by h keeps the dividend's part T^lambda * high; a round
+    mu is the least p-valuation of a stored coefficient, and lambda the index
+    of the first coefficient not divisible by p^(mu+1).
+    """
+    mu = min_coeff_valuation(g)
+    pm = g.prime ** (mu + 1)
+    # mu is attained by a stored coefficient, so one is not divisible by p^(mu+1).
+    return mu, next(i for i, c in enumerate(g.coeffs) if c % pm)
+
+
+def _weierstrass_division(g: LambdaSeries) -> Tuple[int, tuple, List[int], List[int]]:
+    """mu, P, and the two factors of the quotient 1/U of g = p^mu * P * U.
+
+    With h = g / p^mu = h_low + T^lambda * h_high (see :func:`mu_lambda`),
+    division of T^lambda by h keeps the dividend's part T^lambda * high; a round
     takes q = high / h_high and subtracts q * h, which from T^lambda on is
     q * h_low + T^lambda * high exactly, so only q * h_low matters.  That is
     high * G with G = h_low / h_high, formed once, so a round costs one product,
-    and the quotient, the sum of the q, is (sum of the high) / h_high, one
-    product after the loop.  Every product is in the associative ring
-    Z/p^N[T]/(T^D), so the rounds and the result are those of forming each q.
-    As h_low = 0 mod p, high gains a factor of p per round: at most N rounds.
-    The remainder r gives P = T^lambda - r, and U is the inverse of the quotient.
+    and the quotient, the sum of the q, is (sum of the high) / h_high.  Every
+    product is in the associative ring Z/p^N[T]/(T^D), so the rounds and the
+    result are those of forming each q.  As h_low = 0 mod p, high gains a factor
+    of p per round: at most N rounds.  The remainder r gives P = T^lambda - r.
+    Returns mu, P, 1/h_high and the sum of the high; the last two are coefficient
+    lists mod p^(N - mu).
     """
-    p = g.prime
-    mu = min_coeff_valuation(g)
-    h = g.divide_p_power(mu)
-    n, d, m = h.coeff_precision, h.trunc_degree, h.modulus
+    mu, lam = mu_lambda(g)
+    d, m, pe = g.trunc_degree, g.prime ** (g.coeff_precision - mu), g.prime ** mu
+    h = [c // pe for c in g.coeffs]
 
-    # mu is attained by a stored coefficient, so h has a unit coefficient.
-    lam = next(i for i, c in enumerate(h.coeffs) if c % p)
-
-    h_high_inv = _invert_unit(LambdaSeries(p, n, h.coeffs[lam:] + (0,) * lam)).coeffs
-    g_low = _kronecker(h.coeffs[:lam], h_high_inv, d, m)  # G = h_low / h_high
+    h_high_inv = _invert_unit(h[lam:] + [0] * lam, m)
+    g_low = _kronecker(h[:lam], h_high_inv, d, m)  # G = h_low / h_high
     high_sum, poly = [0] * d, [0] * lam  # poly holds -r
     high = [1] + [0] * (d - 1)
     while any(high):
@@ -286,10 +298,27 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
         hq = _kronecker(high, g_low, d, m)
         poly = [(a + b) % m for a, b in zip(poly, hq)]
         high = [-c % m for c in hq[lam:]] + [0] * lam
+    return mu, tuple(poly) + (1,), h_high_inv, high_sum
 
-    quotient = _kronecker(high_sum, h_high_inv, d, m)
-    unit = _invert_unit(LambdaSeries(p, n, tuple(quotient)))  # unit: 1/h_high mod p
-    return WeierstrassForm(mu, tuple(poly) + (1,), unit)
+
+def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
+    """Factor g = p^mu * P * U with P monic distinguished and U a unit.
+
+    :func:`_weierstrass_division` gives mu and P; one more product gives the
+    quotient, and U is its inverse.
+    """
+    mu, poly, h_high_inv, high_sum = _weierstrass_division(g)
+    p, n = g.prime, g.coeff_precision - mu
+    m = p ** n
+    quotient = _kronecker(high_sum, h_high_inv, g.trunc_degree, m)
+    unit = LambdaSeries(p, n, tuple(_invert_unit(quotient, m)))  # unit: 1/h_high mod p
+    return WeierstrassForm(p, n, mu, poly, unit)
+
+
+def distinguished_part(g: LambdaSeries) -> DistinguishedPart:
+    """(mu, P) of g = p^mu * P * U, by the same division, without forming U."""
+    mu, poly, _, _ = _weierstrass_division(g)
+    return DistinguishedPart(g.prime, g.coeff_precision - mu, mu, poly)
 
 
 def leading_term(g: LambdaSeries) -> LeadingTerm:

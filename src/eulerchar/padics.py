@@ -55,8 +55,8 @@ def is_prime(n: int) -> bool:
         if n % b == 0:
             return False
     if n >= MR_PROVEN_BELOW:
-        raise InputError(f"primality of {n} not decided: past the proven "
-                         f"Miller-Rabin range n < {MR_PROVEN_BELOW}")
+        raise InputError(f"primality of a {len(str(n))}-digit number not decided: "
+                         f"past the proven Miller-Rabin range n < {MR_PROVEN_BELOW}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

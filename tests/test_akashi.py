@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from eulerchar import akashi
 from eulerchar.akashi import AkashiData, akashi_series, check_multiplicativity
 from eulerchar.errors import PrecisionError, PrimeMismatchError
 from eulerchar.gamma_modules import TorsionModule, generalized_chi
-from eulerchar.lambda_algebra import LambdaSeries, leading_term, series_from_text
+from eulerchar.lambda_algebra import (LambdaSeries, distinguished_part, leading_term,
+                                      series_from_text)
 from eulerchar.padics import PowerOfP
 
 
@@ -70,6 +72,35 @@ def test_multiplicativity_examples():
     assert check_multiplicativity(data(7, "1"), g, g) is True
 
     assert check_multiplicativity(data(7, "T"), data(7, "T^3"), data(7, "T")) is False
+
+
+def test_multiplicativity_compares_mu_and_lambda_before_preparing(monkeypatch):
+    prepared = []
+
+    def counted(g):
+        prepared.append(g)
+        return distinguished_part(g)
+
+    monkeypatch.setattr(akashi, "distinguished_part", counted)
+    one = data(7, "1")
+    # cross-products 7*T and T differ in mu, T^2 and T in lambda: neither is prepared
+    assert check_multiplicativity(one, data(7, "7*T"), data(7, "T")) is False
+    assert check_multiplicativity(one, data(7, "T^2"), data(7, "T")) is False
+    assert prepared == []
+    # T + 7 and T + 14 agree in (mu, lambda) = (0, 1) but not in P
+    assert check_multiplicativity(one, data(7, "T+7"), data(7, "T+14")) is False
+    assert len(prepared) == 2
+    # T + 7 and (T + 7)(1 + 7T) differ by a unit
+    assert check_multiplicativity(one, data(7, "T+7"), data(7, "(T+7)*(1+7*T)")) is True
+    assert len(prepared) == 4
+
+
+def test_multiplicativity_vanishing_cross_product():
+    # at N = 2 each fraction is nonzero, but the right, then the left, cross-product is 7 * 7
+    seven, t = data(7, "7", precision=2), data(7, "T", precision=2)
+    for l_data, m_data, n_data in ((seven, t, seven), (t, seven, data(7, "1", "7", precision=2))):
+        with pytest.raises(PrecisionError, match="indistinguishable from zero at precision"):
+            check_multiplicativity(l_data, m_data, n_data)
 
 
 def test_multiplicativity_prime_mismatch():

@@ -423,6 +423,13 @@ def test_inertia_set_refusals_take_under_a_second(capsys, argv, code, message):
     assert got == code and message in err
 
 
+def test_undecided_primality_names_the_size_not_the_number(capsys):
+    code, out, err = run(capsys, "inertia-set", "--p", "10007", "--m", str(10 ** 1999 + 1))
+    assert (code, out) == (2, "")
+    assert "primality of a 2002-digit number not decided" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 @pytest.mark.parametrize("argv, message", [
     (["theorem3", "--config", pipeline(p=7.9)], "'p' must be a JSON integer, got 7.9"),
     (["theorem3", "--config", pipeline(p=1)], "not prime: 1"),

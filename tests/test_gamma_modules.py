@@ -148,7 +148,7 @@ def test_oracle_refuses_pure_p_power_component():
 
 
 def test_oracle_rejects_unusable_precision():
-    with pytest.raises(PrecisionError, match="raise precision"):
+    with pytest.raises(InputError, match="precision_exponent must be >= 1, got 0"):
         finite_level_oracle(module(7, "T"), 0)
 
 

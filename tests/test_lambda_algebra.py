@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from eulerchar.akashi import AkashiData
 from eulerchar.errors import InputError, PrecisionError, PrimeMismatchError
 from eulerchar.gamma_modules import TorsionModule
-from eulerchar.lambda_algebra import (LambdaSeries, _invert_unit, leading_term,
-                                      min_coeff_valuation, polynomial_from_text,
-                                      series_from_doc, series_from_text, weierstrass_prepare)
+from eulerchar.lambda_algebra import (LambdaSeries, _invert_unit, distinguished_part,
+                                      leading_term, min_coeff_valuation, mu_lambda,
+                                      polynomial_from_text, series_from_doc, series_from_text,
+                                      weierstrass_prepare)
 from eulerchar.padics import int_valuation
 
 
@@ -75,7 +76,8 @@ def test_invert_unit_is_an_inverse(p):
             coeffs = random_coeffs(rng, p, n, d, density)
             coeffs[0] = p * rng.randrange(p ** (n - 1)) + rng.randrange(1, p)  # a unit
             u = series(p, coeffs, n, d)
-            assert u * _invert_unit(u) == LambdaSeries.one(p, n, d)
+            inverse = LambdaSeries(p, n, tuple(_invert_unit(u.coeffs, u.modulus)))
+            assert u * inverse == LambdaSeries.one(p, n, d)
 
 
 def test_precision_min_rule():
@@ -174,9 +176,29 @@ def test_prepare_matches_the_two_product_loop(p):
                 naive_prepare(p, g.coeffs, n)
 
 
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_distinguished_part_matches_full_preparation(p):
+    rng = random.Random(200 + p)
+    for n, d in [(2, 1), (4, 6), (8, 20), (12, 40)]:
+        for lam in sorted({0, d - 1}):
+            for e in (0, rng.randint(1, n - 1)):  # mu = e
+                coeffs = random_coeffs(rng, p, n, d, 1)
+                coeffs[:lam] = [p * c for c in coeffs[:lam]]
+                coeffs[lam] = p * rng.randrange(p ** n) + rng.randrange(1, p)  # a unit
+                g = series(p, [c * p ** e for c in coeffs], n, d)
+                form, part = weierstrass_prepare(g), distinguished_part(g)
+                assert (part.prime, part.mu, part.distinguished_poly, part.precision) == \
+                    (form.prime, form.mu, form.distinguished_poly, form.precision)
+                assert mu_lambda(g) == (part.mu, part.lam) == (e, lam)
+                assert part.same_characteristic_element(form)
+
+
 def test_prepare_reports_zero_series():
     with pytest.raises(PrecisionError, match="indistinguishable from zero"):
         weierstrass_prepare(series(7, [0, 49], 2, 4))  # 49 = 0 mod 7^2
+    for read in (distinguished_part, mu_lambda):
+        with pytest.raises(PrecisionError, match="indistinguishable from zero"):
+            read(series(7, [0, 49], 2, 4))
 
 
 def test_leading_term_examples():
