@@ -9,12 +9,12 @@ result as the minimum of its operands'.
 
 The heavy lifting is Weierstrass preparation, which factors a nonzero
 series as p^mu * P(T) * U(T) with P monic distinguished of degree lambda
-and U an invertible series.  The algorithm is classical Weierstrass
-division by successive approximation, run entirely in Z/p^N -- exact and
-deterministic, no floating point.  :func:`weierstrass_prepare` returns all
-three factors; :func:`distinguished_part` returns (mu, P) without forming U,
-for callers that compare characteristic elements, which are defined only up
-to units.
+and U an invertible series, by classical Weierstrass division by successive
+approximation in Z/p^N: exact, no floating point.  The rounds run at
+shrinking precision, and a series with lambda = 0 needs no round and no
+inverse.  :func:`weierstrass_prepare` returns all three factors;
+:func:`distinguished_part` returns (mu, P) without forming U, for callers
+that compare characteristic elements, which are defined only up to units.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .padics import MAX_VALUE, check_keys, check_prime, int_valuation, json_int,
 _MAX_PARSE_DEGREE = 512
 _MAX_DEGREE = 1024  # bounds a document's D
 # Bounds a document's N * D * bitlen(p^N): preparation runs up to N rounds of one
-# D-term product of p^N-sized coefficients.  At the bound the slowest shape found,
-# the largest prime p < MR_PROVEN_BELOW at D = 1024, N = 6, prepares in 1.8 s (2-vCPU Xeon).
+# D-term product, round k's coefficients below p^(N-k).  At the bound the slowest shape,
+# the largest prime p < MR_PROVEN_BELOW at D = 1024, N = 6, prepares in 1.0 s (2-vCPU Xeon).
 _MAX_COST = 4_000_000
 
 
@@ -271,48 +271,57 @@ def mu_lambda(g: LambdaSeries) -> Tuple[int, int]:
 
 
 def _weierstrass_division(g: LambdaSeries) -> Tuple[int, tuple, List[int], List[int]]:
-    """mu, P, and the two factors of the quotient 1/U of g = p^mu * P * U.
+    """mu, P, h_high and the sum of the high, whose quotient is U, for g = p^mu * P * U.
 
     With h = g / p^mu = h_low + T^lambda * h_high (see :func:`mu_lambda`),
     division of T^lambda by h keeps the dividend's part T^lambda * high; a round
     takes q = high / h_high and subtracts q * h, which from T^lambda on is
-    q * h_low + T^lambda * high exactly, so only q * h_low matters.  That is
-    high * G with G = h_low / h_high, formed once, so a round costs one product,
-    and the quotient, the sum of the q, is (sum of the high) / h_high.  Every
-    product is in the associative ring Z/p^N[T]/(T^D), so the rounds and the
-    result are those of forming each q.  As h_low = 0 mod p, high gains a factor
-    of p per round: at most N rounds.  The remainder r gives P = T^lambda - r.
-    Returns mu, P, 1/h_high and the sum of the high; the last two are coefficient
-    lists mod p^(N - mu).
+    q * h_low + T^lambda * high exactly.  So a round is one product high * (-G),
+    G = h_low / h_high formed once: its terms below T^lambda add to the remainder
+    r, and P = T^lambda - r; the rest, shifted down, is the next high.  The
+    quotient 1/U, the sum of the q, is (sum of the high) / h_high, all in the
+    ring Z/p^n[T]/(T^D) with n = N - mu.
+
+    Each round runs at the precision it can still change.  As h_low = 0 mod p,
+    G = p * G' with G' a whole series, and round k's high is p^k * a_k; so its
+    product is p^(k+1) * b_k with b_k = a_k * (-G') mod p^(n-k-1): the same
+    integers, on slots that shrink every round, and b_k from T^lambda on,
+    shifted down, is a_(k+1).  From round n - 1 on nothing changes.  When
+    lambda = 0, G = 0 and P = 1, so no round runs and no inverse is formed.
+    The lists returned are mod p^n.
     """
     mu, lam = mu_lambda(g)
-    d, m, pe = g.trunc_degree, g.prime ** (g.coeff_precision - mu), g.prime ** mu
+    p, d, pe = g.prime, g.trunc_degree, g.prime ** mu
+    m = p ** (g.coeff_precision - mu)
     h = [c // pe for c in g.coeffs]
-
-    h_high_inv = _invert_unit(h[lam:] + [0] * lam, m)
-    g_low = _kronecker(h[:lam], h_high_inv, d, m)  # G = h_low / h_high
-    high_sum, poly = [0] * d, [0] * lam  # poly holds -r
-    high = [1] + [0] * (d - 1)
-    while any(high):
-        high_sum = [(a + b) % m for a, b in zip(high_sum, high)]
-        hq = _kronecker(high, g_low, d, m)
-        poly = [(a + b) % m for a, b in zip(poly, hq)]
-        high = [-c % m for c in hq[lam:]] + [0] * lam
-    return mu, tuple(poly) + (1,), h_high_inv, high_sum
+    h_high = h[lam:] + [0] * lam
+    acc = [0] * lam + [1] + [0] * (d - lam - 1)  # r + T^lambda * (sum of the high)
+    if lam:
+        m1 = m // p
+        g1 = _kronecker([-(c // p) % m1 for c in h[:lam]], _invert_unit(h_high, m1), d, m1)
+        a, pk = [1] + [0] * (d - 1), p  # round k's high is p^k * a, and pk = p^(k+1)
+        while pk < m and any(a):
+            mk = m // pk
+            g1 = [c % mk for c in g1]  # -G' mod p^(n-k-1)
+            b = _kronecker(a, g1, d, mk)
+            acc = [x + pk * y for x, y in zip(acc, b)]
+            a, pk = b[lam:] + [0] * lam, pk * p
+    high_sum = [c % m for c in acc[lam:]] + [0] * lam
+    return mu, tuple(-c % m for c in acc[:lam]) + (1,), h_high, high_sum
 
 
 def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     """Factor g = p^mu * P * U with P monic distinguished and U a unit.
 
-    :func:`_weierstrass_division` gives mu and P; one more product gives the
-    quotient, and U is its inverse.
+    :func:`_weierstrass_division` gives mu and P, and U = h_high / (sum of the
+    high): one inverse and one product, or U = h when lambda = 0.
     """
-    mu, poly, h_high_inv, high_sum = _weierstrass_division(g)
+    mu, poly, h_high, high_sum = _weierstrass_division(g)
     p, n = g.prime, g.coeff_precision - mu
     m = p ** n
-    quotient = _kronecker(high_sum, h_high_inv, g.trunc_degree, m)
-    unit = LambdaSeries(p, n, tuple(_invert_unit(quotient, m)))  # unit: 1/h_high mod p
-    return WeierstrassForm(p, n, mu, poly, unit)
+    unit = h_high if len(poly) == 1 else _kronecker(
+        h_high, _invert_unit(high_sum, m), g.trunc_degree, m)
+    return WeierstrassForm(p, n, mu, poly, LambdaSeries(p, n, tuple(unit)))
 
 
 def distinguished_part(g: LambdaSeries) -> DistinguishedPart:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerchar import lambda_algebra
 from eulerchar.akashi import AkashiData
 from eulerchar.errors import InputError, PrecisionError, PrimeMismatchError
 from eulerchar.gamma_modules import TorsionModule
@@ -160,20 +161,63 @@ def assert_prepared(form, g):
     assert form.unit.coeffs[0] % p == g.coeffs[lam] // p ** mu % p != 0
 
 
+def random_prepared_input(rng, p, n, d, lam, mu):
+    """A dense series at (N, D) = (n, d) with the given lambda and mu."""
+    coeffs = random_coeffs(rng, p, n, d, 1)
+    coeffs[:lam] = [p * c for c in coeffs[:lam]]
+    coeffs[lam] = p * rng.randrange(p ** n) + rng.randrange(1, p)  # a unit
+    return series(p, [c * p ** mu for c in coeffs], n, d)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_prepare_matches_the_two_product_loop(p):
     rng = random.Random(100 + p)
-    for n, d in [(1, 1), (3, 5), (6, 12), (10, 24), (16, 40)]:
+    shapes = [(n, d, None) for n, d in [(1, 1), (3, 5), (6, 12), (10, 24), (16, 40)]]
+    # N - mu = 1, so the first round works mod p^0; N = 2 with mu = 1; 24 rounds
+    shapes += [(5, 9, 4), (2, 6, 1), (24, 48, 0)]
+    for n, d, mu in shapes:
         for lam in sorted({0, d // 2, d - 1}):
-            coeffs = random_coeffs(rng, p, n, d, 1)
-            coeffs[:lam] = [p * c for c in coeffs[:lam]]
-            coeffs[lam] = p * rng.randrange(p ** n) + rng.randrange(1, p)  # a unit
-            e = rng.randint(0, n - 1)
-            g = series(p, [c * p ** e for c in coeffs], n, d)
+            g = random_prepared_input(rng, p, n, d, lam, rng.randint(0, n - 1) if mu is None else mu)
             form = weierstrass_prepare(g)
             assert_prepared(form, g)
             assert (form.mu, form.distinguished_poly, form.unit.coeffs) == \
                 naive_prepare(p, g.coeffs, n)
+
+
+@pytest.mark.parametrize("p", [2, 7])
+def test_division_rounds_run_at_shrinking_precision(p, monkeypatch):
+    """At (N, D) = (24, 48) and mu = 0, round k's product is taken mod p^(23 - k),
+    with G' reduced to that modulus."""
+    moduli, kronecker = [], lambda_algebra._kronecker
+
+    def recorded(a, b, d, m):
+        moduli.append(m)
+        assert max(b) < m
+        return kronecker(a, b, d, m)
+
+    g = random_prepared_input(random.Random(p), p, 24, 48, 5, 0)
+    monkeypatch.setattr(lambda_algebra, "_kronecker", recorded)
+    part = distinguished_part(g)
+    assert moduli[-23:] == [p ** (23 - k) for k in range(23)]
+    assert part.distinguished_poly == naive_prepare(p, g.coeffs, 24)[1]
+
+
+def test_lambda_zero_unit_is_the_series_over_p_to_the_mu(monkeypatch):
+    rng, inversions, invert = random.Random(9), [], lambda_algebra._invert_unit
+
+    def counted(c, m):
+        inversions.append(m)
+        return invert(c, m)
+
+    monkeypatch.setattr(lambda_algebra, "_invert_unit", counted)
+    for p, n, d, mu in [(2, 6, 10, 0), (7, 5, 8, 3), (13, 2, 1, 1), (101, 9, 40, 4)]:
+        g = random_prepared_input(rng, p, n, d, 0, mu)
+        form = weierstrass_prepare(g)
+        assert (form.mu, form.distinguished_poly, form.precision) == (mu, (1,), n - mu)
+        assert form.unit.coeffs == tuple(c // p ** mu for c in g.coeffs)
+        part = distinguished_part(g)
+        assert (part.mu, part.distinguished_poly) == (mu, (1,))
+    assert inversions == []
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -182,10 +226,7 @@ def test_distinguished_part_matches_full_preparation(p):
     for n, d in [(2, 1), (4, 6), (8, 20), (12, 40)]:
         for lam in sorted({0, d - 1}):
             for e in (0, rng.randint(1, n - 1)):  # mu = e
-                coeffs = random_coeffs(rng, p, n, d, 1)
-                coeffs[:lam] = [p * c for c in coeffs[:lam]]
-                coeffs[lam] = p * rng.randrange(p ** n) + rng.randrange(1, p)  # a unit
-                g = series(p, [c * p ** e for c in coeffs], n, d)
+                g = random_prepared_input(rng, p, n, d, lam, e)
                 form, part = weierstrass_prepare(g), distinguished_part(g)
                 assert (part.prime, part.mu, part.distinguished_poly, part.precision) == \
                     (form.prime, form.mu, form.distinguished_poly, form.precision)
