@@ -39,29 +39,27 @@ class LambdaSeries:
     """A power series known mod (p^coeff_precision, T^trunc_degree).
 
     ``coeffs`` is little-endian in T, nonempty, and reduced into
-    [0, p^coeff_precision); its length is the truncation degree D.
+    [0, p^coeff_precision); its length is the truncation degree D.  :meth:`make`
+    checks p, N and D.  The raw constructor checks nothing: this module calls it
+    only on results built from series that hold these facts already.
     """
 
     prime: int
     coeff_precision: int  # N: coefficients known mod p^N
     coeffs: tuple
 
-    def __post_init__(self):
-        check_prime(self.prime)
-        if self.coeff_precision < 1:
-            raise InputError("coefficient precision must be >= 1")
-        if not self.coeffs:
-            raise InputError("truncation degree must be >= 1")
-        m = self.modulus
-        if any(not (0 <= c < m) for c in self.coeffs):
-            raise InputError("coefficients must be reduced into [0, p^N)")
-
     # -- construction ------------------------------------------------------
 
     @classmethod
     def make(cls, prime: int, coeffs: Sequence[int], precision: int,
              degree: int) -> "LambdaSeries":
-        """Build a series, reducing coefficients and zero-padding to ``degree``."""
+        """The checked constructor: refuses a p that is not prime, N < 1 and D < 1,
+        then reduces the coefficients and zero-pads them to ``degree``."""
+        check_prime(prime)
+        if precision < 1:
+            raise InputError("coefficient precision must be >= 1")
+        if degree < 1:
+            raise InputError("truncation degree must be >= 1")
         m = prime ** precision
         reduced = [c % m for c in coeffs[:degree]]
         reduced.extend([0] * (degree - len(reduced)))
@@ -69,15 +67,12 @@ class LambdaSeries:
 
     @classmethod
     def one(cls, prime: int, precision: int, degree: int) -> "LambdaSeries":
-        return cls.make(prime, [1], precision, degree)
+        """The series 1 at the shape (p, N, D) of a series already built."""
+        return cls(prime, precision, (1,) + (0,) * (degree - 1))
 
     @property
     def trunc_degree(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def modulus(self) -> int:
-        return self.prime ** self.coeff_precision
 
     # -- predicates and views ----------------------------------------------
 
@@ -205,11 +200,9 @@ class WeierstrassForm(DistinguishedPart):
 
     def reconstruct(self) -> LambdaSeries:
         """p^mu * P * U, carrying precision (N, D) of the prepared input."""
-        prod = LambdaSeries.make(self.prime, self.distinguished_poly, self.precision,
-                                 self.unit.trunc_degree) * self.unit
-        m = self.prime ** (self.precision + self.mu)
-        scaled = tuple((c * self.prime ** self.mu) % m for c in prod.coeffs)
-        return LambdaSeries(self.prime, self.precision + self.mu, scaled)
+        p, n, pe = self.prime, self.precision, self.prime ** self.mu
+        prod = _kronecker(self.distinguished_poly, self.unit.coeffs, self.unit.trunc_degree, p ** n)
+        return LambdaSeries(p, n + self.mu, tuple(c * pe for c in prod))
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int], d: int, m: int) -> List[int]:
@@ -427,10 +420,16 @@ def polynomial_from_text(text: str) -> List[int]:
 
 
 def series_from_text(prime: int, text: str, precision: int, degree: int) -> LambdaSeries:
-    """Read a polynomial string as a series at the given (N, D) precision."""
+    """Read a polynomial string as a series at the given (N, D) precision; the
+    polynomial is exact, so a nonzero coefficient that is 0 mod p^N is refused."""
     poly = polynomial_from_text(text)
     if len(poly) > degree:
         raise InputError("polynomial degree exceeds truncation degree")
+    m = prime ** precision
+    for i, c in enumerate(poly):
+        if c and not c % m:
+            raise InputError(f"polynomial {text!r} has coefficient {c} of T^{i}, which is 0 "
+                             f"mod p^N = {prime}^{precision}; a larger N keeps it")
     return LambdaSeries.make(prime, poly, precision, degree)
 
 
@@ -459,7 +458,7 @@ def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
     """Read one series entry of a JSON document.
 
     ``entry`` is a coefficient document (see :meth:`LambdaSeries.from_json`),
-    a ``{"poly": ...}`` document, or a bare polynomial string.  A polynomial
+    a ``{"poly": ...}`` document, or a bare polynomial string.  Either form
     is read at the entry's own "p", "N" and "D", falling back to those of
     the enclosing document ``outer`` (a module or Akashi file), then to
     N = 16 and D = 32.  The enclosing numbers are checked whatever the
@@ -476,9 +475,9 @@ def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
         raise InputError("malformed series document: needs either 'coeffs' or 'poly'")
     form = "coeffs" if "coeffs" in entry else "poly"
     check_keys(entry, ("p", "N", "D", form), "series")
-    if form == "coeffs":
-        return LambdaSeries.from_json(entry)
     scope.update(entry)
+    if form == "coeffs":
+        return LambdaSeries.from_json(scope)
     if not isinstance(scope["poly"], str):
         raise InputError("malformed series document: 'poly' must be a string")
     p, n, d = _series_shape(scope.get("p"), scope["N"], scope["D"])

@@ -408,6 +408,11 @@ QUICK_INERTIA_REFUSALS = [
     (["theorem3", "--config", pipeline(tamagawa={"113": 7})], 2,
      "convention violation at the place with q_v = 113: c_v = 7 has v_p(c_v) = 1 > "
      "v_p(L_v) = 0, with p = 7"),
+    # an exact polynomial coefficient that p^N would reduce to 0 is refused, not dropped
+    (["chi-module", "--module", '{"p":7,"N":4,"D":8,"generators":["T+2401"]}'], 2,
+     "polynomial 'T+2401' has coefficient 2401 of T^0, which is 0 mod p^N = 7^4"),
+    (["chi-module", "--module", '{"p":7,"N":4,"D":4,"generators":["T^2+2401*T"]}'], 2,
+     "polynomial 'T^2+2401*T' has coefficient 2401 of T^1, which is 0 mod p^N = 7^4"),
 ])
 def test_input_errors_exit_with_a_message(capsys, argv, code, message):
     got, out, err = run(capsys, *argv)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerchar import lambda_algebra
-from eulerchar.akashi import AkashiData
+from eulerchar.akashi import AkashiData, akashi_series, check_multiplicativity
 from eulerchar.errors import InputError, PrecisionError, PrimeMismatchError
 from eulerchar.gamma_modules import TorsionModule
 from eulerchar.lambda_algebra import (LambdaSeries, _invert_unit, distinguished_part,
@@ -77,7 +77,7 @@ def test_invert_unit_is_an_inverse(p):
             coeffs = random_coeffs(rng, p, n, d, density)
             coeffs[0] = p * rng.randrange(p ** (n - 1)) + rng.randrange(1, p)  # a unit
             u = series(p, coeffs, n, d)
-            inverse = LambdaSeries(p, n, tuple(_invert_unit(u.coeffs, u.modulus)))
+            inverse = LambdaSeries(p, n, tuple(_invert_unit(u.coeffs, p ** n)))
             assert u * inverse == LambdaSeries.one(p, n, d)
 
 
@@ -369,6 +369,15 @@ def test_series_documents_share_one_reader():
     assert series_from_doc({"poly": "T", "D": 8}, {"p": 7, "D": 4}).trunc_degree == 8
     default = series_from_doc("T", {"p": 7})
     assert (default.coeff_precision, default.trunc_degree) == (16, 32)
+    # a coefficient entry is read by the same rule
+    t2 = LambdaSeries.make(7, [0, 0, 1, 0], 3, 4)
+    assert series_from_doc({"coeffs": [0, 0, 1, 0]}, {"p": 7, "N": 3, "D": 4}) == t2
+    assert series_from_doc({"coeffs": [0, 0, 1], "D": 8}, {"p": 7, "N": 3, "D": 4}) == \
+        LambdaSeries.make(7, [0, 0, 1], 3, 8)
+    assert series_from_doc({"coeffs": [0, 0, 1]}, {"p": 7}) == \
+        LambdaSeries.make(7, [0, 0, 1], 16, 32)
+    module = {"p": 7, "N": 3, "D": 4, "generators": [{"coeffs": [0, 0, 1, 0]}]}
+    assert TorsionModule.from_json(module).generators == (t2,)
     for bad in (5, None, [1], {"p": 7}, {"p": 7, "poly": 5}, "T", {"p": 7, "poly": "T", "N": 0},
                 {"p": 7, "N": 2, "D": 2, "coeffs": 5},
                 {"p": 7, "N": -1, "D": 2, "poly": "7^400*T+1"}):
@@ -457,10 +466,39 @@ def test_polynomial_text_parsing():
 
 
 def test_construction_validation():
-    assert LambdaSeries(7, 2, (0, 0, 0)).trunc_degree == 3
-    with pytest.raises(InputError):
-        LambdaSeries(7, 0, (0, 0, 0))
-    with pytest.raises(InputError, match="truncation degree"):
-        LambdaSeries(7, 2, ())
-    with pytest.raises(InputError):
-        LambdaSeries(7, 1, (7, 0))
+    """make is the checked constructor: p prime, N >= 1, D >= 1, coefficients reduced."""
+    assert LambdaSeries.make(7, [], 2, 3) == LambdaSeries(7, 2, (0, 0, 0))
+    with pytest.raises(InputError, match="not prime: 6"):
+        LambdaSeries.make(6, [1], 2, 3)
+    with pytest.raises(InputError, match="coefficient precision must be >= 1"):
+        LambdaSeries.make(7, [1], 0, 3)
+    for degree in (0, -1):  # a negative degree must not cut terms off the end
+        with pytest.raises(InputError, match="truncation degree must be >= 1"):
+            LambdaSeries.make(7, [1, 2, 3], 4, degree)
+    assert LambdaSeries.make(7, [7, 0], 1, 2).coeffs == (0, 0)
+
+
+def test_only_make_checks_the_prime(monkeypatch):
+    """Series built from series already made are not checked again."""
+    calls, check = [], lambda_algebra.check_prime
+
+    def counted(p):
+        calls.append(p)
+        return check(p)
+
+    monkeypatch.setattr(lambda_algebra, "check_prime", counted)
+    rng = random.Random(3)
+    made = [series(7, [0, 0, 7, 14, 49], 6, 12)]  # 7 * T^2 * (1 + 2T + 7T^2)
+    assert len(calls) == 1
+    for lam, mu in [(0, 0), (3, 1)]:
+        made.append(random_prepared_input(rng, 7, 6, 12, lam, mu))
+        assert len(calls) == len(made)  # one check per make
+    s, g, h = made
+    calls.clear()
+    assert (s * g).shift_down(2).divide_p_power(1).coeff_precision == 5
+    weierstrass_prepare(h).reconstruct()
+    distinguished_part(s * h)
+    akashi_series(AkashiData(7, (h,)))  # one element: the denominator is the series 1
+    akashi_series(AkashiData(7, (s, g, s, s)))  # s^2 / (g*s): shifts by T^2, divides by 7
+    check_multiplicativity(AkashiData(7, (g,)), AkashiData(7, (s * g,)), AkashiData(7, (s,)))
+    assert calls == []
