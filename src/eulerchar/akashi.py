@@ -1,12 +1,13 @@
 """Alternating products of characteristic elements and their leading terms.
 
-The input is one characteristic element per homological degree; the
-alternating product (even degrees over odd degrees) is kept as a formal
-fraction of series, because at finite precision the denominator need not
-divide the numerator.  Two fractions are considered the same element when
-their cross-products have equal prepared form (p-power exponent and
-distinguished polynomial) -- the comparison deliberately ignores unit
-factors, since characteristic elements are only defined up to units.
+The input is one characteristic element per homological degree; the alternating
+product (even degrees over odd degrees) is kept as a formal fraction of series,
+because at finite precision the denominator need not divide the numerator.  Two
+fractions are considered the same element when their cross-products have equal
+prepared form (p-power exponent and distinguished polynomial) -- the comparison
+deliberately ignores unit factors, since characteristic elements are only
+defined up to units.  The check sums (mu, lambda) over the factors and forms
+cross-products only for equal sums with lambda > 0 or sums at the precision.
 
 The leading term of the fraction encodes the generalized Euler
 characteristic: if the numerator and denominator lead with a*T^j and
@@ -40,9 +41,10 @@ class AkashiData:
     def __post_init__(self):
         if not self.char_elements:
             raise InputError("need at least one characteristic element")
-        for g in self.char_elements:
+        for i, g in enumerate(self.char_elements):
             if g.prime != self.prime:
-                raise PrimeMismatchError("prime mismatch")
+                raise PrimeMismatchError(f"prime mismatch: characteristic element {i} is at "
+                                         f"p = {g.prime}, the data at p = {self.prime}")
 
     def to_json(self) -> dict:
         return {"p": self.prime,
@@ -101,16 +103,27 @@ def check_multiplicativity(l_data: AkashiData, m_data: AkashiData,
     products satisfy f_M = f_N * f_L; this checks that identity on the
     supplied data, up to units, by comparing the distinguished parts of the
     cross-products f_M.num * f_N.den * f_L.den and f_N.num * f_L.num * f_M.den.
-    Cross-products whose (mu, lambda), read off the coefficients, differ are
-    unequal without preparing either.
-    Data at different primes raise PrimeMismatchError from the first product that mixes them.
+    Data at different primes are refused once the fractions are formed.
+
+    Lemma: for nonzero a, b taken to the minimum (n, d) of their (N, D), if
+    mu_a + mu_b < n and lambda_a + lambda_b < d then mu_lambda(a * b) is the sum:
+    below T^(lambda_a + lambda_b) each coefficient of a * b is 0 mod p^(mu_a + mu_b + 1),
+    and there it is a_lambda * b_lambda modulo that power.  So when each side's sum
+    lies below the six factors' (n, d), different sums mean unequal and equal sums
+    with lambda = 0 mean both distinguished parts are (mu, 1); else the products are formed.
     """
-    f_l = akashi_series(l_data)
-    f_m = akashi_series(m_data)
-    f_n = akashi_series(n_data)
-    num = f_n.numerator * f_l.numerator
-    den = f_n.denominator * f_l.denominator
-    left, right = f_m.numerator * den, num * f_m.denominator
+    f_l, f_m, f_n = map(akashi_series, (l_data, m_data, n_data))
+    for i, data in enumerate((m_data, n_data), 1):
+        if data.prime != l_data.prime:
+            raise PrimeMismatchError(f"prime mismatch: term {i} ({'LMN'[i]}) is at "
+                                     f"p = {data.prime}, term 0 (L) at p = {l_data.prime}")
+    left = (f_m.numerator, f_n.denominator, f_l.denominator)
+    right = (f_n.numerator, f_l.numerator, f_m.denominator)
+    sums = [tuple(map(sum, zip(*map(mu_lambda, side)))) for side in (left, right)]
+    n, d = min(g.coeff_precision for g in left + right), min(g.trunc_degree for g in left + right)
+    if all(mu < n and lam < d for mu, lam in sums) and (sums[0] != sums[1] or not sums[0][1]):
+        return sums[0] == sums[1]
+    left, right = left[0] * (left[1] * left[2]), (right[0] * right[1]) * right[2]
     if mu_lambda(left) != mu_lambda(right):
         return False
     return distinguished_part(left).same_characteristic_element(distinguished_part(right))

@@ -41,9 +41,10 @@ class TorsionModule:
     def __post_init__(self):
         if not self.generators:
             raise InputError("torsion module needs at least one generator")
-        for g in self.generators:
+        for i, g in enumerate(self.generators):
             if g.prime != self.prime:
-                raise PrimeMismatchError("prime mismatch")
+                raise PrimeMismatchError(f"prime mismatch: generator {i} is at p = {g.prime}, "
+                                         f"the module at p = {self.prime}")
             if g.is_zero():
                 raise PrecisionError("indistinguishable from zero at precision")
 

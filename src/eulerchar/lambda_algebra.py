@@ -60,6 +60,11 @@ class LambdaSeries:
             raise InputError("coefficient precision must be >= 1")
         if degree < 1:
             raise InputError("truncation degree must be >= 1")
+        return cls._reduced(prime, coeffs, precision, degree)
+
+    @classmethod
+    def _reduced(cls, prime, coeffs, precision, degree) -> "LambdaSeries":
+        """:meth:`make` for a shape a document reader has checked already."""
         m = prime ** precision
         reduced = [c % m for c in coeffs[:degree]]
         reduced.extend([0] * (degree - len(reduced)))
@@ -140,7 +145,7 @@ class LambdaSeries:
         if len(coeffs) > d:
             raise InputError(f"malformed series document: 'coeffs' has {len(coeffs)} "
                              f"entries, more than the truncation degree D = {d}")
-        return cls.make(p, [json_int(c, "coeffs", "series") for c in coeffs], n, d)
+        return cls._reduced(p, [json_int(c, "coeffs", "series") for c in coeffs], n, d)
 
 
 @dataclass(frozen=True)
@@ -421,7 +426,8 @@ def polynomial_from_text(text: str) -> List[int]:
 
 def series_from_text(prime: int, text: str, precision: int, degree: int) -> LambdaSeries:
     """Read a polynomial string as a series at the given (N, D) precision; the
-    polynomial is exact, so a nonzero coefficient that is 0 mod p^N is refused."""
+    polynomial is exact, so a nonzero coefficient that is 0 mod p^N is refused.
+    The shape is the caller's to check: :func:`series_from_doc` checks a document's."""
     poly = polynomial_from_text(text)
     if len(poly) > degree:
         raise InputError("polynomial degree exceeds truncation degree")
@@ -430,7 +436,7 @@ def series_from_text(prime: int, text: str, precision: int, degree: int) -> Lamb
         if c and not c % m:
             raise InputError(f"polynomial {text!r} has coefficient {c} of T^{i}, which is 0 "
                              f"mod p^N = {prime}^{precision}; a larger N keeps it")
-    return LambdaSeries.make(prime, poly, precision, degree)
+    return LambdaSeries._reduced(prime, poly, precision, degree)
 
 
 # -- series documents ----------------------------------------------------------

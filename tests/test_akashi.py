@@ -5,10 +5,10 @@ import pytest
 
 from eulerchar import akashi
 from eulerchar.akashi import AkashiData, akashi_series, check_multiplicativity
-from eulerchar.errors import PrecisionError, PrimeMismatchError
+from eulerchar.errors import EulerCharError, PrecisionError, PrimeMismatchError
 from eulerchar.gamma_modules import TorsionModule, generalized_chi
 from eulerchar.lambda_algebra import (LambdaSeries, distinguished_part, leading_term,
-                                      series_from_text)
+                                      mu_lambda, series_from_text)
 from eulerchar.padics import PowerOfP
 
 
@@ -206,3 +206,142 @@ def test_json_roundtrip():
     compact = AkashiData.from_json({"p": 7, "N": 10, "D": 32,
                                     "char_elements": ["T", "T+7"]})
     assert compact == a
+
+
+def full_route(l_data, m_data, n_data):
+    """Slow oracle: both cross-products formed with *, compared by (mu, lambda), then prepared."""
+    f_l, f_m, f_n = (akashi_series(x) for x in (l_data, m_data, n_data))
+    left = f_m.numerator * (f_n.denominator * f_l.denominator)
+    right = (f_n.numerator * f_l.numerator) * f_m.denominator
+    if mu_lambda(left) != mu_lambda(right):
+        return False
+    return distinguished_part(left).same_characteristic_element(distinguished_part(right))
+
+
+def outcome(check, triple):
+    try:
+        return check(*triple)
+    except EulerCharError as exc:
+        return type(exc), str(exc)
+
+
+def _shaped(rng, p, n, d, mu, lam):
+    """A series at (N, D) = (n, d) with (mu, lambda) = (mu, lam), for mu < n and lam < d."""
+    coeffs = [rng.randrange(p ** n) for _ in range(d)]
+    coeffs[:lam] = [p * c for c in coeffs[:lam]]
+    coeffs[lam] = p * rng.randrange(p ** n) + rng.randrange(1, p)
+    return LambdaSeries.make(p, [c * p ** mu for c in coeffs], n, d)
+
+
+def _times_t(g):
+    return LambdaSeries.make(g.prime, (0,) + g.coeffs[:-1], g.coeff_precision, g.trunc_degree)
+
+
+def _job_triple(rng, p, n, d, broken):
+    """Shaped like a benchmark series job: L and N two units each, M their degreewise
+    products; ``broken`` multiplies one middle element by T."""
+    left = [_shaped(rng, p, n, d, 0, 0) for _ in range(2)]
+    right = [_shaped(rng, p, n, d, 0, 0) for _ in range(2)]
+    middle = [x * y for x, y in zip(left, right)]
+    if broken:
+        i = rng.randrange(2)
+        middle[i] = _times_t(middle[i])
+    return AkashiData(p, tuple(left)), AkashiData(p, tuple(middle)), AkashiData(p, tuple(right))
+
+
+def _loose_triple(rng, p):
+    """Elements at independent (N, D) with small random (mu, lambda).  M is L * N, or
+    L * N with p^(mu+1) added to one constant term, which keeps every (mu, lambda)
+    but most often not the distinguished part, or independent of L and N."""
+    def element():
+        n, d = rng.randint(2, 8), rng.randint(2, 10)
+        return _shaped(rng, p, n, d, rng.randrange(min(n, 3)), rng.randrange(min(d, 4)))
+    l_data = AkashiData(p, tuple(element() for _ in range(rng.randint(1, 2))))
+    n_data = AkashiData(p, tuple(element() for _ in range(rng.randint(1, 2))))
+    kind = rng.randrange(3)
+    if kind < 2:
+        middle = list(degreewise_product(l_data, n_data).char_elements)
+        i = rng.randrange(len(middle))
+        g = middle[i]
+        if kind == 1 and not g.is_zero() and mu_lambda(g)[0] + 1 < g.coeff_precision:
+            nudged = (g.coeffs[0] + p ** (mu_lambda(g)[0] + 1),) + g.coeffs[1:]
+            middle[i] = LambdaSeries.make(p, nudged, g.coeff_precision, g.trunc_degree)
+        m_data = AkashiData(p, tuple(middle))
+    else:
+        m_data = AkashiData(p, tuple(element() for _ in range(rng.randint(1, 3))))
+    return l_data, m_data, n_data
+
+
+def _edge_triple(rng, p):
+    """One element each, all at (n, d), with the right-hand sum's mu = n or lambda = d."""
+    n, d = rng.randint(2, 5), rng.randint(2, 6)
+    if rng.random() < 0.5:
+        mu_a = rng.randrange(1, n)
+        shapes = [(mu_a, rng.randrange(d)), (n - mu_a, rng.randrange(d))]
+    else:
+        lam_a = rng.randrange(1, d)
+        shapes = [(rng.randrange(n), lam_a), (rng.randrange(n), d - lam_a)]
+    a, b = (_shaped(rng, p, n, d, *shape) for shape in shapes)
+    ab = a * b
+    middle = ab if rng.random() < 0.5 and not ab.is_zero() else a
+    return AkashiData(p, (a,)), AkashiData(p, (middle,)), AkashiData(p, (b,))
+
+
+def test_multiplicativity_matches_the_full_route():
+    rng = random.Random(53)
+    triples = []
+    for i in range(320):
+        p = rng.choice([2, 3, 5, 7])
+        kind = i % 4
+        if kind < 2:
+            n, d = rng.randint(2, 10), rng.randint(4, 24)
+            triples.append(_job_triple(rng, p, n, d, broken=kind == 1))
+        elif kind == 2:
+            triples.append(_loose_triple(rng, p))
+        else:
+            triples.append(_edge_triple(rng, p))
+    # cross-products that vanish at N = 2
+    seven, t = data(7, "7", precision=2), data(7, "T", precision=2)
+    triples += [(seven, t, seven), (t, seven, data(7, "1", "7", precision=2))]
+    outcomes = [outcome(check_multiplicativity, triple) for triple in triples]
+    assert outcomes == [outcome(full_route, triple) for triple in triples]
+    assert {True, False} <= set(outcomes)
+    assert outcomes[:2] == [True, False] and outcomes[-1][0] is PrecisionError
+
+
+def test_multiplicativity_forms_cross_products_only_when_the_sums_leave_it_open(monkeypatch):
+    products, mul = [], LambdaSeries.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    def cross_products(triple):
+        """The answer, and the products check_multiplicativity forms beyond its fractions'."""
+        products.clear()
+        for x in triple:
+            akashi_series(x)
+        fractions = len(products)
+        products.clear()
+        return check_multiplicativity(*triple), len(products) - fractions
+
+    one = data(7, "1")
+    rng = random.Random(59)
+    job, broken = _job_triple(rng, 7, 10, 32, False), _job_triple(rng, 7, 10, 32, True)
+    monkeypatch.setattr(LambdaSeries, "__mul__", counted)
+    # all units; equal (mu, lambda) = (0, 0) decides without a product
+    assert cross_products(job) == (True, 0)
+    assert cross_products((data(7, "1+7*T"), data(7, "3+T"), data(7, "2+T^2"))) == (True, 0)
+    assert cross_products((one, data(7, "1+7*T", "3", "2+T"), one)) == (True, 0)
+    # (mu, lambda) that differ within precision: 7*T against T, T^2 against T, a broken job
+    assert cross_products((one, data(7, "7*T"), data(7, "T"))) == (False, 0)
+    assert cross_products((one, data(7, "T^2"), data(7, "T"))) == (False, 0)
+    assert cross_products(broken) == (False, 0)
+    # equal lambda > 0: two products a side, then the distinguished parts
+    assert cross_products((one, data(7, "T+7"), data(7, "T+14"))) == (False, 4)
+    assert cross_products((data(7, "T"), data(7, "T*(T+7)"), data(7, "T+7"))) == (True, 4)
+    # a mu sum at N = 2 leaves the sums undecided: the products are formed
+    seven = data(7, "7", precision=2)
+    with pytest.raises(PrecisionError):
+        cross_products((seven, data(7, "T", precision=2), seven))
+    assert len(products) == 4

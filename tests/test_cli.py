@@ -413,8 +413,18 @@ QUICK_INERTIA_REFUSALS = [
      "polynomial 'T+2401' has coefficient 2401 of T^0, which is 0 mod p^N = 7^4"),
     (["chi-module", "--module", '{"p":7,"N":4,"D":4,"generators":["T^2+2401*T"]}'], 2,
      "polynomial 'T^2+2401*T' has coefficient 2401 of T^1, which is 0 mod p^N = 7^4"),
+    # a prime mismatch names the entry and both primes (p7.json and p5.json are written below)
+    (["akashi", "--check", "p7.json,p5.json,p7.json"], 2,
+     "prime mismatch: term 1 (M) is at p = 5, term 0 (L) at p = 7"),
+    (["chi-module", "--module", '{"p":7,"generators":[{"p":5,"coeffs":[1,1]}]}'], 2,
+     "prime mismatch: generator 0 is at p = 5, the module at p = 7"),
+    (["akashi", "--data", '{"p":7,"char_elements":[{"p":5,"coeffs":[1,1]}]}'], 2,
+     "prime mismatch: characteristic element 0 is at p = 5, the data at p = 7"),
 ])
-def test_input_errors_exit_with_a_message(capsys, argv, code, message):
+def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    for p in (5, 7):
+        (tmp_path / f"p{p}.json").write_text(json.dumps({"p": p, "char_elements": ["T"]}))
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert message in err

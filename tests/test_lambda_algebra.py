@@ -502,3 +502,67 @@ def test_only_make_checks_the_prime(monkeypatch):
     akashi_series(AkashiData(7, (s, g, s, s)))  # s^2 / (g*s): shifts by T^2, divides by 7
     check_multiplicativity(AkashiData(7, (g,)), AkashiData(7, (s * g,)), AkashiData(7, (s,)))
     assert calls == []
+
+
+def test_series_from_doc_checks_the_prime_once(monkeypatch):
+    calls, check = [], lambda_algebra.check_prime
+
+    def counted(p):
+        calls.append(p)
+        return check(p)
+
+    monkeypatch.setattr(lambda_algebra, "check_prime", counted)
+    for entry, outer in [({"p": 7, "N": 4, "D": 8, "coeffs": [7, 1]}, None),
+                         ({"p": 7, "N": 4, "D": 8, "poly": "T+7"}, None),
+                         ({"coeffs": [7, 1]}, {"p": 7, "N": 4, "D": 8}),
+                         ("T+7", {"p": 7, "N": 4, "D": 8})]:
+        calls.clear()
+        got = series_from_doc(entry, outer)
+        assert calls == [7]
+        assert got.coeffs == (7, 1, 0, 0, 0, 0, 0, 0) and got.coeff_precision == 4
+    # the prime is refused before p^N is bounded, in both forms
+    for form in ({"coeffs": [1]}, {"poly": "T"}):
+        with pytest.raises(InputError, match="not prime: 4"):
+            series_from_doc({"p": 4, "N": 6000, "D": 1, **form})
+
+
+def test_mu_and_lambda_add_below_the_product_precision(monkeypatch):
+    """mu_lambda(a * b) is the sum of the factors' when both sums lie below the
+    product's (n, d); at or past it nothing is claimed, and the multiplicativity
+    check forms its cross-products instead of reading the sums."""
+    products, mul = [], LambdaSeries.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(LambdaSeries, "__mul__", counted)
+    rng = random.Random(37)
+    below = at_n = at_d = 0
+    for _ in range(600):
+        p = rng.choice([2, 3, 5, 7])
+        factors = []
+        for _ in range(2):
+            n, d = rng.randint(1, 6), rng.randint(1, 8)  # each operand's (N, D) its own
+            # half the draws keep mu and lambda small, so most sums stay below (n, d)
+            mu, lam = ((rng.randrange(n), rng.randrange(d)) if rng.random() < 0.5
+                       else (rng.randrange(min(n, 2)), rng.randrange(min(d, 3))))
+            factors.append(random_prepared_input(rng, p, n, d, lam, mu))
+            assert mu_lambda(factors[-1]) == (mu, lam)
+        a, b = factors
+        n = min(a.coeff_precision, b.coeff_precision)
+        d = min(a.trunc_degree, b.trunc_degree)
+        mu, lam = (x + y for x, y in zip(mu_lambda(a), mu_lambda(b)))
+        if mu < n and lam < d:
+            below += 1
+            assert mu_lambda(a * b) == (mu, lam)
+            continue
+        at_n, at_d = at_n + (mu == n), at_d + (lam == d)
+        products.clear()
+        # one element each: the cross-products are b * a and a, formed with 1 * 1 and * 1
+        try:
+            check_multiplicativity(AkashiData(p, (a,)), AkashiData(p, (a,)), AkashiData(p, (b,)))
+        except PrecisionError:
+            pass
+        assert len(products) == 4
+    assert below >= 200 and at_n >= 10 and at_d >= 10
