@@ -10,9 +10,12 @@ defined up to units.  The check sums (mu, lambda) over the factors and forms
 cross-products only for equal sums with lambda > 0 or sums at the precision.
 
 The leading term of the fraction encodes the generalized Euler
-characteristic: if the numerator and denominator lead with a*T^j and
-b*T^i, the fraction leads with (a/b)*T^(j-i): its ``k`` is j - i and its
-``chi``, when the characteristic is finite, is p^(v_p(a) - v_p(b)).
+characteristic: if it is alpha*T^k, its ``chi``, when the characteristic is
+finite, is p^(v_p(alpha)).  Leading terms multiply exactly over Z_p, so k and
+v_p(alpha) are the alternating sums of the elements' own leading T-exponents
+and valuations.  They are read from the elements, not from the products:
+a product at precision p^N can lose a leading term that each element holds
+exactly, as (T + 49)^2 = T^2 + 98*T + 7^4 does at N = 4.
 Finiteness is a hypothesis on the module the data came from and cannot be
 certified from the series alone; callers are told as much.  A document's
 "coranks" claim is checked against k by ``akashi --data``; ``--check``
@@ -58,21 +61,25 @@ class AkashiData:
 
 @dataclass(frozen=True)
 class AkashiFraction:
-    """The alternating product as a formal numerator/denominator pair."""
+    """The alternating product as a formal numerator/denominator pair, with the
+    characteristic elements it was formed from, which give its leading data."""
 
     numerator: LambdaSeries
     denominator: LambdaSeries
+    char_elements: tuple
+
+    def _alternating_sum(self, read) -> int:
+        return sum(read(leading_term(g)) * (-1) ** i for i, g in enumerate(self.char_elements))
 
     @property
     def k(self) -> int:
-        """Leading T-exponent: the numerator's minus the denominator's."""
-        return leading_term(self.numerator).k - leading_term(self.denominator).k
+        """Leading T-exponent: the alternating sum of the elements' own."""
+        return self._alternating_sum(operator.attrgetter("k"))
 
     @property
     def alpha_valuation(self) -> int:
-        """v_p of the leading coefficient alpha: the numerator's minus the denominator's."""
-        return (leading_term(self.numerator).alpha_valuation
-                - leading_term(self.denominator).alpha_valuation)
+        """v_p of the leading coefficient alpha: the alternating sum of the elements' own."""
+        return self._alternating_sum(operator.attrgetter("alpha_valuation"))
 
     @property
     def chi(self) -> PowerOfP:
@@ -92,7 +99,7 @@ def akashi_series(data: AkashiData) -> AkashiFraction:
     num, den = num.shift_down(t), den.shift_down(t)
     e = min(min_coeff_valuation(num), min_coeff_valuation(den))
     num, den = num.divide_p_power(e), den.divide_p_power(e)
-    return AkashiFraction(num, den)
+    return AkashiFraction(num, den, data.char_elements)
 
 
 def check_multiplicativity(l_data: AkashiData, m_data: AkashiData,

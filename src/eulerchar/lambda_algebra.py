@@ -20,6 +20,7 @@ that compare characteristic elements, which are defined only up to units.
 from __future__ import annotations
 
 import ast
+import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -32,6 +33,10 @@ _MAX_DEGREE = 1024  # bounds a document's D
 # D-term product, round k's coefficients below p^(N-k).  At the bound the slowest shape,
 # the largest prime p < MR_PROVEN_BELOW at D = 1024, N = 6, prepares in 1.0 s (2-vCPU Xeon).
 _MAX_COST = 4_000_000
+# For a Kronecker slot of w = 1..8 bytes, at index w - 1: the machine width s >= w and
+# its struct code.
+_MACHINE_SLOTS = ((1, "B"), (2, "H"), (4, "I"), (4, "I"), (8, "Q"), (8, "Q"), (8, "Q"), (8, "Q"))
+_MAX_WIDENED_BYTES = 2048  # see _kronecker
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,8 @@ class LambdaSeries:
 
     def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
         if self.prime != other.prime:
-            raise PrimeMismatchError("prime mismatch")
+            raise PrimeMismatchError(f"prime mismatch: a product of a series at p = "
+                                     f"{self.prime} and one at p = {other.prime}")
         n = min(self.coeff_precision, other.coeff_precision)
         d = min(self.trunc_degree, other.trunc_degree)
         return LambdaSeries(self.prime, n,
@@ -217,9 +223,25 @@ def _kronecker(a: Sequence[int], b: Sequence[int], d: int, m: int) -> List[int]:
     coefficient per fixed-width slot, so that one big-integer product does
     the convolution.  A slot holds d * (max a + 1) * (max b + 1), which bounds
     every output coefficient, so no slot carries into the next.
+
+    A slot of w <= 8 bytes is widened to s, the least of 1, 2, 4 and 8 bytes
+    with s >= w, and each operand is packed, and the first d slots read back,
+    by one struct call ("<" fixes the byte order), not one call per
+    coefficient.  Widening lengthens the product; past about 2 KiB per
+    operand that costs more than the calls save (always widening ran at
+    0.66-0.86x at d = 512-1024, w = 5-7), so a widened slot takes this route
+    only while d * s <= _MAX_WIDENED_BYTES.  Other slots are packed one
+    coefficient at a time.
     """
     a, b = a[:d], b[:d]
     w = ((d * (max(a, default=0) + 1) * (max(b, default=0) + 1)).bit_length() + 7) // 8
+    if w <= len(_MACHINE_SLOTS):
+        s, code = _MACHINE_SLOTS[w - 1]
+        if s == w or d * s <= _MAX_WIDENED_BYTES:
+            x = int.from_bytes(struct.pack(f"<{len(a)}{code}", *a), "little")
+            y = int.from_bytes(struct.pack(f"<{len(b)}{code}", *b), "little")
+            z = (x * y).to_bytes(max(len(a) + len(b), d) * s, "little")
+            return [c % m for c in struct.unpack_from(f"<{d}{code}", z)]
     x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
     y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little")
     z = (x * y).to_bytes((len(a) + len(b)) * w, "little")

@@ -96,6 +96,19 @@ def test_akashi_command(capsys):
     assert any("hypothesis" in note for note in report["provenance_notes"])
 
 
+@pytest.mark.parametrize("doc, k, alpha_valuation, chi", [
+    ({"p": 7, "char_elements": ["49*T^2", "7*T"]}, 1, 1, "7"),
+    ({"p": 7, "N": 6, "D": 4, "char_elements": ["T+49", "1", "T+49"]}, 0, 4, "7^4"),
+    # each element is exact at N = 4, but the product's constant term 7^4 is not
+    ({"p": 7, "N": 4, "D": 4, "char_elements": ["T+49", "1", "T+49"]}, 0, 4, "7^4"),
+])
+def test_akashi_leading_data_is_read_from_the_elements(capsys, doc, k, alpha_valuation, chi):
+    code, report = run_report(capsys, "akashi", "--data", json.dumps(doc))
+    assert code == 0
+    assert report["results"]["leading"] == {"alpha_valuation": alpha_valuation, "k": k,
+                                            "chi_if_finite": chi}
+
+
 def test_akashi_corank_claims_are_checked(capsys):
     code, report = run_report(capsys, "akashi", "--data",
                               '{"p":7,"char_elements":["7*T"],"coranks":[1]}')

@@ -1,4 +1,6 @@
+import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,59 @@ def test_multiplication_matches_oracle_on_random_inputs():
         assert got.coeffs == naive_product(p, a, b, n, d)
 
 
+def operand(rng, top, length):
+    """``length`` coefficients in [0, top] with top among them, or [] for length 0."""
+    out = [rng.randrange(top + 1) for _ in range(length)]
+    if out:
+        out[rng.randrange(length)] = top
+    return out
+
+
+def test_kronecker_routes_match_the_oracle(monkeypatch):
+    """Slots of up to 8 bytes are packed with one struct call per operand, wider
+    slots and widened operands past 2 KiB one coefficient at a time; both routes
+    agree with the convolution oracle at every width step and at the cap."""
+    packed = []
+
+    class Recording:
+        unpack_from = staticmethod(struct.unpack_from)
+
+        @staticmethod
+        def pack(fmt, *values):
+            packed.append(fmt[-1])
+            return struct.pack(fmt, *values)
+
+    monkeypatch.setattr(lambda_algebra, "struct", Recording)
+    slot = {1: (1, "B"), 2: (2, "H"), 3: (4, "I"), 4: (4, "I"),
+            5: (8, "Q"), 6: (8, "Q"), 7: (8, "Q"), 8: (8, "Q")}  # width: (s, struct code)
+    rng = random.Random(18)
+    cases = []  # (a, b, d, slot width in bytes)
+    for w in range(1, 10):
+        # slot bound d * (max a + 1) * (max b + 1) = 2^(8w) - 1, in w bytes, and 2^(8w), in w + 1
+        cases.append((operand(rng, 4, 3), operand(rng, (2 ** (8 * w) - 1) // 15 - 1, 3), 3, w))
+        cases.append((operand(rng, 1, 4), operand(rng, 2 ** (8 * w - 3) - 1, 4), 4, w + 1))
+    for top, w in ((6, 1), (2 ** 66, 9)):  # each edge on both routes
+        cases += [([], operand(rng, top, 5), 5, w), ([top], [1], 1, w),
+                  (operand(rng, 3, 2), operand(rng, top, 1), 8, w)]
+    # a widened slot at d * s = 2048 and at the next d, and unwidened slots past 2 KiB
+    for w, d in ((3, 512), (3, 513), (5, 256), (5, 257), (7, 256), (7, 257), (2, 1024), (8, 300)):
+        top = math.isqrt(2 ** (8 * w - 1) // d) - 1
+        cases.append((operand(rng, top, d), operand(rng, top, d), d, w))
+    routes = set()
+    for a, b, d, w in cases:
+        bound = d * (max(a, default=0) + 1) * (max(b, default=0) + 1)
+        assert (bound.bit_length() + 7) // 8 == w
+        s, want = slot.get(w, (0, None))
+        if s != w and d * s > 2048:
+            want = None
+        packed.clear()
+        got = lambda_algebra._kronecker(a, b, d, 7 ** 5)
+        assert tuple(got) == naive_product(7, a, b, 5, d)
+        assert packed == ([want, want] if want else [])
+        routes.add(want)
+    assert routes == {"B", "H", "I", "Q", None}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_invert_unit_is_an_inverse(p):
     rng = random.Random(p)
@@ -90,8 +145,11 @@ def test_precision_min_rule():
 
 
 def test_prime_mismatch_errors():
-    with pytest.raises(PrimeMismatchError, match="prime mismatch"):
+    with pytest.raises(PrimeMismatchError, match="^prime mismatch: a product of a series at "
+                                                 "p = 5 and one at p = 7$"):
         series(5, [1], 3, 3) * series(7, [1], 3, 3)
+    with pytest.raises(PrimeMismatchError, match="at p = 7 and one at p = 2$"):
+        series(7, [1, 1], 4, 3) * series(2, [1], 3, 5)
 
 
 def test_prepare_unit_series():

@@ -1,0 +1,111 @@
+"""Run the benchmark on a git revision and on the working tree, in alternating pairs.
+
+Usage: python3 tools/bench_pairs.py REV [--workloads series,cli_small] [--seeds 1,3]
+                                        [--pairs 10] [--seconds 25] [--trace 0|1]
+
+Exports REV with ``git archive`` and, for each workload and seed, runs
+perfbench/run.py from that export and from the working tree, PAIRS times
+each.  The side that runs first alternates: REV first in odd pairs, the
+working tree first in even ones.  Prints every pair, then per metric each
+side's median and quartiles, the pairs the working tree won (by the
+metric's direction in BENCHMARK.json), the median gap and REV's
+interquartile range.  Exits 1 if any run exits nonzero, is not correct or
+has a failed operation.  Standard library only.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile) by linear interpolation between ranks."""
+    ordered = sorted(values)
+
+    def at(q):
+        pos = (len(ordered) - 1) * q
+        lo = int(pos)
+        hi = min(lo + 1, len(ordered) - 1)
+        return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
+    """The result line of one benchmark run from ``tree``, or None when the run broke."""
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)], cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        print(f"  {tree}: exit {done.returncode}\n{done.stderr[-2000:]}")
+        return None
+    result = json.loads(lines[-1])
+    if result["correct"] is not True or result["failed"]:
+        print(f"  {tree}: correct {result['correct']}, failed {result['failed']}")
+    return result
+
+
+def compare(rev: str, pairs, better) -> None:
+    """Print the summary table of one workload and seed."""
+    print(f"  metric: {rev} median [q1, q3] -> working tree median [q1, q3], wins, "
+          f"gap, {rev} IQR")
+    for name in pairs[0][0]["metrics"]:
+        old = [p[0]["metrics"][name]["value"] for p in pairs]
+        new = [p[1]["metrics"][name]["value"] for p in pairs]
+        (o1, o2, o3), (n1, n2, n3) = quartiles(old), quartiles(new)
+        sign = {"higher": 1, "lower": -1}.get(better.get(name))
+        won = sum(sign * (b - a) > 0 for a, b in zip(old, new)) if sign else "-"
+        print(f"  {name}: {o2:.4g} [{o1:.4g}, {o3:.4g}] -> {n2:.4g} [{n1:.4g}, {n3:.4g}], "
+              f"wins {won}/{len(pairs)}, gap {n2 - o2:+.4g}, IQR {o3 - o1:.4g}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev")
+    parser.add_argument("--workloads", default="series")
+    parser.add_argument("--seeds", default="1")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    broken = False
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        for workload in args.workloads.split(","):
+            for seed in map(int, args.seeds.split(",")):
+                print(f"{workload}, seed {seed}, --seconds {args.seconds:g}, "
+                      f"--trace {args.trace}: {args.rev} -> working tree")
+                pairs = []
+                for i in range(args.pairs):
+                    sides = (tree, ROOT) if i % 2 == 0 else (ROOT, tree)
+                    got = {side: run_once(side, workload, seed, args.seconds, args.trace)
+                           for side in sides}
+                    pair = (got[tree], got[ROOT])
+                    if None in pair:
+                        broken = True
+                        continue
+                    broken |= any(r["correct"] is not True or r["failed"] for r in pair)
+                    pairs.append(pair)
+                    first = args.rev if i % 2 == 0 else "working tree"
+                    shown = ["trace.jobs_per_s"] if args.trace else pair[0]["metrics"]
+                    print(f"  pair {i + 1} ({first} first): " + ", ".join(
+                        f"{name} {pair[0]['metrics'][name]['value']:.4g} -> "
+                        f"{pair[1]['metrics'][name]['value']:.4g}" for name in shown))
+                if pairs:
+                    compare(args.rev, pairs, better)
+    return 1 if broken else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
