@@ -2,7 +2,9 @@
 
 Every command prints a single JSON report on stdout (keys sorted, no
 timestamps, all rationals and prime powers as exact strings) and uses
-stderr for diagnostics.  Exit codes: 0 success, 2 input error, 3 precision
+stderr for diagnostics.  The report is written by :func:`_json_text`, in the
+bytes ``json.dumps(report, indent=2, sort_keys=True)`` gives, and holds JSON
+types only.  Exit codes: 0 success, 2 input error, 3 precision
 error, 4 golden-value mismatch (the worked-example command only).
 """
 
@@ -12,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .akashi import AkashiData, akashi_series, check_multiplicativity, coranks_consistent
@@ -47,6 +50,38 @@ def _load_json(text_or_path: str):
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise InputError(f"malformed JSON: {exc}") from None
+
+
+_JSON_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
+
+    ``indent`` starts the line ``value`` closes on.  Types are matched exactly:
+    dicts with str keys, lists, tuples, str, int, bool and None.  Anything else,
+    a float included, raises TypeError, so it cannot reach a report.  Unlike the
+    encoder that ``indent`` selects, this leaves no reference cycle behind.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _JSON_LITERALS[value]
+    inner = indent + "  "
+    if kind is dict:
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if kind is list or kind is tuple:
+        if all(type(x) is int for x in value):
+            items = list(map(int.__repr__, value))
+        else:
+            items = [_json_text(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"a report holds JSON types only, not {kind.__name__}")
 
 
 # -- handlers ----------------------------------------------------------------
@@ -181,7 +216,8 @@ def _handle_theorem(args):
     check_keys(doc, ("p", "chi_gamma", "curve", "extension", "tamagawa"), "pipeline")
     check_keys(ext_doc, ("p", "m"), "pipeline", "extension.")
     if ext.p != p:
-        raise InputError("extension prime disagrees with working prime")
+        raise InputError(f"extension prime disagrees with working prime: 'extension.p' = "
+                         f"{ext.p}, 'p' = {p}")
 
     places = build_chi_input(curve, ext)
     chi_sigma = theorem_chi(chi_gamma, places)
@@ -347,7 +383,7 @@ def main(argv=None) -> int:
         return 3
     report = {"command": args.subcommand, "inputs_echo": inputs, "results": results,
               "provenance_notes": notes}
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json_text(report) + "\n")
     return 0 if results.get("all_checks_pass", True) else 4
 
 

@@ -29,7 +29,8 @@ from typing import NamedTuple, Optional
 
 from .cyclotomic_fields import SplittingData
 from .errors import InputError
-from .padics import MAX_DIGITS, check_prime, format_rational, int_valuation, prime_factors
+from .padics import (MAX_DIGITS, check_keys, check_prime, format_rational, int_valuation,
+                     prime_factors)
 
 MAX_COUNT_Q = 10 ** 12
 # Below this, the O(q) loop over x is as fast as baby-step giant-step; it
@@ -73,11 +74,20 @@ class Curve:
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.discriminant() == 0:
+        if self._integral_discriminant()[0] == 0:
             raise InputError("singular curve: discriminant is zero")
 
+    def _integral_discriminant(self):
+        """(discriminant of the integral model, u): with u the lcm of the a_i's
+        denominators, a_i * u^i are integers and the discriminant scales by u^12."""
+        coeffs = (self.a1, self.a2, self.a3, self.a4, self.a6)
+        u = math.lcm(*(c.denominator for c in coeffs))
+        a = [c.numerator * (u ** i // c.denominator) for i, c in zip((1, 2, 3, 4, 6), coeffs)]
+        return weierstrass_invariants(*a)[4], u
+
     def discriminant(self) -> Fraction:
-        return weierstrass_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)[4]
+        disc, u = self._integral_discriminant()
+        return Fraction(disc, u ** 12)
 
     def to_json(self) -> dict:
         return {"a": [format_rational(c) for c in
@@ -89,6 +99,7 @@ class Curve:
             entries = doc["a"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed curve document: {exc}") from None
+        check_keys(doc, ("a",), "curve")
         # exact types: a JSON float may have lost digits, and a string is not a list
         values = ([_document_rational(c) for c in entries]
                   if type(entries) is list and len(entries) == 5 else [None])

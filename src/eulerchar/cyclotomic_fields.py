@@ -104,7 +104,7 @@ class ExtensionSpec:
         if self.p < 5:
             raise InputError("extension prime must be >= 5")
         if self.m <= 1:
-            raise InputError("invalid extension parameter")
+            raise InputError("invalid extension parameter: m must be >= 2")
         if self.m >= MAX_VALUE:
             raise InputError("invalid extension parameter: m passes the bound 10^2000")
         if _is_perfect_power(self.m, self.p):

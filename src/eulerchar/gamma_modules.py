@@ -46,7 +46,7 @@ class TorsionModule:
                 raise PrimeMismatchError(f"prime mismatch: generator {i} is at p = {g.prime}, "
                                          f"the module at p = {self.prime}")
             if g.is_zero():
-                raise PrecisionError("indistinguishable from zero at precision")
+                raise PrecisionError(f"generator {i} is indistinguishable from zero at precision")
 
     def to_json(self) -> dict:
         return {"p": self.prime, "generators": [g.to_json() for g in self.generators]}
@@ -203,11 +203,12 @@ def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiRe
     exponent = 0
     r = 0
     total_lambda = 0
-    for g in module.generators:
+    for i, g in enumerate(module.generators):
         form = distinguished_part(g)
         if form.lam == 0:
             if form.mu > 0:
-                raise InputError("component not oracle-representable")
+                raise InputError(f"component not oracle-representable: generator {i} is a unit "
+                                 f"times p^mu = {p}^{form.mu}")
             continue  # unit generator: zero module, trivial contribution
         total_lambda += form.lam
         if total_lambda > MAX_TOTAL_LAMBDA:

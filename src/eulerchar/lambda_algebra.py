@@ -14,7 +14,8 @@ approximation in Z/p^N: exact, no floating point.  The rounds run at
 shrinking precision, and a series with lambda = 0 needs no round and no
 inverse.  :func:`weierstrass_prepare` returns all three factors;
 :func:`distinguished_part` returns (mu, P) without forming U, for callers
-that compare characteristic elements, which are defined only up to units.
+that compare characteristic elements, which are defined only up to units; its
+rounds run only on the terms that can still reach P.
 """
 
 from __future__ import annotations
@@ -290,7 +291,8 @@ def mu_lambda(g: LambdaSeries) -> Tuple[int, int]:
     return mu, next(i for i, c in enumerate(g.coeffs) if c % pm)
 
 
-def _weierstrass_division(g: LambdaSeries) -> Tuple[int, tuple, List[int], List[int]]:
+def _weierstrass_division(g: LambdaSeries,
+                          unit: bool) -> Tuple[int, tuple, List[int], Optional[List[int]]]:
     """mu, P, h_high and the sum of the high, whose quotient is U, for g = p^mu * P * U.
 
     With h = g / p^mu = h_low + T^lambda * h_high (see :func:`mu_lambda`),
@@ -307,27 +309,38 @@ def _weierstrass_division(g: LambdaSeries) -> Tuple[int, tuple, List[int], List[
     product is p^(k+1) * b_k with b_k = a_k * (-G') mod p^(n-k-1): the same
     integers, on slots that shrink every round, and b_k from T^lambda on,
     shifted down, is a_(k+1).  From round n - 1 on nothing changes.  When
-    lambda = 0, G = 0 and P = 1, so no round runs and no inverse is formed.
-    The lists returned are mod p^n.
+    lambda = 0, G = 0 and P = 1, and when n = 1 there is no round to run; then
+    no inverse is formed.
+
+    Without ``unit`` the rounds also run at the length P needs.  Round k changes
+    P only through its product's terms below T^lambda, and a term at T^j reaches
+    there, through the later rounds' shifts by T^lambda up to round n - 2, only if
+    j < lambda * (n - 1 - k); so round k runs on min(D, lambda * (n - 1 - k))
+    terms, 1/h_high is formed mod T^min(D, lambda * (n - 1)), only the lambda
+    terms of r are summed, and no sum of the high is returned (None).  The
+    lists returned are mod p^n.
     """
     mu, lam = mu_lambda(g)
     p, d, pe = g.prime, g.trunc_degree, g.prime ** mu
-    m = p ** (g.coeff_precision - mu)
+    n = g.coeff_precision - mu
+    m = p ** n
     h = [c // pe for c in g.coeffs]
     h_high = h[lam:] + [0] * lam
-    acc = [0] * lam + [1] + [0] * (d - lam - 1)  # r + T^lambda * (sum of the high)
-    if lam:
+    # r, and with the unit T^lambda * (sum of the high)
+    acc = [0] * lam + ([1] + [0] * (d - lam - 1) if unit else [])
+    if lam and n > 1:
         m1 = m // p
-        g1 = _kronecker([-(c // p) % m1 for c in h[:lam]], _invert_unit(h_high, m1), d, m1)
-        a, pk = [1] + [0] * (d - 1), p  # round k's high is p^k * a, and pk = p^(k+1)
+        t = d if unit else min(d, lam * (n - 1))  # round 0's length
+        g1 = _kronecker([-(c // p) % m1 for c in h[:lam]], _invert_unit(h_high[:t], m1), t, m1)
+        a, k, pk = [1], 0, p  # round k's high is p^k * a, and pk = p^(k+1)
         while pk < m and any(a):
-            mk = m // pk
-            g1 = [c % mk for c in g1]  # -G' mod p^(n-k-1)
-            b = _kronecker(a, g1, d, mk)
+            mk, t = m // pk, d if unit else min(d, lam * (n - 1 - k))
+            g1 = [c % mk for c in g1[:t]]  # -G' mod p^(n-k-1)
+            b = _kronecker(a, g1, t, mk)
             acc = [x + pk * y for x, y in zip(acc, b)]
-            a, pk = b[lam:] + [0] * lam, pk * p
-    high_sum = [c % m for c in acc[lam:]] + [0] * lam
-    return mu, tuple(-c % m for c in acc[:lam]) + (1,), h_high, high_sum
+            a, k, pk = b[lam:], k + 1, pk * p
+    poly = tuple(-c % m for c in acc[:lam]) + (1,)
+    return mu, poly, h_high, [c % m for c in acc[lam:]] + [0] * lam if unit else None
 
 
 def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
@@ -336,7 +349,7 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     :func:`_weierstrass_division` gives mu and P, and U = h_high / (sum of the
     high): one inverse and one product, or U = h when lambda = 0.
     """
-    mu, poly, h_high, high_sum = _weierstrass_division(g)
+    mu, poly, h_high, high_sum = _weierstrass_division(g, unit=True)
     p, n = g.prime, g.coeff_precision - mu
     m = p ** n
     unit = h_high if len(poly) == 1 else _kronecker(
@@ -346,7 +359,7 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
 
 def distinguished_part(g: LambdaSeries) -> DistinguishedPart:
     """(mu, P) of g = p^mu * P * U, by the same division, without forming U."""
-    mu, poly, _, _ = _weierstrass_division(g)
+    mu, poly, _, _ = _weierstrass_division(g, unit=False)
     return DistinguishedPart(g.prime, g.coeff_precision - mu, mu, poly)
 
 
@@ -405,6 +418,31 @@ def _poly_pow(base: List[int], k: int, text: str) -> List[int]:
     return [0] * (s * k) + out
 
 
+def _evaluate(node, text: str) -> List[int]:
+    """The coefficients of the parsed polynomial ``text`` at its syntax-tree ``node``."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return [node.value]
+    if isinstance(node, ast.Name) and node.id in ("T", "t"):
+        return [0, 1]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        inner = _evaluate(node.operand, text)
+        return [-c for c in inner] if isinstance(node.op, ast.USub) else inner
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, ast.Add):
+            return _poly_add(_evaluate(node.left, text), _evaluate(node.right, text))
+        if isinstance(node.op, ast.Sub):
+            return _poly_add(_evaluate(node.left, text), [-c for c in _evaluate(node.right, text)])
+        if isinstance(node.op, ast.Mult):
+            return _poly_mul(_evaluate(node.left, text), _evaluate(node.right, text), text)
+        if isinstance(node.op, ast.Pow):
+            exp = node.right
+            if not (isinstance(exp, ast.Constant) and type(exp.value) is int
+                    and 0 <= exp.value <= _MAX_PARSE_DEGREE):
+                raise InputError(f"unsupported exponent in polynomial {text!r}")
+            return _poly_pow(_evaluate(node.left, text), exp.value, text)
+    raise InputError(f"unsupported expression in polynomial {text!r}")
+
+
 def polynomial_from_text(text: str) -> List[int]:
     """Parse an integer polynomial in T.
 
@@ -416,32 +454,8 @@ def polynomial_from_text(text: str) -> List[int]:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
     except (SyntaxError, ValueError, RecursionError):
         raise InputError(f"cannot parse polynomial {text!r}") from None
-
-    def ev(node) -> List[int]:
-        if isinstance(node, ast.Constant) and type(node.value) is int:
-            return [node.value]
-        if isinstance(node, ast.Name) and node.id in ("T", "t"):
-            return [0, 1]
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            inner = ev(node.operand)
-            return [-c for c in inner] if isinstance(node.op, ast.USub) else inner
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Add):
-                return _poly_add(ev(node.left), ev(node.right))
-            if isinstance(node.op, ast.Sub):
-                return _poly_add(ev(node.left), [-c for c in ev(node.right)])
-            if isinstance(node.op, ast.Mult):
-                return _poly_mul(ev(node.left), ev(node.right), text)
-            if isinstance(node.op, ast.Pow):
-                exp = node.right
-                if not (isinstance(exp, ast.Constant) and type(exp.value) is int
-                        and 0 <= exp.value <= _MAX_PARSE_DEGREE):
-                    raise InputError(f"unsupported exponent in polynomial {text!r}")
-                return _poly_pow(ev(node.left), exp.value, text)
-        raise InputError(f"unsupported expression in polynomial {text!r}")
-
     try:
-        return ev(tree.body)
+        return _evaluate(tree.body, text)
     except RecursionError:
         raise InputError(f"polynomial nested too deeply: {text[:40]!r}...") from None
 

@@ -1,10 +1,13 @@
+import gc
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eulerchar.cli import main
+from eulerchar.cli import _json_text, main
 
 GOLDEN = Path(__file__).parent / "golden"
 X1_11 = {"a": ["0", "-1", "1", "0", "0"]}
@@ -433,6 +436,17 @@ QUICK_INERTIA_REFUSALS = [
      "prime mismatch: generator 0 is at p = 5, the module at p = 7"),
     (["akashi", "--data", '{"p":7,"char_elements":[{"p":5,"coeffs":[1,1]}]}'], 2,
      "prime mismatch: characteristic element 0 is at p = 5, the data at p = 7"),
+    # errors name the generator or the field
+    (["chi-module", "--module", '{"p":7,"generators":["T","0"]}'], 3,
+     "generator 1 is indistinguishable from zero at precision"),
+    (["chi-module", "--oracle", "--module", '{"p":7,"generators":["T","49"]}'], 2,
+     "component not oracle-representable: generator 1 is a unit times p^mu = 7^2"),
+    (["inertia-set", "--p", "7", "--m", "1"], 2, "invalid extension parameter: m must be >= 2"),
+    (["theorem3", "--config", pipeline(extension={"p": 5, "m": 113})], 2,
+     "extension prime disagrees with working prime: 'extension.p' = 5, 'p' = 7"),
+    # a key no reader uses would be echoed into the report, a float or NaN included
+    (["theorem3", "--config", pipeline(curve={**X1_11, "x": 1.5})], 2,
+     "malformed curve document: unknown key 'x'"),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)
@@ -557,3 +571,73 @@ def test_calls_in_one_process_share_no_state(capsys):
     assert "oracle" not in json.loads(forward[1][1])["results"]
     assert "invalid int value" in forward[2][2]
     assert json.loads(forward[5][1])["results"]["chi_gamma_input"] == "7^8"
+
+
+def test_writer_matches_json_dumps_on_golden_reports():
+    for path in sorted(GOLDEN.glob("*.json")):
+        text = path.read_text()
+        report = json.loads(text)
+        assert _json_text(report) + "\n" == text
+        assert _json_text(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers(min_value=-10 ** 1999, max_value=10 ** 1999)
+    | st.sampled_from([0, 10 ** 1999, -10 ** 1999, "", "\x00\x1f\x7f\"\\", "\u00e9\u4e2d\U0001f600"]),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_DOCUMENTS)
+def test_writer_matches_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [1.5, [1, 2.0], {"a": {"b": [float("nan")]}}, {1: 2}, {"a": b"x"}])
+def test_writer_refuses_what_json_cannot_hold_exactly(doc):
+    with pytest.raises(TypeError):
+        _json_text(doc)
+
+
+def test_reports_leave_no_garbage(capsys, tmp_path):
+    """A successful report leaves no reference cycle for the collector to find."""
+    for name, elements in (("L", ["T"]), ("M", ["T*(T+7)", {"coeffs": [1, 1]}]),
+                           ("N", ["T+7", "1+T"])):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"p": 7, "N": 6, "D": 8, "char_elements": elements}))
+    check = ",".join(str(tmp_path / f"{name}.json") for name in "LMN")
+    module = {"p": 7, "N": 8, "D": 12, "generators": ["T*(T-7)", {"coeffs": [49, 1]}]}
+    akashi = {"p": 7, "N": 6, "D": 10, "char_elements": ["T", {"coeffs": [0, 0, 1, 1]}, "7+T"],
+              "coranks": [1, 2, 0]}
+    calls = [
+        ["count-points", "--curve", json.dumps(X1_11), "--q", "113"],
+        ["euler-factor", "--a", "-2", "--q", "7", "--p", "7"],
+        ["prep", "--series", '{"p":7,"N":6,"D":8,"poly":"T^2+7*T+49"}'],
+        ["leading", "--series", '{"p":7,"N":4,"D":8,"coeffs":[0,0,49,7]}'],
+        ["chi-module", "--oracle", "--module", json.dumps(module)],
+        ["akashi", "--data", json.dumps(akashi)],
+        ["akashi", "--check", check],
+        ["split", "--l", "3", "--p", "13"],
+        ["inertia-set", "--p", "7", "--m", "226"],
+        ["theorem3", "--config", pipeline(tamagawa={"113": 1})],
+        ["example-x1-11"],
+    ]
+    assert {argv[0] for argv in calls} == {
+        "count-points", "euler-factor", "prep", "leading", "chi-module", "akashi", "split",
+        "inertia-set", "theorem3", "example-x1-11"}
+    for argv in calls:
+        assert main(argv) == 0  # first calls build the parser and fill module caches
+    capsys.readouterr()
+    garbage = []
+    gc.disable()
+    try:
+        for argv in calls:
+            gc.collect()
+            code = main(argv)
+            garbage.append((argv[0], code, gc.collect()))
+    finally:
+        gc.enable()
+    assert garbage == [(argv[0], 0, 0) for argv in calls]

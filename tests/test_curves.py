@@ -6,7 +6,7 @@ import pytest
 from eulerchar.curves import (MAX_COUNT_Q, MESTRE_FROM_Q, Curve, CurveLocalData,
                               _count_exhaustive, _count_mestre, count_points,
                               euler_factor, extension_trace, is_ordinary, local_data,
-                              quadratic_twist, x1_11)
+                              quadratic_twist, weierstrass_invariants, x1_11)
 from eulerchar.cyclotomic_fields import split
 from eulerchar.errors import InputError
 from eulerchar.padics import is_prime
@@ -72,6 +72,47 @@ def test_count_rejects_bad_inputs():
 def test_singular_curve_rejected():
     with pytest.raises(InputError, match="singular curve"):
         Curve(Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(0))
+
+
+def change_of_variables(a, r, s, t):
+    """The model after x = x' + r, y = y' + s*x' + t, which keeps the discriminant."""
+    a1, a2, a3, a4, a6 = a
+    return (a1 + 2 * s, a2 - s * a1 + 3 * r - s * s, a3 + r * a1 + 2 * t,
+            a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+            a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1)
+
+
+def test_curve_refuses_exactly_the_singular_models():
+    """The check on the integral model refuses a model iff the discriminant computed in
+    Fraction arithmetic is 0, and discriminant() gives that value."""
+    rng = random.Random(19)
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 9, 10 ** 30 + 3]))
+
+    models = [tuple(rational() if rng.random() < 0.7 else Fraction(0) for _ in range(5))
+              for _ in range(2000)]
+    for _ in range(300):
+        t = rational()
+        # a cusp y^2 = x^3 and nodes y^2 = x^3 - 3t^2 x + 2t^3 = (x - t)^2 (x + 2t), moved
+        base = (0, 0, 0, -3 * t * t, 2 * t ** 3) if t else (0, 0, 0, 0, 0)
+        models.append(change_of_variables(tuple(map(Fraction, base)),
+                                          rational(), rational(), rational()))
+    singular = 0
+    for a in models:
+        disc = weierstrass_invariants(*a)[4]
+        if disc == 0:
+            singular += 1
+            with pytest.raises(InputError, match="singular curve: discriminant is zero"):
+                Curve(*a)
+        else:
+            assert Curve(*a).discriminant() == disc
+    assert 300 <= singular < len(models) - 1000
+
+
+def test_curve_document_keys_are_checked():
+    with pytest.raises(InputError, match="malformed curve document: unknown key 'x'"):
+        Curve.from_json({"a": ["0", "-1", "1", "0", "0"], "x": 1.5})
 
 
 def test_euler_factor_worked_values():

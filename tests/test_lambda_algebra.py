@@ -260,6 +260,62 @@ def test_division_rounds_run_at_shrinking_precision(p, monkeypatch):
     assert part.distinguished_poly == naive_prepare(p, g.coeffs, 24)[1]
 
 
+@pytest.mark.parametrize("n, d, lam, mu", [(24, 48, 5, 0), (10, 48, 3, 2), (6, 12, 4, 1)])
+def test_distinguished_part_rounds_run_at_the_length_p_needs(n, d, lam, mu, monkeypatch):
+    """Without the unit, round k's product is on min(D, lambda * (n - 1 - k)) terms,
+    n = N - mu, and 1/h_high is formed mod T^min(D, lambda * (n - 1)); with it,
+    every round and the inverse run on all D terms."""
+    lengths, inverted = [], []  # d of each product outside an inversion; len of each inverse
+    kronecker, invert = lambda_algebra._kronecker, lambda_algebra._invert_unit
+
+    def recorded(a, b, d, m):
+        lengths.append(d)
+        return kronecker(a, b, d, m)
+
+    def recorded_inverse(c, m):
+        inverted.append(len(c))
+        mark = len(lengths)
+        out = invert(c, m)
+        del lengths[mark:]
+        return out
+
+    g = random_prepared_input(random.Random(n), 7, n, d, lam, mu)
+    monkeypatch.setattr(lambda_algebra, "_kronecker", recorded)
+    monkeypatch.setattr(lambda_algebra, "_invert_unit", recorded_inverse)
+    rounds = n - mu - 1
+    truncated = [min(d, lam * rounds)] + [min(d, lam * (rounds - k)) for k in range(rounds)]
+    for prepare, want in ((distinguished_part, truncated),
+                          (weierstrass_prepare, [d] * (rounds + 2))):
+        lengths.clear()
+        inverted.clear()
+        prepare(g)
+        # 1/h_high, G' on its length, then the rounds; the unit adds 1/(sum of the high) and U
+        assert inverted[0] == want[0]
+        assert lengths == want
+        assert len(inverted) == (1 if prepare is distinguished_part else 2)
+
+
+def test_distinguished_part_matches_full_preparation_on_random_inputs():
+    """(mu, P, precision) of the truncated division equal the full one's, and P the oracle's."""
+    rng = random.Random(19)
+    for trial in range(3000):
+        p = rng.choice([2, 3, 5, 7, 11, 13, 101])
+        n, d = rng.randint(1, 14), rng.randint(1, 48)
+        mu = rng.choice([0, n - 1, rng.randint(0, n - 1)])  # n - mu = 1 and mu > 0 included
+        lam = rng.choice([0, d - 1, rng.randint(0, d - 1)])  # lambda = D - 1 included
+        g = random_prepared_input(rng, p, n, d, lam, mu)
+        if trial % 3 == 0:  # sparse: keep only the unit at T^lambda and a few other terms
+            g = series(p, [c if i == lam or rng.random() < 0.2 else 0
+                           for i, c in enumerate(g.coeffs)], n, d)
+        form, part = weierstrass_prepare(g), distinguished_part(g)
+        assert (part.mu, part.distinguished_poly, part.precision) == \
+            (form.mu, form.distinguished_poly, form.precision) == \
+            (mu, part.distinguished_poly, n - mu)
+        assert part.lam == lam
+        if trial % 10 == 0:
+            assert part.distinguished_poly == naive_prepare(p, g.coeffs, n)[1]
+
+
 def test_lambda_zero_unit_is_the_series_over_p_to_the_mu(monkeypatch):
     rng, inversions, invert = random.Random(9), [], lambda_algebra._invert_unit
 
