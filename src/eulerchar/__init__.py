@@ -9,7 +9,7 @@ Submodules:
   form and finite-level Smith-normal-form oracle.
 * ``akashi`` -- alternating products of characteristic elements.
 * ``curves`` -- elliptic-curve point counts, traces, local Euler factors,
-  ordinarity, quadratic twists.
+  ordinarity.
 * ``cyclotomic_fields`` -- prime splitting in Q(mu_p), infinite-inertia sets.
 * ``euler_char`` -- the product formula tying everything together.
 * ``cli`` -- JSON-report command line front end.

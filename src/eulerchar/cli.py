@@ -50,6 +50,8 @@ def _load_json(text_or_path: str):
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise InputError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("malformed JSON: nested too deeply") from None
 
 
 _JSON_LITERALS = {True: "true", False: "false", None: "null"}
@@ -150,7 +152,7 @@ def _handle_chi_module(args):
 
 
 def _handle_akashi(args):
-    if args.check:
+    if args.check is not None:
         paths = [part.strip() for part in args.check.split(",")]
         if len(paths) != 3:
             raise InputError("--check needs three files: L,M,N")
@@ -163,8 +165,6 @@ def _handle_akashi(args):
             data.append(AkashiData.from_json(doc))
         ok = check_multiplicativity(*data)
         return {"check": paths}, {"multiplicative": ok}, [EXACT_NOTE]
-    if not args.data:
-        raise InputError("akashi needs --data or --check")
     doc = _load_json(args.data)
     data = AkashiData.from_json(doc)
     fraction = akashi_series(data)
@@ -334,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cm.set_defaults(handler=_handle_chi_module)
 
     ak = sub.add_parser("akashi", help="alternating product of characteristic elements")
-    source = ak.add_mutually_exclusive_group()
+    source = ak.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", help="Akashi JSON file or inline JSON")
     source.add_argument("--check", metavar="L,M,N",
                     help="three files; verify the middle series is the product "

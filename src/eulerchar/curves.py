@@ -14,16 +14,19 @@ The local Euler factor is implemented verbatim as
 (1 - a_v q^-s + q^(1-2s)) normalization at s = 1, but it is the form whose
 p-adic magnitudes the rest of the pipeline is calibrated against.
 
-Good reduction is tested on the model as given (p does not divide the
-discriminant of the supplied equation); no minimal model is computed, so a
-non-minimal model may falsely report bad reduction.
+A curve reaches F_q through its integral model: with u the lcm of the
+coefficients' denominators, the model with coefficients a_i * u^i, isomorphic
+to the given one wherever u is invertible.  A q dividing u is refused, and good
+reduction is tested on that model (q does not divide its discriminant); no
+minimal model is computed, so a non-minimal model may falsely report bad
+reduction.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -63,31 +66,30 @@ def _document_rational(c) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class Curve:
-    """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 with rational a_i."""
+    """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 with rational a_i.
+
+    ``_integral`` is (u, (a1*u, a2*u^2, a3*u^3, a4*u^4, a6*u^6)) with u the lcm
+    of the a_i's denominators: integers, and a model isomorphic to this one
+    wherever u is invertible (Silverman, AEC III.1).  It is built once, here;
+    the singularity test and every reduction mod q read it.
+    """
 
     a1: Fraction
     a2: Fraction
     a3: Fraction
     a4: Fraction
     a6: Fraction
+    _integral: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self._integral_discriminant()[0] == 0:
-            raise InputError("singular curve: discriminant is zero")
-
-    def _integral_discriminant(self):
-        """(discriminant of the integral model, u): with u the lcm of the a_i's
-        denominators, a_i * u^i are integers and the discriminant scales by u^12."""
-        coeffs = (self.a1, self.a2, self.a3, self.a4, self.a6)
+        coeffs = tuple(map(Fraction, (self.a1, self.a2, self.a3, self.a4, self.a6)))
+        for name, c in zip(("a1", "a2", "a3", "a4", "a6"), coeffs):
+            object.__setattr__(self, name, c)
         u = math.lcm(*(c.denominator for c in coeffs))
-        a = [c.numerator * (u ** i // c.denominator) for i, c in zip((1, 2, 3, 4, 6), coeffs)]
-        return weierstrass_invariants(*a)[4], u
-
-    def discriminant(self) -> Fraction:
-        disc, u = self._integral_discriminant()
-        return Fraction(disc, u ** 12)
+        a = tuple(c.numerator * (u ** i // c.denominator) for i, c in zip((1, 2, 3, 4, 6), coeffs))
+        if weierstrass_invariants(*a)[4] == 0:  # the discriminant, scaled by u^12
+            raise InputError("singular curve: discriminant is zero")
+        object.__setattr__(self, "_integral", (u, a))
 
     def to_json(self) -> dict:
         return {"a": [format_rational(c) for c in
@@ -114,15 +116,13 @@ def x1_11() -> Curve:
     return Curve(Fraction(0), Fraction(-1), Fraction(1), Fraction(0), Fraction(0))
 
 
-def _reduce_mod(value: Fraction, q: int) -> int:
-    if value.denominator % q == 0:
-        raise InputError(f"coefficient not q-integral at q = {q}")
-    return value.numerator * pow(value.denominator, -1, q) % q
-
-
 def _reduction(curve: Curve, q: int):
-    """((a1, a2, a3, a4, a6), (b2, b4, b6)) mod q; refuses a non-q-integral or singular model."""
-    a = tuple(_reduce_mod(c, q) for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    """((a1, a2, a3, a4, a6), (b2, b4, b6)) of the integral model mod q; refuses a
+    q dividing a denominator (q | u) or a singular reduction."""
+    u, model = curve._integral
+    if u % q == 0:
+        raise InputError(f"coefficient not q-integral at q = {q}")
+    a = tuple(c % q for c in model)
     b2, b4, b6, _, disc = weierstrass_invariants(*a)
     if disc % q == 0:
         raise InputError(f"singular reduction at q = {q}")
@@ -337,19 +337,6 @@ def euler_factor(a_v: int, q: int, p: int) -> EulerFactor:
 def is_ordinary(a_p: int, p: int) -> bool:
     """Good ordinary reduction criterion: a_p is a unit mod the prime p."""
     return a_p % p != 0
-
-
-def quadratic_twist(curve: Curve, d: int) -> Curve:
-    """Quadratic twist by d, via the completed-square model.
-
-    The curve is first put in the form y^2 = x^3 + (b2/4)x^2 + (b4/2)x +
-    (b6/4) (an isomorphism away from 2), then twisted coefficient-wise.
-    """
-    if d == 0:
-        raise InputError("twist parameter must be nonzero")
-    b2, b4, b6, _, _ = weierstrass_invariants(curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
-    return Curve(Fraction(0), d * b2 / 4, Fraction(0),
-                 d * d * b4 / 2, d ** 3 * b6 / 4)
 
 
 @dataclass(frozen=True)

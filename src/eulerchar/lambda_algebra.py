@@ -403,8 +403,6 @@ def _poly_pow(base: List[int], k: int, text: str) -> List[int]:
     The degree cap is checked on base^k up front; the coefficient bound on each
     product, all of them powers of base with exponent at most k.
     """
-    if k == 0:
-        return [1]
     if k * (len(base) - 1) >= _MAX_PARSE_DEGREE:
         raise InputError(f"polynomial degree exceeds parser cap {_MAX_PARSE_DEGREE}")
     s = next((i for i, c in enumerate(base) if c), 0)  # base = T^s * rest
@@ -452,7 +450,7 @@ def polynomial_from_text(text: str) -> List[int]:
     """
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except (SyntaxError, ValueError, RecursionError):
+    except (SyntaxError, ValueError, RecursionError, MemoryError):  # MemoryError: deep nesting
         raise InputError(f"cannot parse polynomial {text!r}") from None
     try:
         return _evaluate(tree.body, text)

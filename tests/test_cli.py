@@ -295,6 +295,8 @@ def pipeline(**changes):
     return json.dumps({**PIPELINE, **changes})
 
 
+DEEP_JSON = "[" * 10000 + "]" * 10000
+
 # Refused within a second: a p-th power test over all of [1, m] once took 9.5 s on the first
 # (forming 2^1000000007) and did not finish in 100 s on the second.
 QUICK_INERTIA_REFUSALS = [
@@ -310,7 +312,7 @@ QUICK_INERTIA_REFUSALS = [
     (["akashi", "--data", '{"p":7,"char_elements":"T"}'], 2, "'char_elements' must be a list"),
     (["akashi", "--data", '{"p":7,"N":2,"D":4,"char_elements":["7","1","7"]}'], 3, "vanishes"),
     (["akashi", "--check", "a.json,b.json"], 2, "three files"),
-    (["akashi"], 2, "needs --data or --check"),
+    (["akashi"], 2, "one of the arguments --data --check is required"),
     (["prep", "--series", '{"p":7'], 2, "malformed JSON"),
     (["theorem3", "--config", '{"p":7}'], 2, "malformed pipeline document: 'chi_gamma'"),
     (["theorem3", "--config", pipeline(extension={"p": 11, "m": 113})], 2,
@@ -447,11 +449,19 @@ QUICK_INERTIA_REFUSALS = [
     # a key no reader uses would be echoed into the report, a float or NaN included
     (["theorem3", "--config", pipeline(curve={**X1_11, "x": 1.5})], 2,
      "malformed curve document: unknown key 'x'"),
+    # nesting past what the parsers recurse through (deep.json is written below)
+    (["leading", "--series", '{"p":7,"N":4,"D":4,"poly":"%sT"}' % ("-" * 10000)], 2,
+     "cannot parse polynomial '---"),
+    (["prep", "--series", '{"p":%s}' % DEEP_JSON], 2, "malformed JSON: nested too deeply"),
+    (["theorem3", "--config", "deep.json"], 2, "malformed JSON: nested too deeply"),
+    # an empty --check is a source too, not a missing one
+    (["akashi", "--check", ""], 2, "--check needs three files"),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)
     for p in (5, 7):
         (tmp_path / f"p{p}.json").write_text(json.dumps({"p": p, "char_elements": ["T"]}))
+    (tmp_path / "deep.json").write_text(pipeline()[:-1] + ', "tamagawa": %s}' % DEEP_JSON)
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert message in err

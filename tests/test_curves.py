@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,18 +7,32 @@ import pytest
 from eulerchar.curves import (MAX_COUNT_Q, MESTRE_FROM_Q, Curve, CurveLocalData,
                               _count_exhaustive, _count_mestre, count_points,
                               euler_factor, extension_trace, is_ordinary, local_data,
-                              quadratic_twist, weierstrass_invariants, x1_11)
+                              weierstrass_invariants, x1_11)
 from eulerchar.cyclotomic_fields import split
 from eulerchar.errors import InputError
 from eulerchar.padics import is_prime
 
 
+def reduce_coefficients(curve, q):
+    """The model mod q, one coefficient at a time: numerator * denominator^-1."""
+    return tuple(c.numerator * pow(c.denominator, -1, q) % q
+                 for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+
+
+def quadratic_twist(curve, d):
+    """Quadratic twist by d != 0, via the completed-square model.
+
+    The curve is first put in the form y^2 = x^3 + (b2/4)x^2 + (b4/2)x +
+    (b6/4) (an isomorphism away from 2), then twisted coefficient-wise; so
+    #E + #E' = 2q + 2 for d a non-residue mod an odd prime q of good reduction.
+    """
+    b2, b4, b6, _, _ = weierstrass_invariants(curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+    return Curve(Fraction(0), d * b2 / 4, Fraction(0), d * d * b4 / 2, d ** 3 * b6 / 4)
+
+
 # Independent oracle: enumerate all affine pairs (x, y), any characteristic.
 def brute_count(curve, q):
-    def red(c):
-        return c.numerator * pow(c.denominator, -1, q) % q
-    a1, a2, a3, a4, a6 = (red(c) for c in
-                          (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    a1, a2, a3, a4, a6 = reduce_coefficients(curve, q)
     count = 1
     for x in range(q):
         for y in range(q):
@@ -29,7 +44,9 @@ def brute_count(curve, q):
 
 
 def test_x1_11_discriminant():
-    assert x1_11().discriminant() == Fraction(-11)
+    u, a = x1_11()._integral
+    assert (u, a) == (1, (0, -1, 1, 0, 0))
+    assert weierstrass_invariants(*a)[4] == -11
 
 
 def test_worked_example_counts():
@@ -84,7 +101,8 @@ def change_of_variables(a, r, s, t):
 
 def test_curve_refuses_exactly_the_singular_models():
     """The check on the integral model refuses a model iff the discriminant computed in
-    Fraction arithmetic is 0, and discriminant() gives that value."""
+    Fraction arithmetic is 0; otherwise the integral model's discriminant is that value
+    times u^12."""
     rng = random.Random(19)
 
     def rational():
@@ -106,8 +124,50 @@ def test_curve_refuses_exactly_the_singular_models():
             with pytest.raises(InputError, match="singular curve: discriminant is zero"):
                 Curve(*a)
         else:
-            assert Curve(*a).discriminant() == disc
+            u, model = Curve(*a)._integral
+            assert all(type(c) is int for c in model)
+            assert weierstrass_invariants(*model)[4] == disc * u ** 12
     assert 300 <= singular < len(models) - 1000
+
+
+def test_counts_and_refusals_match_the_model_reduced_coefficientwise():
+    """count_points reduces the integral model; the oracle reduces each given coefficient
+    (numerator * denominator^-1 mod q) and counts pairs (x, y) on that model."""
+    rng = random.Random(20)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 9, 12]))
+
+    models = [tuple(rational() for _ in range(5)) for _ in range(60)]
+    for _ in range(8):  # nodes y^2 = (x - t)^2 (x + 2t), moved
+        t = rational() or Fraction(1, 2)
+        models.append(change_of_variables((0, 0, 0, -3 * t * t, 2 * t ** 3),
+                                          rational(), rational(), rational()))
+    curves = []
+    for a in models:
+        if weierstrass_invariants(*a)[4] == 0:
+            with pytest.raises(InputError, match="singular curve: discriminant is zero"):
+                Curve(*a)
+        else:
+            curves.append(Curve(*a))
+    assert len(curves) >= 40 and len(models) - len(curves) >= 8
+    outcomes = Counter()
+    for curve in curves:
+        for q in (q for q in range(2, 60) if is_prime(q)):
+            if any(c.denominator % q == 0
+                   for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)):
+                expected = f"coefficient not q-integral at q = {q}"
+            elif weierstrass_invariants(*reduce_coefficients(curve, q))[4] % q == 0:
+                expected = f"singular reduction at q = {q}"
+            else:
+                expected = brute_count(curve, q)
+            try:
+                got = count_points(curve, q)
+            except InputError as exc:
+                got = str(exc)
+            assert got == expected, (curve, q)
+            outcomes["count" if type(expected) is int else expected.split(" at q")[0]] += 1
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 20, outcomes
 
 
 def test_curve_document_keys_are_checked():
@@ -206,7 +266,7 @@ def _random_good_curve(rng, q):
             curve = Curve(*coeffs)
         except InputError:
             continue
-        if curve.discriminant().numerator % q != 0:
+        if weierstrass_invariants(*curve._integral[1])[4] % q != 0:
             return curve
 
 

@@ -571,12 +571,17 @@ def test_polynomial_text_parsing():
     assert polynomial_from_text("(1+T)^2") == [1, 2, 1]
     assert polynomial_from_text("-3") == [-3]
     assert polynomial_from_text("7 + T") == [7, 1]
+    for one in ("T^0", "(T+7)^0", "0^0"):
+        assert polynomial_from_text(one) == [1]
     g = series_from_text(7, "T*(T-7)", 8, 12)
     assert g.coeffs[:3] == (0, 7 ** 8 - 7, 1)
     for bad in ("T/2", "__import__('os')", "T^T", "x + 1", "T^(2+2)", "True", "T\x00",
                 "9" * 5000, "-" * 5000 + "T", "+".join(["T"] * 5000)):
         with pytest.raises(InputError):
             polynomial_from_text(bad)
+    # parsed, but past what the evaluator recurses through
+    with pytest.raises(InputError, match="polynomial nested too deeply"):
+        polynomial_from_text("+".join(["T"] * 1000))
 
 
 def test_construction_validation():
