@@ -15,8 +15,8 @@ Submodules:
 * ``cli`` -- JSON-report command line front end.
 """
 
-from .errors import EulerCharError, InputError, PrecisionError, PrimeMismatchError
+from .errors import EulerCharError, InputError, PrecisionError
 
-__all__ = ["EulerCharError", "InputError", "PrecisionError", "PrimeMismatchError"]
+__all__ = ["EulerCharError", "InputError", "PrecisionError"]
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ import functools
 import operator
 from dataclasses import dataclass
 
-from .errors import InputError, PrecisionError, PrimeMismatchError
+from .errors import InputError, PrecisionError
 from .lambda_algebra import (LambdaSeries, distinguished_part, leading_term,
                              min_coeff_valuation, mu_lambda, series_list_from_doc)
 from .padics import PowerOfP
@@ -46,8 +46,8 @@ class AkashiData:
             raise InputError("need at least one characteristic element")
         for i, g in enumerate(self.char_elements):
             if g.prime != self.prime:
-                raise PrimeMismatchError(f"prime mismatch: characteristic element {i} is at "
-                                         f"p = {g.prime}, the data at p = {self.prime}")
+                raise InputError(f"prime mismatch: characteristic element {i} is at "
+                                 f"p = {g.prime}, the data at p = {self.prime}")
 
     def to_json(self) -> dict:
         return {"p": self.prime,
@@ -61,25 +61,13 @@ class AkashiData:
 
 @dataclass(frozen=True)
 class AkashiFraction:
-    """The alternating product as a formal numerator/denominator pair, with the
-    characteristic elements it was formed from, which give its leading data."""
+    """The alternating product as a formal numerator/denominator pair, with its leading
+    T-exponent k and v_p(alpha): the alternating sums of the elements' own."""
 
     numerator: LambdaSeries
     denominator: LambdaSeries
-    char_elements: tuple
-
-    def _alternating_sum(self, read) -> int:
-        return sum(read(leading_term(g)) * (-1) ** i for i, g in enumerate(self.char_elements))
-
-    @property
-    def k(self) -> int:
-        """Leading T-exponent: the alternating sum of the elements' own."""
-        return self._alternating_sum(operator.attrgetter("k"))
-
-    @property
-    def alpha_valuation(self) -> int:
-        """v_p of the leading coefficient alpha: the alternating sum of the elements' own."""
-        return self._alternating_sum(operator.attrgetter("alpha_valuation"))
+    k: int
+    alpha_valuation: int
 
     @property
     def chi(self) -> PowerOfP:
@@ -88,18 +76,22 @@ class AkashiFraction:
 
 
 def akashi_series(data: AkashiData) -> AkashiFraction:
-    """Alternating product, reduced by common T-powers and p-powers only."""
+    """Alternating product, reduced by common T-powers and p-powers, and its leading data."""
     num = functools.reduce(operator.mul, data.char_elements[::2])
     den = functools.reduce(operator.mul, data.char_elements[1::2] or (
         LambdaSeries.one(data.prime, num.coeff_precision, num.trunc_degree),))
-    if num.is_zero() or den.is_zero():
+    orders = (num.t_order(), den.t_order())
+    if None in orders:
         raise PrecisionError("product of characteristic elements vanishes at precision")
 
-    t = min(num.t_order(), den.t_order())
+    t = min(orders)
     num, den = num.shift_down(t), den.shift_down(t)
     e = min(min_coeff_valuation(num), min_coeff_valuation(den))
     num, den = num.divide_p_power(e), den.divide_p_power(e)
-    return AkashiFraction(num, den, data.char_elements)
+    # each element is nonzero at precision, as the products are
+    leads = [(leading_term(g), (-1) ** i) for i, g in enumerate(data.char_elements)]
+    return AkashiFraction(num, den, sum(s * x.k for x, s in leads),
+                          sum(s * x.alpha_valuation for x, s in leads))
 
 
 def check_multiplicativity(l_data: AkashiData, m_data: AkashiData,
@@ -122,8 +114,8 @@ def check_multiplicativity(l_data: AkashiData, m_data: AkashiData,
     f_l, f_m, f_n = map(akashi_series, (l_data, m_data, n_data))
     for i, data in enumerate((m_data, n_data), 1):
         if data.prime != l_data.prime:
-            raise PrimeMismatchError(f"prime mismatch: term {i} ({'LMN'[i]}) is at "
-                                     f"p = {data.prime}, term 0 (L) at p = {l_data.prime}")
+            raise InputError(f"prime mismatch: term {i} ({'LMN'[i]}) is at "
+                             f"p = {data.prime}, term 0 (L) at p = {l_data.prime}")
     left = (f_m.numerator, f_n.denominator, f_l.denominator)
     right = (f_n.numerator, f_l.numerator, f_m.denominator)
     sums = [tuple(map(sum, zip(*map(mu_lambda, side)))) for side in (left, right)]

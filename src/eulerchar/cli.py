@@ -39,8 +39,10 @@ CONDITIONAL_NOTE = ("finiteness of the generalized Euler characteristic is a hyp
                     "underlying module; it is not certified from the series data alone")
 
 
-def _load_json(text_or_path: str):
+def _load_json(text_or_path: str, option: str):
     text = text_or_path.strip()
+    if not text:
+        raise InputError(f"{option} is empty")
     if not text.startswith("{"):
         try:
             text = Path(text_or_path).read_text()
@@ -91,7 +93,7 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def _handle_count_points(args):
-    curve = Curve.from_json(_load_json(args.curve))
+    curve = Curve.from_json(_load_json(args.curve, "--curve"))
     n = count_points(curve, args.q)
     return ({"curve": curve.to_json(), "q": args.q},
             {"q": args.q, "point_count": n, "a_v": args.q + 1 - n}, [EXACT_NOTE])
@@ -111,7 +113,7 @@ def _handle_euler_factor(args):
 
 
 def _handle_prep(args):
-    series = series_from_doc(_load_json(args.series))
+    series = series_from_doc(_load_json(args.series, "--series"))
     form = weierstrass_prepare(series)
     results = {
         "mu": form.mu,
@@ -119,13 +121,12 @@ def _handle_prep(args):
         "distinguished_poly": list(form.distinguished_poly),
         "poly_precision": form.precision,
         "unit": form.unit.to_json(),
-        "reconstruction_ok": form.reconstruct().agrees_with(series),
     }
     return {"series": series.to_json()}, results, [EXACT_NOTE]
 
 
 def _handle_leading(args):
-    series = series_from_doc(_load_json(args.series))
+    series = series_from_doc(_load_json(args.series, "--series"))
     term = leading_term(series)
     results = {"alpha": term.alpha, "alpha_valuation": term.alpha_valuation,
                "k": term.k}
@@ -137,7 +138,7 @@ def _handle_chi_module(args):
         raise InputError("--prec requires --oracle")
     if args.prec is not None and args.prec < 1:
         raise InputError(f"--prec must be >= 1, got {args.prec}")
-    module = TorsionModule.from_json(_load_json(args.module))
+    module = TorsionModule.from_json(_load_json(args.module, "--module"))
     closed = generalized_chi(module)
     results = {"closed_form": closed.to_json()}
     if args.oracle:
@@ -156,16 +157,18 @@ def _handle_akashi(args):
         paths = [part.strip() for part in args.check.split(",")]
         if len(paths) != 3:
             raise InputError("--check needs three files: L,M,N")
+        if "" in paths:  # refused before any file is read
+            raise InputError(f"part {paths.index('') + 1} of --check is empty")
         data = []
         for path in paths:
-            doc = _load_json(path)
+            doc = _load_json(path, "--check")
             if isinstance(doc, dict) and "coranks" in doc:
                 raise InputError(f"malformed Akashi document {path!r}: 'coranks' is read "
                                  "only by akashi --data")
             data.append(AkashiData.from_json(doc))
         ok = check_multiplicativity(*data)
         return {"check": paths}, {"multiplicative": ok}, [EXACT_NOTE]
-    doc = _load_json(args.data)
+    doc = _load_json(args.data, "--data")
     data = AkashiData.from_json(doc)
     fraction = akashi_series(data)
     results = {
@@ -203,7 +206,7 @@ def _handle_inertia_set(args):
 
 
 def _handle_theorem(args):
-    doc = _load_json(args.config)
+    doc = _load_json(args.config, "--config")
     try:
         p = json_int(doc["p"], "p", "pipeline")
         chi_gamma = PowerOfP.parse(p, str(doc["chi_gamma"]))

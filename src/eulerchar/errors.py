@@ -15,9 +15,5 @@ class InputError(EulerCharError):
     """Invalid or out-of-contract input data."""
 
 
-class PrimeMismatchError(InputError):
-    """Operands carry different primes."""
-
-
 class PrecisionError(EulerCharError):
     """The answer is not determined at the declared precision."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .errors import InputError, PrecisionError, PrimeMismatchError
+from .errors import InputError, PrecisionError
 from .lambda_algebra import distinguished_part, leading_term, series_list_from_doc
 from .padics import PowerOfP, int_valuation
 
@@ -43,9 +43,9 @@ class TorsionModule:
             raise InputError("torsion module needs at least one generator")
         for i, g in enumerate(self.generators):
             if g.prime != self.prime:
-                raise PrimeMismatchError(f"prime mismatch: generator {i} is at p = {g.prime}, "
-                                         f"the module at p = {self.prime}")
-            if g.is_zero():
+                raise InputError(f"prime mismatch: generator {i} is at p = {g.prime}, "
+                                 f"the module at p = {self.prime}")
+            if g.t_order() is None:
                 raise PrecisionError(f"generator {i} is indistinguishable from zero at precision")
 
     def to_json(self) -> dict:

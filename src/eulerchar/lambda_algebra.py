@@ -25,7 +25,7 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InputError, PrecisionError, PrimeMismatchError
+from .errors import InputError, PrecisionError
 from .padics import MAX_VALUE, check_keys, check_prime, int_valuation, json_int, power_below_bound
 
 _MAX_PARSE_DEGREE = 512
@@ -87,32 +87,19 @@ class LambdaSeries:
 
     # -- predicates and views ----------------------------------------------
 
-    def is_zero(self) -> bool:
-        """True when indistinguishable from zero at the declared precision."""
-        return all(c == 0 for c in self.coeffs)
-
     def t_order(self) -> Optional[int]:
-        """Index of the first coefficient nonzero at precision, or None."""
+        """Index of the first coefficient nonzero at precision; None if there is none."""
         for i, c in enumerate(self.coeffs):
             if c != 0:
                 return i
         return None
 
-    def agrees_with(self, other: "LambdaSeries") -> bool:
-        """Equality at the shared precision (min N, min D)."""
-        if self.prime != other.prime:
-            return False
-        n = min(self.coeff_precision, other.coeff_precision)
-        d = min(self.trunc_degree, other.trunc_degree)
-        m = self.prime ** n
-        return all((self.coeffs[i] - other.coeffs[i]) % m == 0 for i in range(d))
-
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
         if self.prime != other.prime:
-            raise PrimeMismatchError(f"prime mismatch: a product of a series at p = "
-                                     f"{self.prime} and one at p = {other.prime}")
+            raise InputError(f"prime mismatch: a product of a series at p = "
+                             f"{self.prime} and one at p = {other.prime}")
         n = min(self.coeff_precision, other.coeff_precision)
         d = min(self.trunc_degree, other.trunc_degree)
         return LambdaSeries(self.prime, n,
@@ -187,15 +174,12 @@ class DistinguishedPart:
         return len(self.distinguished_poly) - 1
 
     def same_characteristic_element(self, other: "DistinguishedPart") -> bool:
-        """Equality up to units: compare (mu, distinguished_poly) at shared precision.
+        """Equality up to units: compare distinguished_poly at shared precision.
 
         Characteristic elements are only defined modulo invertible series,
-        so the unit part is deliberately ignored.
+        so the unit part is deliberately ignored.  Callers compare p, mu and
+        lambda first, so both parts share them and only P is left to compare.
         """
-        if self.prime != other.prime:
-            return False
-        if self.mu != other.mu or self.lam != other.lam:
-            return False
         m = self.prime ** min(self.precision, other.precision)
         return all((a - b) % m == 0 for a, b in
                    zip(self.distinguished_poly, other.distinguished_poly))
@@ -209,12 +193,6 @@ class WeierstrassForm(DistinguishedPart):
     """
 
     unit: LambdaSeries
-
-    def reconstruct(self) -> LambdaSeries:
-        """p^mu * P * U, carrying precision (N, D) of the prepared input."""
-        p, n, pe = self.prime, self.precision, self.prime ** self.mu
-        prod = _kronecker(self.distinguished_poly, self.unit.coeffs, self.unit.trunc_degree, p ** n)
-        return LambdaSeries(p, n + self.mu, tuple(c * pe for c in prod))
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int], d: int, m: int) -> List[int]:
@@ -374,6 +352,11 @@ def leading_term(g: LambdaSeries) -> LeadingTerm:
 # -- compact polynomial notation ---------------------------------------------
 
 
+def _quoted(text: str) -> str:
+    """The polynomial ``text`` as an error message quotes it: its first 40 characters."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
+
+
 def _poly_add(a: List[int], b: List[int]) -> List[int]:
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
@@ -393,7 +376,7 @@ def _poly_mul(a: List[int], b: List[int], text: str) -> List[int]:
             for j, e in enumerate(b):
                 out[i + j] += c * e
     if max(map(abs, out)) >= MAX_VALUE:
-        raise InputError(f"polynomial {text!r} has a coefficient past the bound 10^2000")
+        raise InputError(f"polynomial {_quoted(text)} has a coefficient past the bound 10^2000")
     return out
 
 
@@ -436,9 +419,9 @@ def _evaluate(node, text: str) -> List[int]:
             exp = node.right
             if not (isinstance(exp, ast.Constant) and type(exp.value) is int
                     and 0 <= exp.value <= _MAX_PARSE_DEGREE):
-                raise InputError(f"unsupported exponent in polynomial {text!r}")
+                raise InputError(f"unsupported exponent in polynomial {_quoted(text)}")
             return _poly_pow(_evaluate(node.left, text), exp.value, text)
-    raise InputError(f"unsupported expression in polynomial {text!r}")
+    raise InputError(f"unsupported expression in polynomial {_quoted(text)}")
 
 
 def polynomial_from_text(text: str) -> List[int]:
@@ -451,11 +434,11 @@ def polynomial_from_text(text: str) -> List[int]:
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
     except (SyntaxError, ValueError, RecursionError, MemoryError):  # MemoryError: deep nesting
-        raise InputError(f"cannot parse polynomial {text!r}") from None
+        raise InputError(f"cannot parse polynomial {_quoted(text)}") from None
     try:
         return _evaluate(tree.body, text)
     except RecursionError:
-        raise InputError(f"polynomial nested too deeply: {text[:40]!r}...") from None
+        raise InputError(f"polynomial nested too deeply: {_quoted(text)}") from None
 
 
 def series_from_text(prime: int, text: str, precision: int, degree: int) -> LambdaSeries:
@@ -468,8 +451,8 @@ def series_from_text(prime: int, text: str, precision: int, degree: int) -> Lamb
     m = prime ** precision
     for i, c in enumerate(poly):
         if c and not c % m:
-            raise InputError(f"polynomial {text!r} has coefficient {c} of T^{i}, which is 0 "
-                             f"mod p^N = {prime}^{precision}; a larger N keeps it")
+            raise InputError(f"polynomial {_quoted(text)} has coefficient {c} of T^{i}, "
+                             f"which is 0 mod p^N = {prime}^{precision}; a larger N keeps it")
     return LambdaSeries._reduced(prime, poly, precision, degree)
 
 

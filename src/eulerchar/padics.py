@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .errors import InputError, PrimeMismatchError
+from .errors import InputError
 
 
 # The first 13 primes as Miller-Rabin bases, and for each k the least odd
@@ -156,7 +156,7 @@ class PowerOfP:
 
     def _check_same_prime(self, other: "PowerOfP") -> None:
         if self.prime != other.prime:
-            raise PrimeMismatchError("prime mismatch")
+            raise InputError("prime mismatch")
 
     def __mul__(self, other: "PowerOfP") -> "PowerOfP":
         self._check_same_prime(other)

@@ -21,6 +21,7 @@ from eulerchar.lambda_algebra import (LambdaSeries, leading_term, series_from_te
                                       weierstrass_prepare)
 from eulerchar.padics import PowerOfP
 from test_curves import quadratic_twist
+from test_lambda_algebra import agrees_with, reconstruct
 
 
 @contextmanager
@@ -111,10 +112,10 @@ def test_criterion_5_weierstrass_property_suite():
             forms = []
             for s in (g, h):
                 form = weierstrass_prepare(s)
-                assert form.reconstruct().agrees_with(s)
-                again = weierstrass_prepare(form.reconstruct())
-                assert form.same_characteristic_element(again)
+                assert agrees_with(reconstruct(form), s)
+                again = weierstrass_prepare(reconstruct(form))
                 assert (form.mu, form.lam) == (again.mu, again.lam)
+                assert form.same_characteristic_element(again)
                 forms.append(form)
                 prepared += 1
             mu_sum = forms[0].mu + forms[1].mu

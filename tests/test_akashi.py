@@ -5,11 +5,12 @@ import pytest
 
 from eulerchar import akashi
 from eulerchar.akashi import AkashiData, akashi_series, check_multiplicativity
-from eulerchar.errors import EulerCharError, PrecisionError, PrimeMismatchError
+from eulerchar.errors import EulerCharError, InputError, PrecisionError
 from eulerchar.gamma_modules import TorsionModule, generalized_chi
-from eulerchar.lambda_algebra import (LambdaSeries, distinguished_part, leading_term,
-                                      mu_lambda, series_from_text)
+from eulerchar.lambda_algebra import (DistinguishedPart, LambdaSeries, distinguished_part,
+                                      leading_term, mu_lambda, series_from_text)
 from eulerchar.padics import PowerOfP
+from test_lambda_algebra import agrees_with
 
 
 def data(p, *polys, precision=10, degree=32):
@@ -27,8 +28,8 @@ def degreewise_product(a, b):
 
 def test_single_degree_fraction():
     frac = akashi_series(data(7, "T+7"))
-    assert frac.numerator.agrees_with(series_from_text(7, "T+7", 10, 32))
-    assert frac.denominator.agrees_with(LambdaSeries.one(7, 10, 32))
+    assert agrees_with(frac.numerator, series_from_text(7, "T+7", 10, 32))
+    assert agrees_with(frac.denominator, LambdaSeries.one(7, 10, 32))
 
 
 def test_repeated_element_cancels_to_one():
@@ -104,7 +105,7 @@ def test_multiplicativity_vanishing_cross_product():
 
 
 def test_multiplicativity_prime_mismatch():
-    with pytest.raises(PrimeMismatchError):
+    with pytest.raises(InputError, match="prime mismatch"):
         check_multiplicativity(data(7, "T"), data(5, "T"), data(7, "T"))
 
 
@@ -178,13 +179,12 @@ def test_fraction_reduction_cancels_common_factors():
     frac = akashi_series(data(7, "49*T^2", "7*T"))
     # common factor 7*T removed: numerator 7*T, denominator 1
     assert frac.numerator.t_order() == 1
-    assert frac.denominator.agrees_with(LambdaSeries.one(7, frac.denominator.coeff_precision,
-                                                         frac.denominator.trunc_degree))
+    assert agrees_with(frac.denominator, LambdaSeries.one(7, frac.denominator.coeff_precision,
+                                                          frac.denominator.trunc_degree))
 
 
 def test_corank_list_checked_not_trusted():
     from eulerchar.akashi import coranks_consistent
-    from eulerchar.errors import InputError
 
     # T in degree 0 and T^2 in degree 1: k = 1 - 2 = -1
     a = data(7, "T", "T^2*(1+T)")
@@ -263,7 +263,7 @@ def _loose_triple(rng, p):
         middle = list(degreewise_product(l_data, n_data).char_elements)
         i = rng.randrange(len(middle))
         g = middle[i]
-        if kind == 1 and not g.is_zero() and mu_lambda(g)[0] + 1 < g.coeff_precision:
+        if kind == 1 and g.t_order() is not None and mu_lambda(g)[0] + 1 < g.coeff_precision:
             nudged = (g.coeffs[0] + p ** (mu_lambda(g)[0] + 1),) + g.coeffs[1:]
             middle[i] = LambdaSeries.make(p, nudged, g.coeff_precision, g.trunc_degree)
         m_data = AkashiData(p, tuple(middle))
@@ -283,11 +283,11 @@ def _edge_triple(rng, p):
         shapes = [(rng.randrange(n), lam_a), (rng.randrange(n), d - lam_a)]
     a, b = (_shaped(rng, p, n, d, *shape) for shape in shapes)
     ab = a * b
-    middle = ab if rng.random() < 0.5 and not ab.is_zero() else a
+    middle = ab if rng.random() < 0.5 and ab.t_order() is not None else a
     return AkashiData(p, (a,)), AkashiData(p, (middle,)), AkashiData(p, (b,))
 
 
-def test_multiplicativity_matches_the_full_route():
+def test_multiplicativity_matches_the_full_route(monkeypatch):
     rng = random.Random(53)
     triples = []
     for i in range(320):
@@ -303,7 +303,17 @@ def test_multiplicativity_matches_the_full_route():
     # cross-products that vanish at N = 2
     seven, t = data(7, "7", precision=2), data(7, "T", precision=2)
     triples += [(seven, t, seven), (t, seven, data(7, "1", "7", precision=2))]
-    outcomes = [outcome(check_multiplicativity, triple) for triple in triples]
+    # same_characteristic_element compares P alone: its callers have matched p, mu and lambda
+    compared, same = [], DistinguishedPart.same_characteristic_element
+
+    def recorded(a, b):
+        compared.append(((a.prime, a.mu, a.lam), (b.prime, b.mu, b.lam)))
+        return same(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DistinguishedPart, "same_characteristic_element", recorded)
+        outcomes = [outcome(check_multiplicativity, triple) for triple in triples]
+    assert compared and all(a == b for a, b in compared)
     assert outcomes == [outcome(full_route, triple) for triple in triples]
     assert {True, False} <= set(outcomes)
     assert outcomes[:2] == [True, False] and outcomes[-1][0] is PrecisionError

@@ -1,5 +1,7 @@
 import gc
 import json
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from eulerchar.cli import _json_text, main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 X1_11 = {"a": ["0", "-1", "1", "0", "0"]}
 
 
@@ -73,7 +76,8 @@ def test_prep_command(capsys, tmp_path):
     assert report["results"]["mu"] == 1
     assert report["results"]["lambda"] == 1
     assert report["results"]["distinguished_poly"] == [7, 1]
-    assert report["results"]["reconstruction_ok"] is True
+    # 49 + 350T + 49T^2 = 7 * (T + 7) * (1 + 7T)
+    assert report["results"]["unit"] == {"p": 7, "N": 3, "D": 8, "coeffs": [1, 7, 0, 0, 0, 0, 0, 0]}
 
 
 def test_leading_command(capsys):
@@ -217,6 +221,17 @@ def test_missing_file_is_input_error(capsys):
     assert "cannot read" in err
 
 
+def test_readme_examples_run(capsys):
+    """Each inline `eulerchar` example in the README exits 0; those that read a file are skipped."""
+    lines = [line for line in README.read_text().splitlines() if line.startswith("eulerchar ")]
+    # "[--option value]" marks an optional argument: run the example with it
+    argvs = [shlex.split(re.sub(r"\[(--[^\]]*)\]", r"\1", line))[1:] for line in lines]
+    examples = [argv for argv in argvs if not any(arg.endswith(".json") for arg in argv)]
+    assert len(examples) == 8
+    for argv in examples:
+        assert run(capsys, *argv)[0] == 0, argv
+
+
 @pytest.mark.parametrize("argv, golden", [
     (["example-x1-11"], "example-x1-11.json"),
     (["theorem3", "--config", json.dumps({
@@ -296,6 +311,11 @@ def pipeline(**changes):
 
 
 DEEP_JSON = "[" * 10000 + "]" * 10000
+
+
+def long_poly(poly):
+    """A series document whose polynomial is ``poly`` padded with spaces to 10,000 characters."""
+    return '{"p":7,"N":4,"D":4,"poly":"%s"}' % poly.ljust(10_000)
 
 # Refused within a second: a p-th power test over all of [1, m] once took 9.5 s on the first
 # (forming 2^1000000007) and did not finish in 100 s on the second.
@@ -456,6 +476,19 @@ QUICK_INERTIA_REFUSALS = [
     (["theorem3", "--config", "deep.json"], 2, "malformed JSON: nested too deeply"),
     # an empty --check is a source too, not a missing one
     (["akashi", "--check", ""], 2, "--check needs three files"),
+    # a polynomial error quotes at most 40 characters of the text, whatever its length
+    (["leading", "--series", long_poly("T+")], 2, "cannot parse polynomial 'T+"),
+    (["leading", "--series", long_poly("T^T")], 2, "unsupported exponent in polynomial 'T^T"),
+    (["leading", "--series", long_poly("T/7")], 2, "unsupported expression in polynomial 'T/7"),
+    (["leading", "--series", long_poly("9" * 2001 + "*T")], 2,
+     "has a coefficient past the bound 10^2000"),
+    (["leading", "--series", long_poly("2401*T")], 2,
+     "polynomial '%s'... has coefficient 2401 of T^1, which is 0 mod p^N = 7^4"
+     % "2401*T".ljust(40)),
+    # an empty or blank document option is refused by name, not read as a path
+    (["akashi", "--data", ""], 2, "error: --data is empty"),
+    (["prep", "--series", "  "], 2, "error: --series is empty"),
+    (["akashi", "--check", "a.json,,c.json"], 2, "error: part 2 of --check is empty"),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)
@@ -465,6 +498,8 @@ def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, c
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert message in err
+    if sum(map(len, argv)) >= 10_000:  # a long input is quoted in part, not echoed
+        assert len(err) < 200
 
 
 @pytest.mark.parametrize("argv, code, message", QUICK_INERTIA_REFUSALS)
