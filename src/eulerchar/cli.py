@@ -102,9 +102,11 @@ def _handle_count_points(args):
 def _handle_euler_factor(args):
     # 2 <= q first: prime_factors(0) never returns
     if not (2 <= args.q < MAX_VALUE and len(prime_factors(args.q)) == 1):
-        raise InputError(f"q must be a prime power with 2 <= q < 10^2000, got {args.q}")
+        raise InputError("q must be a prime power with 2 <= q < 10^2000, "
+                         f"got a {len(str(abs(args.q)))}-digit number")
     if args.a * args.a > 4 * args.q:
-        raise InputError(f"trace a = {args.a} is past the Hasse bound a^2 <= 4q at q = {args.q}")
+        raise InputError(f"trace a is past the Hasse bound a^2 <= 4q: a has "
+                         f"{len(str(abs(args.a)))} digits and q {len(str(args.q))}")
     factor = euler_factor(args.a, args.q, args.p)
     results = {"value": format_rational(factor.value),
                "valuation_at_p": factor.valuation,

@@ -19,7 +19,8 @@ coefficients' denominators, the model with coefficients a_i * u^i, isomorphic
 to the given one wherever u is invertible.  A q dividing u is refused, and good
 reduction is tested on that model (q does not divide its discriminant); no
 minimal model is computed, so a non-minimal model may falsely report bad
-reduction.
+reduction.  A curve counts each q once and reuses that count, so the g places
+above one prime l in a report share one count of l.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class Curve:
     ``_integral`` is (u, (a1*u, a2*u^2, a3*u^3, a4*u^4, a6*u^6)) with u the lcm
     of the a_i's denominators: integers, and a model isomorphic to this one
     wherever u is invertible (Silverman, AEC III.1).  It is built once, here;
-    the singularity test and every reduction mod q read it.
+    the singularity test and every reduction mod q read it.  ``_counts`` maps
+    each q that :func:`count_points` has counted to #E(F_q).
     """
 
     a1: Fraction
@@ -80,6 +82,7 @@ class Curve:
     a4: Fraction
     a6: Fraction
     _integral: tuple = field(init=False, repr=False, compare=False)
+    _counts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(map(Fraction, (self.a1, self.a2, self.a3, self.a4, self.a6)))
@@ -90,6 +93,7 @@ class Curve:
         if weierstrass_invariants(*a)[4] == 0:  # the discriminant, scaled by u^12
             raise InputError("singular curve: discriminant is zero")
         object.__setattr__(self, "_integral", (u, a))
+        object.__setattr__(self, "_counts", {})
 
     def to_json(self) -> dict:
         return {"a": [format_rational(c) for c in
@@ -134,14 +138,16 @@ def count_points(curve: Curve, q: int) -> int:
 
     From q = MESTRE_FROM_Q on, Mestre's baby-step giant-step on E and its
     quadratic twist (:func:`_count_mestre`), O(q^(1/4)) group operations;
-    below it the O(q) loop over x (:func:`_count_exhaustive`).
+    below it the O(q) loop over x (:func:`_count_exhaustive`).  The curve
+    keeps each count, so a second call with the same q counts nothing; q
+    is checked on every call, and a refusal is raised again, never kept.
     """
     check_prime(q)
     if q > MAX_COUNT_Q:
         raise InputError(f"point counting capped at q <= {MAX_COUNT_Q}")
-    if q < MESTRE_FROM_Q:
-        return _count_exhaustive(curve, q)
-    return _count_mestre(curve, q)
+    if q not in curve._counts:
+        curve._counts[q] = (_count_exhaustive if q < MESTRE_FROM_Q else _count_mestre)(curve, q)
+    return curve._counts[q]
 
 
 def _count_exhaustive(curve: Curve, q: int) -> int:

@@ -489,6 +489,11 @@ QUICK_INERTIA_REFUSALS = [
     (["akashi", "--data", ""], 2, "error: --data is empty"),
     (["prep", "--series", "  "], 2, "error: --series is empty"),
     (["akashi", "--check", "a.json,,c.json"], 2, "error: part 2 of --check is empty"),
+    # euler-factor names the size of a long q or a, not its digits
+    (["euler-factor", "--a", "0", "--q", str(10 ** 2000), "--p", "7"], 2,
+     "q must be a prime power with 2 <= q < 10^2000, got a 2001-digit number"),
+    (["euler-factor", "--a", str(10 ** 1999), "--q", str(2 ** 6000), "--p", "7"], 2,
+     "past the Hasse bound a^2 <= 4q: a has 2000 digits and q 1807"),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)
@@ -498,8 +503,7 @@ def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, c
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert message in err
-    if sum(map(len, argv)) >= 10_000:  # a long input is quoted in part, not echoed
-        assert len(err) < 200
+    assert len(err) < 200  # a long input is quoted in part or by its size, never echoed
 
 
 @pytest.mark.parametrize("argv, code, message", QUICK_INERTIA_REFUSALS)
@@ -579,10 +583,33 @@ def test_example_report_counts_each_prime_once_per_place(capsys, monkeypatch):
     from eulerchar import cli, curves
 
     calls = _count_calls(monkeypatch, curves, "count_points")
+    mestre = _count_calls(monkeypatch, curves, "_count_mestre")
+    exhaustive = _count_calls(monkeypatch, curves, "_count_exhaustive")
     monkeypatch.setattr(cli, "count_points", curves.count_points)
     code, _ = run_report(capsys, "example-x1-11")
     assert code == 0
     assert sorted(q for _, q in calls) == [7] + [113] * 6  # one place above 7, six above 113
+    # the curve keeps its counts: the six places above 113 share one count, and
+    # 113 < MESTRE_FROM_Q, so both primes take the O(q) route
+    assert sorted(q for _, q in exhaustive) == [7, 113]
+    assert mestre == []
+
+
+def test_theorem3_report_counts_each_prime_once_on_either_route(capsys, monkeypatch):
+    from eulerchar import curves
+
+    calls = _count_calls(monkeypatch, curves, "count_points")
+    mestre = _count_calls(monkeypatch, curves, "_count_mestre")
+    exhaustive = _count_calls(monkeypatch, curves, "_count_exhaustive")
+    # 29 and 421 are 1 mod 7, so each has g = 6 places; 29 < MESTRE_FROM_Q <= 421
+    code, report = run_report(capsys, "theorem3", "--config",
+                              pipeline(extension={"p": 7, "m": 29 * 421}))
+    assert code == 0
+    assert 29 < curves.MESTRE_FROM_Q <= 421
+    assert len(report["results"]["places"]) == 12
+    assert sorted(q for _, q in calls) == [29] * 6 + [421] * 6
+    assert [q for _, q in exhaustive] == [29]
+    assert [q for _, q in mestre] == [421]
 
 
 def test_inertia_set_report_splits_each_prime_once(capsys, monkeypatch):

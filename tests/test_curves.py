@@ -74,16 +74,36 @@ def test_count_y2_equals_x3_minus_x():
 
 def test_count_rejects_bad_inputs():
     curve = x1_11()
-    with pytest.raises(InputError, match="singular reduction at q = 11"):
-        count_points(curve, 11)  # discriminant -11
-    with pytest.raises(InputError, match="not prime"):
-        count_points(curve, 15)
-    with pytest.raises(InputError, match="capped"):
-        count_points(curve, 10 ** 12 + 39)  # the least prime past the cap
+    for q, message in ((11, "singular reduction at q = 11"),  # discriminant -11
+                       (15, "not prime"),
+                       (10 ** 12 + 39, "capped")):  # the least prime past the cap
+        for _ in range(2):  # a refusal is raised again on every call
+            with pytest.raises(InputError, match=message):
+                count_points(curve, q)
+    assert curve._counts == {}  # and is never kept as a count
     fractional = Curve(Fraction(0), Fraction(0), Fraction(0),
                        Fraction(1, 7), Fraction(1))
     with pytest.raises(InputError, match="not q-integral"):
         count_points(fractional, 7)
+
+
+def test_a_curve_counts_each_q_once(monkeypatch):
+    from eulerchar import curves
+
+    routes = []
+    for name in ("_count_exhaustive", "_count_mestre"):
+        def counted(curve, q, name=name, original=getattr(curves, name)):
+            routes.append((name, q))
+            return original(curve, q)
+        monkeypatch.setattr(curves, name, counted)
+    curve, fresh = x1_11(), x1_11()
+    assert 7 < MESTRE_FROM_Q <= 421
+    counts = [count_points(curve, q) for q in (7, 421, 7, 421)]
+    assert counts[:2] == counts[2:] == [10, brute_count(curve, 421)]
+    # the counts change neither equality, nor hash, nor repr
+    assert (curve, hash(curve), repr(curve)) == (fresh, hash(fresh), repr(fresh))
+    assert count_points(fresh, 421) == counts[1]  # an equal curve keeps counts of its own
+    assert routes == [("_count_exhaustive", 7), ("_count_mestre", 421), ("_count_mestre", 421)]
 
 
 def test_singular_curve_rejected():

@@ -9,12 +9,17 @@ each.  The side that runs first alternates: REV first in odd pairs, the
 working tree first in even ones.  Prints every pair, then per metric each
 side's median and quartiles, the pairs the working tree won (by the
 metric's direction in BENCHMARK.json), the median gap and REV's
-interquartile range.  Exits 1 if any run exits nonzero, is not correct or
-has a failed operation.  Standard library only.
+interquartile range.  The last line of output is one JSON object: the
+Python version, the host, and for each workload and seed each side's
+quartiles per metric, under "rev" and "working_tree".  Exits 1 if any run
+exits nonzero, is not correct or has a failed operation.  Standard library
+only.
 """
 
 import argparse
 import json
+import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -51,10 +56,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
     return result
 
 
-def compare(rev: str, pairs, better) -> None:
-    """Print the summary table of one workload and seed."""
+def host() -> dict:
+    """The host's name, architecture, CPU count and (where /proc/cpuinfo names it) CPU model."""
+    cpuinfo = Path("/proc/cpuinfo")
+    models = [line.split(":", 1)[1].strip() for line in
+              (cpuinfo.read_text().splitlines() if cpuinfo.exists() else [])
+              if line.startswith("model name")]
+    return {"node": platform.node(), "machine": platform.machine(), "cpus": os.cpu_count(),
+            "cpu": models[0] if models else platform.processor()}
+
+
+def compare(rev: str, pairs, better) -> dict:
+    """Print the summary table of one workload and seed; return each side's quartiles."""
     print(f"  metric: {rev} median [q1, q3] -> working tree median [q1, q3], wins, "
           f"gap, {rev} IQR")
+    summary = {}
     for name in pairs[0][0]["metrics"]:
         old = [p[0]["metrics"][name]["value"] for p in pairs]
         new = [p[1]["metrics"][name]["value"] for p in pairs]
@@ -63,6 +79,10 @@ def compare(rev: str, pairs, better) -> None:
         won = sum(sign * (b - a) > 0 for a, b in zip(old, new)) if sign else "-"
         print(f"  {name}: {o2:.4g} [{o1:.4g}, {o3:.4g}] -> {n2:.4g} [{n1:.4g}, {n3:.4g}], "
               f"wins {won}/{len(pairs)}, gap {n2 - o2:+.4g}, IQR {o3 - o1:.4g}")
+        summary[name] = {"unit": pairs[0][0]["metrics"][name]["unit"], "wins": won,
+                         "rev": {"q1": o1, "median": o2, "q3": o3},
+                         "working_tree": {"q1": n1, "median": n2, "q3": n3}}
+    return summary
 
 
 def main(argv=None) -> int:
@@ -77,6 +97,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     broken = False
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT, check=True,
@@ -103,7 +124,13 @@ def main(argv=None) -> int:
                         f"{name} {pair[0]['metrics'][name]['value']:.4g} -> "
                         f"{pair[1]['metrics'][name]['value']:.4g}" for name in shown))
                 if pairs:
-                    compare(args.rev, pairs, better)
+                    results.append({"workload": workload, "seed": seed, "pairs": len(pairs),
+                                    "metrics": compare(args.rev, pairs, better)})
+    commit = subprocess.run(["git", "rev-parse", args.rev], cwd=ROOT, capture_output=True,
+                            text=True).stdout.strip()
+    print(json.dumps({"rev": args.rev, "commit": commit, "python": platform.python_version(),
+                      "host": host(), "seconds": args.seconds, "trace": args.trace,
+                      "results": results}))
     return 1 if broken else 0
 
 
