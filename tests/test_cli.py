@@ -258,6 +258,9 @@ def test_readme_examples_run(capsys):
     (["akashi", "--check", "L.json,M.json,N.json"], "akashi-check.json"),
     (["split", "--l", "3", "--p", "13"], "split-l3-p13.json"),
     (["inertia-set", "--p", "7", "--m", "226"], "inertia-set-m226.json"),
+    # y^2 = x^3 - x at the second prime past 10^12, 1 mod 4: test_curves.py's closed form
+    (["count-points", "--curve", '{"a":["0","0","0","-1","0"]}', "--q", str(10 ** 12 + 61)],
+     "count-points-cm-q1000000000061.json"),
 ])
 def test_reports_match_golden_output(capsys, monkeypatch, tmp_path, argv, golden):
     monkeypatch.chdir(tmp_path)  # akashi --check echoes its file names as given
@@ -494,6 +497,9 @@ QUICK_INERTIA_REFUSALS = [
      "q must be a prime power with 2 <= q < 10^2000, got a 2001-digit number"),
     (["euler-factor", "--a", str(10 ** 1999), "--q", str(2 ** 6000), "--p", "7"], 2,
      "past the Hasse bound a^2 <= 4q: a has 2000 digits and q 1807"),
+    # the least prime past the point-count cap
+    (["count-points", "--curve", '{"a":["0","0","0","-1","0"]}', "--q", str(10 ** 16 + 61)], 2,
+     "point counting capped at q <= 10000000000000000"),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -76,11 +77,14 @@ def test_count_rejects_bad_inputs():
     curve = x1_11()
     for q, message in ((11, "singular reduction at q = 11"),  # discriminant -11
                        (15, "not prime"),
-                       (10 ** 12 + 39, "capped")):  # the least prime past the cap
+                       (10 ** 16 + 61, "capped")):  # the least prime past the cap
         for _ in range(2):  # a refusal is raised again on every call
             with pytest.raises(InputError, match=message):
                 count_points(curve, q)
     assert curve._counts == {}  # and is never kept as a count
+    assert count_points(curve, 7) == 10
+    with pytest.raises(InputError, match="not prime"):  # 7.0 == 7, a kept q, but is no int
+        count_points(curve, 7.0)
     fractional = Curve(Fraction(0), Fraction(0), Fraction(0),
                        Fraction(1, 7), Fraction(1))
     with pytest.raises(InputError, match="not q-integral"):
@@ -349,10 +353,12 @@ def test_curve_json_roundtrip():
 
 
 # The four benchmark curves X_1(11), 37a1, y^2 = x^3 - x and 53a1 (which has
-# a1, a3 != 0), and one with non-integral but q-integral coefficients.
+# a1, a3 != 0), one with non-integral but q-integral coefficients, and 14a1 and
+# 15a1, whose torsion Z/6 and Z/2 x Z/4 gives points of small order at every q.
 ORACLE_CURVES = [Curve(*map(Fraction, a)) for a in (
     (0, -1, 1, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, -1, 0), (1, -1, 1, 0, 0),
-    (Fraction(1, 2), Fraction(-2, 3), 0, Fraction(3, 5), Fraction(1, 7)))]
+    (Fraction(1, 2), Fraction(-2, 3), 0, Fraction(3, 5), Fraction(1, 7)),
+    (1, 0, 1, 4, -6), (1, 1, 1, -10, -10))]
 
 
 def test_mestre_count_matches_exhaustive_count():
@@ -396,3 +402,32 @@ def test_twist_sum_at_large_q():
             n = count_points(curve, q)
             assert (q + 1 - n) ** 2 <= 4 * q
             assert n + count_points(quadratic_twist(curve, d), q) == 2 * q + 2
+
+
+def cm_trace(q):
+    """a_q of y^2 = x^3 - x at a prime q = 1 mod 4: 2a, where q = a^2 + b^2 with b even
+    and a + b = 1 mod 4 (Ireland and Rosen, *A Classical Introduction to Modern Number
+    Theory*, 18.4); a and b by Cornacchia's algorithm."""
+    c = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) == q - 1)
+    r0, r1 = q, pow(c, (q - 1) // 4, q)  # r1^2 = -1 mod q
+    while r1 * r1 > q:
+        r0, r1 = r1, r0 % r1
+    a, b = r1, math.isqrt(q - r1 * r1)
+    assert a * a + b * b == q
+    if a % 2 == 0:
+        a, b = b, a
+    return 2 * (a if (a + b) % 4 == 1 else -a)
+
+
+def test_counts_match_the_cm_closed_form():
+    # q = 3 mod 4 gives a_q = 0: see test_supersingular_counts_at_large_q
+    cm_i = Curve(Fraction(0), Fraction(0), Fraction(0), Fraction(-1), Fraction(0))
+    for q in (5, 13, 17, 29, 37, 41, 53):
+        assert brute_count(cm_i, q) == q + 1 - cm_trace(q)
+    # 5 primes q = 1 mod 4 past 10^6, 10^9 and 10^12 (10^12 + 61 first), and below the cap
+    for q, step in ((10 ** 6, 1), (10 ** 9, 1), (10 ** 12, 1), (MAX_COUNT_Q, -1)):
+        for _ in range(5):
+            q = _next_prime(q + step, step)
+            while q % 4 != 1:
+                q = _next_prime(q + step, step)
+            assert count_points(cm_i, q) == q + 1 - cm_trace(q), q
