@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``padics`` -- primes, p-adic valuations, exact powers of p, rationals.
+* ``padics`` -- primes, p-adic valuations, exact powers of p, JSON integers.
 * ``lambda_algebra`` -- truncated power series over Z_p, Weierstrass
   preparation, leading terms, the one reader of series documents.
 * ``gamma_modules`` -- Euler characteristics of torsion modules, closed

@@ -29,8 +29,8 @@ import operator
 from dataclasses import dataclass
 
 from .errors import InputError, PrecisionError
-from .lambda_algebra import (LambdaSeries, distinguished_part, leading_term,
-                             min_coeff_valuation, mu_lambda, series_list_from_doc)
+from .lambda_algebra import (LambdaSeries, distinguished_part, leading_term, mu_lambda,
+                             series_list_from_doc)
 from .padics import PowerOfP
 
 
@@ -86,7 +86,7 @@ def akashi_series(data: AkashiData) -> AkashiFraction:
 
     t = min(orders)
     num, den = num.shift_down(t), den.shift_down(t)
-    e = min(min_coeff_valuation(num), min_coeff_valuation(den))
+    e = min(mu_lambda(num)[0], mu_lambda(den)[0])
     num, den = num.divide_p_power(e), den.divide_p_power(e)
     # each element is nonzero at precision, as the products are
     leads = [(leading_term(g), (-1) ** i) for i, g in enumerate(data.char_elements)]

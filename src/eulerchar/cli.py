@@ -22,10 +22,10 @@ from .curves import Curve, count_points, euler_factor, is_ordinary, local_data, 
 from .cyclotomic_fields import (ExtensionSpec, SplittingData, infinite_inertia_places,
                                 infinite_inertia_set, split)
 from .errors import InputError, PrecisionError
-from .euler_char import build_chi_input, local_cardinalities, theorem_chi
+from .euler_char import build_chi_input, euler_product, local_cardinalities
 from .gamma_modules import TorsionModule, finite_level_oracle, generalized_chi
 from .lambda_algebra import leading_term, series_from_doc, weierstrass_prepare
-from .padics import (DECIMAL_INT, MAX_VALUE, PowerOfP, check_keys, format_rational, json_int,
+from .padics import (DECIMAL_INT, MAX_VALUE, PowerOfP, check_keys, check_prime, json_int,
                      prime_factors)
 
 PAPER_NOTE = "magnitude convention: paper, |x|_p = p^(+v_p(x)), applied to Euler-factor products"
@@ -45,7 +45,7 @@ def _load_json(text_or_path: str, option: str):
         raise InputError(f"{option} is empty")
     if not text.startswith("{"):
         try:
-            text = Path(text_or_path).read_text()
+            text = Path(text_or_path).read_bytes()  # json.loads detects the encoding
         except OSError as exc:
             raise InputError(f"cannot read {text_or_path!r}: {exc}") from None
     try:
@@ -107,8 +107,8 @@ def _handle_euler_factor(args):
     if args.a * args.a > 4 * args.q:
         raise InputError(f"trace a is past the Hasse bound a^2 <= 4q: a has "
                          f"{len(str(abs(args.a)))} digits and q {len(str(args.q))}")
-    factor = euler_factor(args.a, args.q, args.p)
-    results = {"value": format_rational(factor.value),
+    factor = euler_factor(args.a, args.q, check_prime(args.p))
+    results = {"value": str(factor.value),
                "valuation_at_p": factor.valuation,
                "magnitude_paper": str(PowerOfP(args.p, factor.valuation))}
     return {"a": args.a, "q": args.q, "p": args.p}, results, [PAPER_NOTE]
@@ -225,7 +225,7 @@ def _handle_theorem(args):
                          f"{ext.p}, 'p' = {p}")
 
     places = build_chi_input(curve, ext)
-    chi_sigma = theorem_chi(chi_gamma, places)
+    product = euler_product(places, p)
     tamagawa_doc = doc.get("tamagawa", {})
     if type(tamagawa_doc) is not dict:
         raise InputError(f"malformed Tamagawa map: expected an object, got {tamagawa_doc!r}")
@@ -244,13 +244,13 @@ def _handle_theorem(args):
             cards = local_cardinalities(tamagawa[splitting.l], local, p)
             row["h1_gamma"] = str(cards.h1_gamma)
             row["h1_Fv"] = str(cards.h1_Fv)
-            row["jv_constant_term_magnitude"] = str(cards.jv_constant_term_magnitude)
+            row["jv_constant_term_magnitude"] = str(PowerOfP(p, local.euler_valuation_at_p))
         place_rows.append(row)
 
     results = {
         "chi_gamma": str(chi_gamma),
-        "euler_product_magnitude": str(chi_sigma / chi_gamma),
-        "chi_sigma": str(chi_sigma),
+        "euler_product_magnitude": str(product),
+        "chi_sigma": str(chi_gamma * product),
         "places": place_rows,
     }
     notes = [PAPER_NOTE, CHI_GAMMA_NOTE]
@@ -266,14 +266,14 @@ def _handle_example(args):
     at_7 = local_data(curve, SplittingData(p, p, 1))  # the one place above 7, ramified
     places = build_chi_input(curve, ExtensionSpec(p, 113))
     splitting_113, at_113 = places[0]
-    chi_sigma = theorem_chi(chi_gamma, places)
+    chi_sigma = chi_gamma * euler_product(places, p)
     checks = [{"name": name, "expected": str(expected), "actual": str(actual),
                "ok": str(expected) == str(actual)} for name, expected, actual in (
         ("point count over F_7", 10, at_7.point_count),
         ("trace of Frobenius at 7", -2, at_7.a_v),
         ("point count over F_113", 105, at_113.point_count),
         ("trace of Frobenius at 113", 9, at_113.a_v),
-        ("Euler factor value at the place above 7", "49/36", format_rational(at_7.euler_value)),
+        ("Euler factor value at the place above 7", "49/36", str(at_7.euler_value)),
         ("Euler factor valuation at the place above 7", 2, at_7.euler_valuation_at_p),
         ("Euler factor valuation at places above 113", 0, at_113.euler_valuation_at_p),
         ("residue degree of 113", 1, splitting_113.f),

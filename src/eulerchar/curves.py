@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 
 from .cyclotomic_fields import SplittingData
 from .errors import InputError
-from .padics import MAX_DIGITS, check_keys, check_prime, format_rational, int_valuation
+from .padics import MAX_DIGITS, check_keys, check_prime, int_valuation
 
 MAX_COUNT_Q = 10 ** 16
 # Mestre's theorem guarantees the search ends only for q > 229.  The O(q) loop
@@ -98,8 +98,7 @@ class Curve:
         object.__setattr__(self, "_counts", {})
 
     def to_json(self) -> dict:
-        return {"a": [format_rational(c) for c in
-                      (self.a1, self.a2, self.a3, self.a4, self.a6)]}
+        return {"a": [str(c) for c in (self.a1, self.a2, self.a3, self.a4, self.a6)]}
 
     @classmethod
     def from_json(cls, doc) -> "Curve":
@@ -344,8 +343,8 @@ class EulerFactor(NamedTuple):
 
 
 def euler_factor(a_v: int, q: int, p: int) -> EulerFactor:
-    """L_v(E,1) = (1 + a_v/q + 1/q^2)^(-1) exactly, with its p-valuation; q a prime power."""
-    check_prime(p)
+    """L_v(E,1) = (1 + a_v/q + 1/q^2)^(-1) exactly, with its p-valuation; q a prime power
+    and p a prime, which the caller checks."""
     # no pole: q^2 + a_v*q + 1 = 0 would make q divide 1
     value = Fraction(q * q, q * q + a_v * q + 1)
     valuation = (int_valuation(value.numerator, p)
@@ -376,7 +375,7 @@ class CurveLocalData:
 
     def to_json(self) -> dict:
         return {"q": self.q, "point_count": self.point_count, "a_v": self.a_v,
-                "euler_value": format_rational(self.euler_value),
+                "euler_value": str(self.euler_value),
                 "euler_valuation_at_p": self.euler_valuation_at_p}
 
 
@@ -385,7 +384,8 @@ def local_data(curve: Curve, place: SplittingData) -> CurveLocalData:
 
     The trace over the prime field F_l comes from :func:`count_points`, the
     trace over F_{q_v} from the Frobenius-eigenvalue recurrence, and the
-    Euler factor's valuation is taken at the place's p.  For ordinarity at
+    Euler factor's valuation is taken at the place's p, which :func:`split`
+    has checked.  For ordinarity at
     l = p, apply :func:`is_ordinary` to ``a_v``.
     """
     a_l = place.l + 1 - count_points(curve, place.l)

@@ -4,7 +4,8 @@ The Euler characteristic over the big extension equals the
 cyclotomic-level characteristic times the p-adic magnitude (paper
 convention, p^(+v_p)) of the product of local Euler factors over the
 infinite-inertia places away from p: :func:`build_chi_input` lists those
-places with the curve's local data, :func:`theorem_chi` takes the product.
+places with the curve's local data, :func:`euler_product` forms the product's
+magnitude, and the caller multiplies chi_gamma by it.
 
 The cyclotomic-level characteristic chi_gamma is always an *input*: its
 computation belongs to the cyclotomic theory and is out of scope here.
@@ -21,30 +22,23 @@ from .errors import InputError
 from .padics import PowerOfP, int_valuation
 
 
-def theorem_chi(chi_gamma: PowerOfP, places) -> PowerOfP:
-    """chi over the big extension: chi_gamma times p^(sum of local valuations).
+def euler_product(places, p: int) -> PowerOfP:
+    """The p-adic magnitude of the Euler-factor product: p^(sum of local valuations).
 
-    ``places`` is the output of :func:`build_chi_input`.  The magnitude of
-    the Euler-factor product is taken in the paper convention
-    |x|_p = p^(+v_p(x)); each place contributes its valuation individually
-    (a prime with g places above it appears g times).
+    ``places`` is the output of :func:`build_chi_input`.  The magnitude is
+    taken in the paper convention |x|_p = p^(+v_p(x)); each place contributes
+    its valuation individually (a prime with g places above it appears g
+    times).  chi over the big extension is chi_gamma times this product.
     """
-    exponent = sum(local.euler_valuation_at_p for _, local in places)
-    return chi_gamma * PowerOfP(chi_gamma.prime, exponent)
+    return PowerOfP(p, sum(local.euler_valuation_at_p for _, local in places))
 
 
 @dataclass(frozen=True)
 class LocalCardinalities:
-    """Orders of the two local H^1 groups at a place away from p.
-
-    ``jv_constant_term_magnitude`` records, as metadata, the paper-convention
-    magnitude of the local Euler factor: the characteristic element of the
-    local summand has a nonzero constant term of exactly that magnitude.
-    """
+    """Orders of the two local H^1 groups at a place away from p."""
 
     h1_gamma: PowerOfP
     h1_Fv: PowerOfP
-    jv_constant_term_magnitude: PowerOfP
 
 
 def local_cardinalities(c_v: int, local: CurveLocalData, p: int) -> LocalCardinalities:
@@ -63,11 +57,7 @@ def local_cardinalities(c_v: int, local: CurveLocalData, p: int) -> LocalCardina
     if v_l - v_c < 0:
         raise InputError(f"convention violation at the place with q_v = {local.q}: c_v = {c_v} "
                          f"has v_p(c_v) = {v_c} > v_p(L_v) = {v_l}, with p = {p}")
-    return LocalCardinalities(
-        h1_gamma=PowerOfP(p, v_l - v_c),
-        h1_Fv=PowerOfP(p, v_c),
-        jv_constant_term_magnitude=PowerOfP(p, v_l),
-    )
+    return LocalCardinalities(h1_gamma=PowerOfP(p, v_l - v_c), h1_Fv=PowerOfP(p, v_c))
 
 
 def build_chi_input(curve: Curve, extension: ExtensionSpec) -> tuple:

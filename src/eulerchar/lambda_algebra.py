@@ -112,8 +112,8 @@ class LambdaSeries:
         return LambdaSeries(self.prime, self.coeff_precision, self.coeffs[k:])
 
     def divide_p_power(self, e: int) -> "LambdaSeries":
-        """Divide by p^e, losing e digits of precision; callers take e from
-        :func:`min_coeff_valuation`, so p^e divides and e < N."""
+        """Divide by p^e, losing e digits of precision; callers take e as a mu
+        of :func:`mu_lambda`, so p^e divides and e < N."""
         if e == 0:
             return self
         pe = self.prime ** e
@@ -241,37 +241,27 @@ def _invert_unit(c: Sequence[int], m: int) -> List[int]:
     return out
 
 
-def min_coeff_valuation(g: LambdaSeries) -> int:
-    """min_i v_p(c_i) over stored coefficients; requires g nonzero at precision."""
-    best = None
-    for c in g.coeffs:
-        if c == 0:
-            continue
-        v = int_valuation(c, g.prime)
-        if best is None or v < best:
-            best = v
-            if best == 0:
-                break
-    if best is None:
-        raise PrecisionError("indistinguishable from zero at precision")
-    return best
-
-
 def mu_lambda(g: LambdaSeries) -> Tuple[int, int]:
-    """(mu, lambda) of g, read off its coefficients without preparing.
+    """(mu, lambda) of g, read off its coefficients in one pass without preparing.
 
-    mu is the least p-valuation of a stored coefficient, and lambda the index
-    of the first coefficient not divisible by p^(mu+1).
+    mu is the least p-valuation of a stored coefficient, and lambda the first
+    index that attains it; g must be nonzero at precision.
     """
-    mu = min_coeff_valuation(g)
-    pm = g.prime ** (mu + 1)
-    # mu is attained by a stored coefficient, so one is not divisible by p^(mu+1).
-    return mu, next(i for i, c in enumerate(g.coeffs) if c % pm)
+    p, mu, lam = g.prime, None, None
+    for i, c in enumerate(g.coeffs):
+        if c and (mu is None or c % pm):  # c % pm != 0: v_p(c) < mu
+            mu, lam = int_valuation(c, p), i
+            if mu == 0:
+                break
+            pm = p ** mu
+    if mu is None:
+        raise PrecisionError("indistinguishable from zero at precision")
+    return mu, lam
 
 
-def _weierstrass_division(g: LambdaSeries,
-                          unit: bool) -> Tuple[int, tuple, List[int], Optional[List[int]]]:
-    """mu, P, h_high and the sum of the high, whose quotient is U, for g = p^mu * P * U.
+def _weierstrass_division(g: LambdaSeries, unit: bool) -> DistinguishedPart:
+    """g = p^mu * P * U divided out: a :class:`WeierstrassForm` with ``unit``, else
+    the :class:`DistinguishedPart` (mu, P) alone.
 
     With h = g / p^mu = h_low + T^lambda * h_high (see :func:`mu_lambda`),
     division of T^lambda by h keeps the dividend's part T^lambda * high; a round
@@ -280,23 +270,23 @@ def _weierstrass_division(g: LambdaSeries,
     G = h_low / h_high formed once: its terms below T^lambda add to the remainder
     r, and P = T^lambda - r; the rest, shifted down, is the next high.  The
     quotient 1/U, the sum of the q, is (sum of the high) / h_high, all in the
-    ring Z/p^n[T]/(T^D) with n = N - mu.
+    ring Z/p^n[T]/(T^D) with n = N - mu; so U = h_high / (sum of the high), one
+    inverse and one product.
 
     Each round runs at the precision it can still change.  As h_low = 0 mod p,
     G = p * G' with G' a whole series, and round k's high is p^k * a_k; so its
     product is p^(k+1) * b_k with b_k = a_k * (-G') mod p^(n-k-1): the same
     integers, on slots that shrink every round, and b_k from T^lambda on,
     shifted down, is a_(k+1).  From round n - 1 on nothing changes.  When
-    lambda = 0, G = 0 and P = 1, and when n = 1 there is no round to run; then
-    no inverse is formed.
+    lambda = 0, G = 0, P = 1 and U = h, and when n = 1 there is no round to
+    run; then no inverse is formed.
 
     Without ``unit`` the rounds also run at the length P needs.  Round k changes
     P only through its product's terms below T^lambda, and a term at T^j reaches
     there, through the later rounds' shifts by T^lambda up to round n - 2, only if
     j < lambda * (n - 1 - k); so round k runs on min(D, lambda * (n - 1 - k))
     terms, 1/h_high is formed mod T^min(D, lambda * (n - 1)), only the lambda
-    terms of r are summed, and no sum of the high is returned (None).  The
-    lists returned are mod p^n.
+    terms of r are summed, and the sum of the high is neither kept nor inverted.
     """
     mu, lam = mu_lambda(g)
     p, d, pe = g.prime, g.trunc_degree, g.prime ** mu
@@ -318,27 +308,21 @@ def _weierstrass_division(g: LambdaSeries,
             acc = [x + pk * y for x, y in zip(acc, b)]
             a, k, pk = b[lam:], k + 1, pk * p
     poly = tuple(-c % m for c in acc[:lam]) + (1,)
-    return mu, poly, h_high, [c % m for c in acc[lam:]] + [0] * lam if unit else None
+    if not unit:
+        return DistinguishedPart(p, n, mu, poly)
+    u = h_high if not lam else _kronecker(
+        h_high, _invert_unit([c % m for c in acc[lam:]] + [0] * lam, m), d, m)
+    return WeierstrassForm(p, n, mu, poly, LambdaSeries(p, n, tuple(u)))
 
 
 def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
-    """Factor g = p^mu * P * U with P monic distinguished and U a unit.
-
-    :func:`_weierstrass_division` gives mu and P, and U = h_high / (sum of the
-    high): one inverse and one product, or U = h when lambda = 0.
-    """
-    mu, poly, h_high, high_sum = _weierstrass_division(g, unit=True)
-    p, n = g.prime, g.coeff_precision - mu
-    m = p ** n
-    unit = h_high if len(poly) == 1 else _kronecker(
-        h_high, _invert_unit(high_sum, m), g.trunc_degree, m)
-    return WeierstrassForm(p, n, mu, poly, LambdaSeries(p, n, tuple(unit)))
+    """Factor g = p^mu * P * U with P monic distinguished and U a unit."""
+    return _weierstrass_division(g, unit=True)
 
 
 def distinguished_part(g: LambdaSeries) -> DistinguishedPart:
     """(mu, P) of g = p^mu * P * U, by the same division, without forming U."""
-    mu, poly, _, _ = _weierstrass_division(g, unit=False)
-    return DistinguishedPart(g.prime, g.coeff_precision - mu, mu, poly)
+    return _weierstrass_division(g, unit=False)
 
 
 def leading_term(g: LambdaSeries) -> LeadingTerm:

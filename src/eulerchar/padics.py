@@ -1,4 +1,4 @@
-"""Exact p-adic arithmetic: primes, valuations, powers of p, rationals, JSON integers.
+"""Exact p-adic arithmetic: primes, valuations, powers of p, JSON integers.
 
 There is no floating point anywhere.  Every value the library certifies
 -- Euler characteristics, local H^1 orders, magnitudes of Euler-factor
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List
 
 from .errors import InputError
@@ -154,17 +153,10 @@ class PowerOfP:
     def __post_init__(self):
         check_prime(self.prime)
 
-    def _check_same_prime(self, other: "PowerOfP") -> None:
+    def __mul__(self, other: "PowerOfP") -> "PowerOfP":
         if self.prime != other.prime:
             raise InputError("prime mismatch")
-
-    def __mul__(self, other: "PowerOfP") -> "PowerOfP":
-        self._check_same_prime(other)
         return PowerOfP(self.prime, self.exponent + other.exponent)
-
-    def __truediv__(self, other: "PowerOfP") -> "PowerOfP":
-        self._check_same_prime(other)
-        return PowerOfP(self.prime, self.exponent - other.exponent)
 
     def __str__(self) -> str:
         if self.exponent == 0:
@@ -192,13 +184,6 @@ class PowerOfP:
         if n != prime ** e:
             raise InputError(f"not a power of {prime}: {text!r}")
         return cls(prime, e)
-
-
-def format_rational(value: Fraction) -> str:
-    """Serialize a rational as "num/den", omitting "/den" when it is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def json_int(value, field: str, document: str) -> int:

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines on the terminal.
 """
 
-import itertools
 import json
 import random
 import time
@@ -20,6 +19,7 @@ from eulerchar.gamma_modules import (TorsionModule, finite_level_oracle,
 from eulerchar.lambda_algebra import (LambdaSeries, leading_term, series_from_text,
                                       weierstrass_prepare)
 from eulerchar.padics import PowerOfP
+from test_akashi import degreewise_product
 from test_curves import quadratic_twist
 from test_lambda_algebra import agrees_with, reconstruct
 
@@ -182,13 +182,6 @@ def _random_akashi(rng, p, precision=10, degree=32):
     return AkashiData(p, tuple(elements))
 
 
-def _degreewise_product(a, b):
-    def one(g):
-        return LambdaSeries.one(g.prime, g.coeff_precision, g.trunc_degree)
-    return AkashiData(a.prime, tuple((x or one(y)) * (y or one(x)) for x, y in
-                                     itertools.zip_longest(a.char_elements, b.char_elements)))
-
-
 def test_criterion_8_akashi_laws():
     with criterion(8, "alternating-product laws: 50 product triples true, 20 broken "
                       "triples false, leading terms additive, single degree matches "
@@ -199,7 +192,7 @@ def test_criterion_8_akashi_laws():
             p = rng.choice([3, 5, 7])
             left = _random_akashi(rng, p)
             right = _random_akashi(rng, p)
-            middle = _degreewise_product(left, right)
+            middle = degreewise_product(left, right)
             assert check_multiplicativity(left, middle, right) is True
 
             lead_l, lead_r = akashi_series(left), akashi_series(right)

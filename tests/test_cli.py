@@ -297,6 +297,17 @@ def test_malformed_series_documents_are_input_errors(capsys, tmp_path):
         assert err.startswith("error: malformed series document")
 
 
+def test_document_files_are_read_in_any_json_encoding(capsys, tmp_path):
+    # json.loads detects UTF-8 with or without a BOM, UTF-16 and UTF-32 from the first bytes
+    doc = '{"p":7,"N":4,"D":8,"poly":"49*T^2 + 7*T^3 + T^5"}'
+    for encoding in ("utf-8", "utf-8-sig", "utf-16", "utf-32"):
+        path = tmp_path / f"{encoding}.json"
+        path.write_bytes(doc.encode(encoding))
+        code, out, _ = run(capsys, "leading", "--series", str(path))
+        assert code == 0
+        assert out == (GOLDEN / "leading-poly.json").read_text(), encoding
+
+
 def test_bad_reduction_names_the_prime(capsys):
     config = {"p": 7, "chi_gamma": "7^8", "curve": X1_11,
               "extension": {"p": 7, "m": 11 * 113}}
@@ -500,12 +511,39 @@ QUICK_INERTIA_REFUSALS = [
     # the least prime past the point-count cap
     (["count-points", "--curve", '{"a":["0","0","0","-1","0"]}', "--q", str(10 ** 16 + 61)], 2,
      "point counting capped at q <= 10000000000000000"),
+    # refusals that library tests reach, each through the CLI as well
+    (["inertia-set", "--p", "3", "--m", "2"], 2, "extension prime must be >= 5"),
+    (["inertia-set", "--p", "7", "--m", "128"], 2,
+     "invalid extension parameter: m is a perfect p-th power"),
+    (["theorem3", "--config", pipeline(tamagawa={"113": 0})], 2,
+     "Tamagawa number must be a positive integer"),
+    (["akashi", "--data", '{"p":7,"char_elements":["T"],"coranks":[1,0]}'], 2,
+     "need one corank per homological degree"),
+    (["akashi", "--data", '{"p":7,"char_elements":["T"],"coranks":[-1]}'], 2,
+     "coranks must be nonnegative"),
+    (["prep", "--series", '{"p":7,"N":0,"D":4,"coeffs":[1]}'], 2,
+     "malformed series document: 'N' and 'D' must be >= 1"),
+    (["prep", "--series", '{"p":7,"N":4,"D":4,"poly":5}'], 2,
+     "malformed series document: 'poly' must be a string"),
+    (["prep", "--series", '{"p":7,"N":4,"D":4,"coeffs":"x"}'], 2,
+     "malformed series document: 'coeffs' must be a list"),
+    (["chi-module", "--module", '{"p":7}'], 2, "malformed module document: 'generators'"),
+    (["chi-module", "--oracle", "--module", '{"p":7,"D":80,"generators":["T^65+7"]}'], 2,
+     "total lattice rank exceeds 64"),
+    (["count-points", "--curve", '{"a":[0,0,0,0,0]}', "--q", "7"], 2,
+     "singular curve: discriminant is zero"),
+    # a document file that is not UTF-8 is malformed JSON, not a crash (written below)
+    (["prep", "--series", "latin1.json"], 2,
+     "malformed JSON: 'utf-8' codec can't decode byte 0xe9"),
+    (["prep", "--series", "utf16.json"], 2, "malformed JSON: Expecting value"),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)
     for p in (5, 7):
         (tmp_path / f"p{p}.json").write_text(json.dumps({"p": p, "char_elements": ["T"]}))
     (tmp_path / "deep.json").write_text(pipeline()[:-1] + ', "tamagawa": %s}' % DEEP_JSON)
+    (tmp_path / "latin1.json").write_bytes(b'{"p":7,"N":4,"D":4,"poly":"T+\xe9"}')
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")  # a UTF-16 BOM, then one odd character
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert message in err

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from eulerchar import curves
 from eulerchar.curves import (MAX_COUNT_Q, MESTRE_FROM_Q, Curve, CurveLocalData,
                               _count_exhaustive, _count_mestre, count_points,
                               euler_factor, extension_trace, is_ordinary, local_data,
@@ -374,6 +375,45 @@ def test_mestre_count_matches_exhaustive_count():
             # count_points counts by BSGS from MESTRE_FROM_Q on; Mestre's bound is 229
             fast = _count_mestre if 229 < q < MESTRE_FROM_Q else count_points
             assert fast(curve, q) == expected, (curve, q)
+
+
+def _order(P, a, b, q):
+    """The order of P on y^2 = x^3 + a*x^2 + b*x + c over F_q, by adding P until 0 (None)."""
+    def add(U, V):  # V is not 0
+        (x1, y1), (x2, y2) = U, V
+        if x1 == x2 and (y1 + y2) % q == 0:
+            return None
+        num, den = ((y2 - y1, x2 - x1) if x1 != x2 else (3 * x1 * x1 + 2 * a * x1 + b, 2 * y1))
+        slope = num * pow(den, q - 2, q) % q
+        x3 = (slope * slope - a - x1 - x2) % q
+        return x3, (slope * (x1 - x3) - y1) % q
+
+    U, n = P, 1
+    while U is not None:
+        U, n = add(U, P), n + 1
+    return n
+
+
+def test_the_last_point_leaves_one_order_multiple_in_the_interval(monkeypatch):
+    # Mestre's theorem, as _count_mestre relies on it: the search stops at a point
+    # whose order has exactly one multiple among the candidates left
+    calls, search = [], curves._least_zeros
+    monkeypatch.setattr(curves, "_least_zeros", lambda *args: calls.append(args) or search(*args))
+    for q in range(MESTRE_FROM_Q, 1200):
+        if not is_prime(q):
+            continue
+        for curve in ORACLE_CURVES:
+            try:
+                expected = _count_exhaustive(curve, q)
+            except InputError:
+                continue
+            assert _count_mestre(curve, q) == expected
+            P, a, b, _, m0, step, count = calls[-1]
+            n = _order(P, a, b, q)
+            multiples = [m0 + k * step for k in range(count) if (m0 + k * step) % n == 0]
+            assert len(multiples) == 1, (curve, q)
+            # step < 0 for a point on the twist, whose count is 2q + 2 - #E
+            assert (multiples[0] if step > 0 else 2 * q + 2 - multiples[0]) == expected
 
 
 def _next_prime(n, step=1):

@@ -11,7 +11,7 @@ from eulerchar.akashi import AkashiData, akashi_series, check_multiplicativity
 from eulerchar.errors import InputError, PrecisionError
 from eulerchar.gamma_modules import TorsionModule
 from eulerchar.lambda_algebra import (LambdaSeries, _invert_unit, distinguished_part,
-                                      leading_term, min_coeff_valuation, mu_lambda,
+                                      leading_term, mu_lambda,
                                       polynomial_from_text, series_from_doc, series_from_text,
                                       weierstrass_prepare)
 from eulerchar.padics import int_valuation
@@ -394,9 +394,11 @@ def test_leading_term_zero_series():
 
 def test_mu_lambda_examples():
     for coeffs, n, d, mu_lam in (([49], 3, 4, (2, 0)), ([0, 0, 0, 1], 3, 6, (0, 3)),
-                                 ([49, 7], 3, 6, (1, 1))):  # the last is 7*(T+7)
-        form = weierstrass_prepare(series(7, coeffs, n, d))
-        assert (form.mu, form.lam) == mu_lam
+                                 ([49, 7], 3, 6, (1, 1)),  # 7*(T+7)
+                                 ([49, 7, 0, 14, 1, 3], 3, 6, (0, 4))):  # v_7: 2, 1, -, 1, 0, 0
+        g = series(7, coeffs, n, d)
+        form = weierstrass_prepare(g)
+        assert (form.mu, form.lam) == mu_lambda(g) == mu_lam
 
 
 def test_leading_term_multiplicativity():
@@ -476,7 +478,7 @@ def test_shift_and_p_power_division():
     divided = shifted.divide_p_power(1)
     assert divided.coeffs == (2, 1)
     assert divided.coeff_precision == 2
-    assert min_coeff_valuation(g) == 1
+    assert mu_lambda(g) == (1, 2)
 
 
 def test_json_roundtrip():
