@@ -26,7 +26,7 @@ from .euler_char import build_chi_input, euler_product, local_cardinalities
 from .gamma_modules import TorsionModule, finite_level_oracle, generalized_chi
 from .lambda_algebra import leading_term, series_from_doc, weierstrass_prepare
 from .padics import (DECIMAL_INT, MAX_VALUE, PowerOfP, check_keys, check_prime, json_int,
-                     prime_factors)
+                     prime_factors, quoted)
 
 PAPER_NOTE = "magnitude convention: paper, |x|_p = p^(+v_p(x)), applied to Euler-factor products"
 MIXED_NOTE = ("magnitude convention: h1_Fv uses the standard reading of |c_v|_p^(-1), "
@@ -47,7 +47,7 @@ def _load_json(text_or_path: str, option: str):
         try:
             text = Path(text_or_path).read_bytes()  # json.loads detects the encoding
         except OSError as exc:
-            raise InputError(f"cannot read {text_or_path!r}: {exc}") from None
+            raise InputError(f"cannot read {quoted(text_or_path)}: {exc.strerror}") from None
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit

@@ -31,11 +31,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .cyclotomic_fields import SplittingData
 from .errors import InputError
-from .padics import MAX_DIGITS, check_keys, check_prime, int_valuation
+from .padics import MAX_DIGITS, MAX_VALUE, check_keys, check_prime, int_valuation, quoted
 
 MAX_COUNT_Q = 10 ** 16
 # Mestre's theorem guarantees the search ends only for q > 229.  The O(q) loop
@@ -54,22 +54,26 @@ def weierstrass_invariants(a1, a2, a3, a4, a6):
     return b2, b4, b6, b8, -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
-def _document_rational(c) -> Optional[Fraction]:
-    """c as a Fraction, or None unless it is a JSON integer or a decimal "n" or "n/d".
-
-    d is nonzero, and |n| and d are below 10^2000; leading zeros do not count.
-    """
-    match = _DECIMAL_RATIONAL.fullmatch(str(c)) if type(c) in (int, str) else None
+def _document_rational(c, name: str) -> Fraction:
+    """The curve coefficient ``name`` given as c: an int, a Fraction or a decimal "n" or "n/d",
+    d nonzero, |n| and d below 10^2000 (leading zeros do not count); types are exact, so no
+    bool, and no float, which may have lost digits."""
+    if type(c) in (int, Fraction) and abs(c.numerator) < MAX_VALUE and c.denominator < MAX_VALUE:
+        return Fraction(c)
+    match = _DECIMAL_RATIONAL.fullmatch(c) if type(c) is str else None
     if match:
         sign, num, den = match[1], match[2].lstrip("0"), (match[3] or "1").lstrip("0")
         if den and len(num) <= MAX_DIGITS and len(den) <= MAX_DIGITS:  # den: d != 0
             return Fraction(int(sign + (num or "0")), int(den))
-    return None
+    shown = quoted(c) if type(c) is str else type(c).__name__  # a huge int is named by its type
+    raise InputError(f"curve coefficient {name} must be an integer or a decimal "
+                     f'"n" or "n/d" below 10^2000, got {shown}')
 
 
 @dataclass(frozen=True)
 class Curve:
-    """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 with rational a_i.
+    """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 with rational a_i, each read
+    by the rule of curve documents (see :func:`_document_rational`) and kept as a Fraction.
 
     ``_integral`` is (u, (a1*u, a2*u^2, a3*u^3, a4*u^4, a6*u^6)) with u the lcm
     of the a_i's denominators: integers, and a model isomorphic to this one
@@ -87,8 +91,9 @@ class Curve:
     _counts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coeffs = tuple(map(Fraction, (self.a1, self.a2, self.a3, self.a4, self.a6)))
-        for name, c in zip(("a1", "a2", "a3", "a4", "a6"), coeffs):
+        names = ("a1", "a2", "a3", "a4", "a6")
+        coeffs = [_document_rational(getattr(self, name), name) for name in names]
+        for name, c in zip(names, coeffs):
             object.__setattr__(self, name, c)
         u = math.lcm(*(c.denominator for c in coeffs))
         a = tuple(c.numerator * (u ** i // c.denominator) for i, c in zip((1, 2, 3, 4, 6), coeffs))
@@ -107,13 +112,11 @@ class Curve:
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed curve document: {exc}") from None
         check_keys(doc, ("a",), "curve")
-        # exact types: a JSON float may have lost digits, and a string is not a list
-        values = ([_document_rational(c) for c in entries]
-                  if type(entries) is list and len(entries) == 5 else [None])
-        if None in values:
+        # exact type: a string is not a list
+        if type(entries) is not list or len(entries) != 5:
             raise InputError("malformed curve document: 'a' must be a list of five rational "
                              f"strings or JSON integers a1,a2,a3,a4,a6, got {entries!r}")
-        return cls(*values)
+        return cls(*entries)
 
 
 def x1_11() -> Curve:

@@ -103,6 +103,9 @@ class ExtensionSpec:
         check_prime(self.p)
         if self.p < 5:
             raise InputError("extension prime must be >= 5")
+        if type(self.m) is not int:  # exact type, as in documents: no float and no bool
+            raise InputError(f"invalid extension parameter: m must be an int, "
+                             f"got {type(self.m).__name__}")
         if self.m <= 1:
             raise InputError("invalid extension parameter: m must be >= 2")
         if self.m >= MAX_VALUE:

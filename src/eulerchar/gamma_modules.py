@@ -219,7 +219,7 @@ def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiRe
         kernel_cols = [j for j, e in enumerate(exps) if e >= w]
         true_kernel_rank = 1 if form.distinguished_poly[0] == 0 else 0
         if len(kernel_cols) != true_kernel_rank:
-            raise PrecisionError("raise precision")
+            raise PrecisionError(f"generator {i}, w = {w}: T-kernel undetermined; raise precision")
         lam = form.lam
         aug = [c[i][:] + [v[i][j] for j in kernel_cols] for i in range(lam)]
         aug_exps, _ = smith_normal_form(aug, p, w)
@@ -229,7 +229,8 @@ def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiRe
                                       and form.distinguished_poly[1] == 0)
             if divisible_by_t_squared:
                 return ChiResult(finite=False)
-            raise PrecisionError("raise precision")
+            raise PrecisionError(f"generator {i}, w = {w}: evaluation map undetermined; "
+                                 "raise precision")
         exponent += form.mu + sum(aug_exps)
         r += len(kernel_cols)
     return ChiResult(True, PowerOfP(p, exponent), r)

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, PrecisionError
-from .padics import MAX_VALUE, check_keys, check_prime, int_valuation, json_int, power_below_bound
+from .padics import (MAX_VALUE, check_keys, check_prime, int_valuation, json_int,
+                     power_below_bound, quoted)
 
-_MAX_PARSE_DEGREE = 512
-_MAX_DEGREE = 1024  # bounds a document's D
-# Bounds a document's N * D * bitlen(p^N): preparation runs up to N rounds of one
+_MAX_DEGREE = 1024  # bounds a series' D, and so the degree of a parsed polynomial
+# Bounds a series' N * D * bitlen(p^N): preparation runs up to N rounds of one
 # D-term product, round k's coefficients below p^(N-k).  At the bound the slowest shape,
 # the largest prime p < MR_PROVEN_BELOW at D = 1024, N = 6, prepares in 1.0 s (2-vCPU Xeon).
 _MAX_COST = 4_000_000
@@ -46,8 +46,9 @@ class LambdaSeries:
 
     ``coeffs`` is little-endian in T, nonempty, and reduced into
     [0, p^coeff_precision); its length is the truncation degree D.  :meth:`make`
-    checks p, N and D.  The raw constructor checks nothing: this module calls it
-    only on results built from series that hold these facts already.
+    is the one checked way in, and applies the rules of a series document.  The
+    raw constructor checks nothing: this module calls it only on results built
+    from series that hold these facts already.
     """
 
     prime: int
@@ -59,22 +60,31 @@ class LambdaSeries:
     @classmethod
     def make(cls, prime: int, coeffs: Sequence[int], precision: int,
              degree: int) -> "LambdaSeries":
-        """The checked constructor: refuses a p that is not prime, N < 1 and D < 1,
-        then reduces the coefficients and zero-pads them to ``degree``."""
-        check_prime(prime)
-        if precision < 1:
-            raise InputError("coefficient precision must be >= 1")
-        if degree < 1:
-            raise InputError("truncation degree must be >= 1")
-        return cls._reduced(prime, coeffs, precision, degree)
-
-    @classmethod
-    def _reduced(cls, prime, coeffs, precision, degree) -> "LambdaSeries":
-        """:meth:`make` for a shape a document reader has checked already."""
-        m = prime ** precision
-        reduced = [c % m for c in coeffs[:degree]]
-        reduced.extend([0] * (degree - len(reduced)))
-        return cls(prime, precision, tuple(reduced))
+        """The checked constructor, by the rules of a series document: p, N, D and each
+        coefficient are integers (no bool or float); N, D >= 1; p is prime, checked before
+        p^N is formed; p^N < 10^2000, D <= 1024 and N * D * bitlen(p^N) <= _MAX_COST; no term
+        from T^D on is nonzero.  Coefficients are reduced mod p^N and zero-padded to D."""
+        p, n, d = (json_int(prime, "p", "series"), json_int(precision, "N", "series"),
+                   json_int(degree, "D", "series"))
+        if n < 1 or d < 1:
+            raise InputError("malformed series document: 'N' and 'D' must be >= 1")
+        check_prime(p)
+        if not power_below_bound(p, n):
+            raise InputError(f"malformed series document: 'N' = {n} makes p^N = {p}^{n} "
+                             "pass the bound 10^2000")
+        if d > _MAX_DEGREE:
+            raise InputError(f"malformed series document: 'D' = {d} passes the bound "
+                             f"{_MAX_DEGREE}")
+        m = p ** n
+        if n * d * m.bit_length() > _MAX_COST:
+            raise InputError(f"malformed series document: 'N' = {n} and 'D' = {d} make "
+                             f"N * D * bitlen(p^N) pass the cost bound {_MAX_COST}")
+        coeffs = [json_int(c, "coeffs", "series") for c in coeffs]
+        past = next((i for i in range(d, len(coeffs)) if coeffs[i]), None)
+        if past is not None:
+            raise InputError(f"malformed series document: a term at T^{past} "
+                             f"exceeds truncation degree D = {d}")
+        return cls(p, n, tuple([c % m for c in coeffs[:d]] + [0] * (d - len(coeffs))))
 
     @classmethod
     def one(cls, prime: int, precision: int, degree: int) -> "LambdaSeries":
@@ -128,18 +138,14 @@ class LambdaSeries:
 
     @classmethod
     def from_json(cls, doc) -> "LambdaSeries":
-        """Read a coefficient document: JSON integers, at most D coefficients, zero-padded."""
+        """Read a coefficient document through :meth:`make`."""
         try:
             p, n, d, coeffs = doc["p"], doc["N"], doc["D"], doc["coeffs"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed series document: {exc}") from None
         if not isinstance(coeffs, list):
             raise InputError("malformed series document: 'coeffs' must be a list")
-        p, n, d = _series_shape(p, n, d)
-        if len(coeffs) > d:
-            raise InputError(f"malformed series document: 'coeffs' has {len(coeffs)} "
-                             f"entries, more than the truncation degree D = {d}")
-        return cls._reduced(p, [json_int(c, "coeffs", "series") for c in coeffs], n, d)
+        return cls.make(p, coeffs, n, d)
 
 
 @dataclass(frozen=True)
@@ -336,11 +342,6 @@ def leading_term(g: LambdaSeries) -> LeadingTerm:
 # -- compact polynomial notation ---------------------------------------------
 
 
-def _quoted(text: str) -> str:
-    """The polynomial ``text`` as an error message quotes it: its first 40 characters."""
-    return repr(text[:40]) + ("..." if len(text) > 40 else "")
-
-
 def _poly_add(a: List[int], b: List[int]) -> List[int]:
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
@@ -352,15 +353,15 @@ def _poly_add(a: List[int], b: List[int]) -> List[int]:
 
 def _poly_mul(a: List[int], b: List[int], text: str) -> List[int]:
     """The product a*b in the polynomial ``text``, refused past degree or coefficient bounds."""
-    if len(a) + len(b) - 1 > _MAX_PARSE_DEGREE:
-        raise InputError(f"polynomial degree exceeds parser cap {_MAX_PARSE_DEGREE}")
+    if len(a) + len(b) - 1 > _MAX_DEGREE:
+        raise InputError(f"polynomial degree exceeds parser cap {_MAX_DEGREE}")
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         if c:
             for j, e in enumerate(b):
                 out[i + j] += c * e
     if max(map(abs, out)) >= MAX_VALUE:
-        raise InputError(f"polynomial {_quoted(text)} has a coefficient past the bound 10^2000")
+        raise InputError(f"polynomial {quoted(text)} has a coefficient past the bound 10^2000")
     return out
 
 
@@ -370,8 +371,8 @@ def _poly_pow(base: List[int], k: int, text: str) -> List[int]:
     The degree cap is checked on base^k up front; the coefficient bound on each
     product, all of them powers of base with exponent at most k.
     """
-    if k * (len(base) - 1) >= _MAX_PARSE_DEGREE:
-        raise InputError(f"polynomial degree exceeds parser cap {_MAX_PARSE_DEGREE}")
+    if k * (len(base) - 1) >= _MAX_DEGREE:
+        raise InputError(f"polynomial degree exceeds parser cap {_MAX_DEGREE}")
     s = next((i for i, c in enumerate(base) if c), 0)  # base = T^s * rest
     rest, out, e = base[s:], [1], k
     while e and rest != [1]:
@@ -401,11 +402,10 @@ def _evaluate(node, text: str) -> List[int]:
             return _poly_mul(_evaluate(node.left, text), _evaluate(node.right, text), text)
         if isinstance(node.op, ast.Pow):
             exp = node.right
-            if not (isinstance(exp, ast.Constant) and type(exp.value) is int
-                    and 0 <= exp.value <= _MAX_PARSE_DEGREE):
-                raise InputError(f"unsupported exponent in polynomial {_quoted(text)}")
+            if not (isinstance(exp, ast.Constant) and type(exp.value) is int and exp.value >= 0):
+                raise InputError(f"unsupported exponent in polynomial {quoted(text)}")
             return _poly_pow(_evaluate(node.left, text), exp.value, text)
-    raise InputError(f"unsupported expression in polynomial {_quoted(text)}")
+    raise InputError(f"unsupported expression in polynomial {quoted(text)}")
 
 
 def polynomial_from_text(text: str) -> List[int]:
@@ -418,47 +418,26 @@ def polynomial_from_text(text: str) -> List[int]:
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
     except (SyntaxError, ValueError, RecursionError, MemoryError):  # MemoryError: deep nesting
-        raise InputError(f"cannot parse polynomial {_quoted(text)}") from None
+        raise InputError(f"cannot parse polynomial {quoted(text)}") from None
     try:
         return _evaluate(tree.body, text)
     except RecursionError:
-        raise InputError(f"polynomial nested too deeply: {_quoted(text)}") from None
+        raise InputError(f"polynomial nested too deeply: {quoted(text)}") from None
 
 
 def series_from_text(prime: int, text: str, precision: int, degree: int) -> LambdaSeries:
-    """Read a polynomial string as a series at the given (N, D) precision; the
-    polynomial is exact, so a nonzero coefficient that is 0 mod p^N is refused.
-    The shape is the caller's to check: :func:`series_from_doc` checks a document's."""
+    """Parse a polynomial string, then make it a series at (N, D) by :meth:`LambdaSeries.make`;
+    the polynomial is exact, so a nonzero coefficient that is 0 mod p^N is refused."""
     poly = polynomial_from_text(text)
-    if len(poly) > degree:
-        raise InputError("polynomial degree exceeds truncation degree")
-    m = prime ** precision
-    for i, c in enumerate(poly):
-        if c and not c % m:
-            raise InputError(f"polynomial {_quoted(text)} has coefficient {c} of T^{i}, "
+    series = LambdaSeries.make(prime, poly, precision, degree)
+    for i, (c, reduced) in enumerate(zip(poly, series.coeffs)):
+        if c and not reduced:
+            raise InputError(f"polynomial {quoted(text)} has coefficient {c} of T^{i}, "
                              f"which is 0 mod p^N = {prime}^{precision}; a larger N keeps it")
-    return LambdaSeries._reduced(prime, poly, precision, degree)
+    return series
 
 
 # -- series documents ----------------------------------------------------------
-
-
-def _series_shape(p, n, d):
-    """The checked prime and (N, D) precision of a series document."""
-    p, n, d = (json_int(p, "p", "series"), json_int(n, "N", "series"),
-               json_int(d, "D", "series"))
-    if n < 1 or d < 1:
-        raise InputError("malformed series document: 'N' and 'D' must be >= 1")
-    check_prime(p)
-    if not power_below_bound(p, n):
-        raise InputError(f"malformed series document: 'N' = {n} makes p^N = {p}^{n} "
-                         "pass the bound 10^2000")
-    if d > _MAX_DEGREE:
-        raise InputError(f"malformed series document: 'D' = {d} passes the bound {_MAX_DEGREE}")
-    if n * d * (p ** n).bit_length() > _MAX_COST:
-        raise InputError(f"malformed series document: 'N' = {n} and 'D' = {d} make "
-                         f"N * D * bitlen(p^N) pass the cost bound {_MAX_COST}")
-    return p, n, d
 
 
 def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
@@ -470,8 +449,8 @@ def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
     the enclosing document ``outer`` (a module or Akashi file), then to
     N = 16 and D = 32.  The enclosing numbers are checked whatever the
     entry's form.  An entry holds "p", "N", "D" and one of "coeffs" and
-    "poly"; any other key, or both of those, is refused.  Bad input of any
-    shape raises InputError.
+    "poly"; any other key, or both of those, is refused.  :meth:`LambdaSeries.make`
+    builds both forms, a polynomial once parsed.  Bad input raises InputError.
     """
     scope = {"N": 16, "D": 32, **(outer or {})}
     scope = {key: json_int(scope[key], key, "series") for key in ("p", "N", "D")
@@ -487,8 +466,7 @@ def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
         return LambdaSeries.from_json(scope)
     if not isinstance(scope["poly"], str):
         raise InputError("malformed series document: 'poly' must be a string")
-    p, n, d = _series_shape(scope.get("p"), scope["N"], scope["D"])
-    return series_from_text(p, scope["poly"], n, d)
+    return series_from_text(scope.get("p"), scope["poly"], scope["N"], scope["D"])
 
 
 def series_list_from_doc(doc, key: str, name: str, other_keys=()):

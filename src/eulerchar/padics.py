@@ -43,6 +43,11 @@ def power_below_bound(base: int, exp: int) -> bool:
     return exp * (base.bit_length() - 1) < MAX_VALUE.bit_length() and base ** exp < MAX_VALUE
 
 
+def quoted(text: str) -> str:
+    """``text`` as an error message quotes it: its first 40 characters."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n below MR_PROVEN_BELOW.
 
@@ -145,13 +150,12 @@ class PowerOfP:
     The quantities the library certifies -- Euler characteristics, H^1
     cardinalities, magnitudes of Euler-factor products -- are all of this
     shape, and keeping the exponent avoids ever printing an inexact value.
+    :meth:`parse` checks the prime of a value read from outside; the raw
+    constructor checks nothing, and is given only primes proved already.
     """
 
     prime: int
     exponent: int
-
-    def __post_init__(self):
-        check_prime(self.prime)
 
     def __mul__(self, other: "PowerOfP") -> "PowerOfP":
         if self.prime != other.prime:
@@ -174,15 +178,15 @@ class PowerOfP:
         check_prime(prime)  # before int_valuation, which never returns for p = 1
         match = _POWER_OF_P.fullmatch(text) if len(text) <= MAX_DIGITS else None
         if not match:
-            raise InputError(f"cannot parse power of {prime}: {text!r}")
+            raise InputError(f"cannot parse power of {prime}: {quoted(text)}")
         n = int(match[1])
         if match[2] is not None:
             if n != prime:
-                raise InputError(f"expected a power of {prime}, got base {n}")
+                raise InputError(f"expected a power of {prime}, got base {quoted(match[1])}")
             return cls(prime, int(match[2]))
         e = int_valuation(n, prime) if n > 0 else 0
         if n != prime ** e:
-            raise InputError(f"not a power of {prime}: {text!r}")
+            raise InputError(f"not a power of {prime}: {quoted(text)}")
         return cls(prime, e)
 
 

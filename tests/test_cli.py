@@ -358,13 +358,13 @@ QUICK_INERTIA_REFUSALS = [
     (["euler-factor", "--a", "0", "--q", "1", "--p", "7"], 2, "q must be"),
     (["chi-module", "--module", '{"p":7,"generators":[]}'], 2, "at least one generator"),
     (["chi-module", "--module", '{"p":7,"generators":"T"}'], 2, "'generators' must be a list"),
-    (["prep", "--series", '{"p":7,"poly":"T^300*T^300"}'], 2, "exceeds parser cap"),
+    (["prep", "--series", '{"p":7,"poly":"T^600*T^600"}'], 2, "exceeds parser cap"),
     (["prep", "--series", '{"p":7,"poly":"T^40","N":4,"D":8}'], 2,
      "exceeds truncation degree"),
     (["example-x1-11", "--chi-gamma", "7^x"], 2, "cannot parse power of 7"),
     (["example-x1-11", "--chi-gamma", "48"], 2, "not a power of 7"),
     (["leading", "--series", '{"p":7,"N":3,"D":2,"coeffs":[0,0,5]}'], 2,
-     "'coeffs' has 3 entries, more than the truncation degree D = 2"),
+     "a term at T^2 exceeds truncation degree D = 2"),
     (["theorem3", "--config", pipeline(tamagawa={"113": 1, "5": 3})], 2,
      "Tamagawa key '5' is not a prime dividing m other than p"),
     (["theorem3", "--config", pipeline(tamagawa={"113": 1, "7": 2})], 2,
@@ -377,7 +377,8 @@ QUICK_INERTIA_REFUSALS = [
     (["count-points", "--curve", '{"a":"01100"}', "--q", "7"], 2,
      "'a' must be a list of five rational strings or JSON integers"),
     (["count-points", "--curve", '{"a":[0,0,0,-1,12345678901234567891.0]}', "--q", "7"], 2,
-     "'a' must be a list of five rational strings or JSON integers"),
+     "curve coefficient a6 must be an integer or a decimal \"n\" or \"n/d\" below 10^2000, "
+     "got float"),
     (["theorem3", "--config", pipeline(curve={"a": "01100"})], 2,
      "'a' must be a list of five rational strings or JSON integers"),
     (["euler-factor", "--a", "0", "--q", "6", "--p", "7"], 2, "q must be a prime power"),
@@ -421,19 +422,19 @@ QUICK_INERTIA_REFUSALS = [
      "malformed JSON: Exceeds the limit (4300 digits)"),
     # curve coefficients: JSON integers or decimal "n" and "n/d", each below 10^2000
     (["count-points", "--curve", '{"a":["0","-1","1","0","1e5000"]}', "--q", "7"], 2,
-     "'a' must be a list of five rational strings or JSON integers"),
+     "curve coefficient a6 must be an integer or a decimal"),
     (["count-points", "--curve", '{"a":["0","-1","1","0","1e10000000"]}', "--q", "7"], 2,
-     "got ['0', '-1', '1', '0', '1e10000000']"),
+     "below 10^2000, got '1e10000000'"),
     (["count-points", "--curve", '{"a":["0","-1","1","0","0.5"]}', "--q", "7"], 2,
-     "got ['0', '-1', '1', '0', '0.5']"),
+     "below 10^2000, got '0.5'"),
     (["theorem3", "--config", pipeline(curve={"a": ["0", "-1", "1", "0", "1e5000"]})], 2,
-     "'a' must be a list of five rational strings or JSON integers"),
+     "curve coefficient a6 must be an integer or a decimal"),
     # a polynomial's products stay below 10^2000
     (["prep", "--series", '{"p":7,"N":4,"D":8,"poly":"((10^500)^500)^20"}'], 2,
      "polynomial '((10^500)^500)^20' has a coefficient past the bound 10^2000"),
     # a power's degree is capped before any product is formed
-    (["prep", "--series", '{"p":7,"N":4,"D":8,"poly":"(T^2)^300"}'], 2,
-     "polynomial degree exceeds parser cap 512"),
+    (["prep", "--series", '{"p":7,"N":4,"D":8,"poly":"(T^2)^600"}'], 2,
+     "polynomial degree exceeds parser cap 1024"),
     # up to N preparation rounds of a D-term product: N * D * bitlen(p^N) is bounded
     (["prep", "--series", json.dumps({"p": 2, "N": 6000, "D": 1024,
                                       "coeffs": [2, 1] + [2] * 1022})], 2,
@@ -536,6 +537,11 @@ QUICK_INERTIA_REFUSALS = [
     (["prep", "--series", "latin1.json"], 2,
      "malformed JSON: 'utf-8' codec can't decode byte 0xe9"),
     (["prep", "--series", "utf16.json"], 2, "malformed JSON: Expecting value"),
+    # a long option that is read as a path is quoted once and in part, as is a long chi_gamma
+    (["prep", "--series", "[" + ",".join(["1"] * 3001) + "]"], 2,
+     "cannot read '[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1'...: File name too long"),
+    (["example-x1-11", "--chi-gamma", "7^" + "9" * 3000], 2,
+     "cannot parse power of 7: '7^99999999999999999999999999999999999999'..."),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)

@@ -344,13 +344,18 @@ def test_curve_json_roundtrip():
     big = Curve.from_json({"a": [0, "-" + "0" * 5000, 0, "0" * 5000 + "7/" + "9" * 2000,
                                  10 ** 2000 - 1]})
     assert (big.a2, big.a4, big.a6) == (0, Fraction(7, 10 ** 2000 - 1), 10 ** 2000 - 1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="'a' must be a list of five rational"):
         Curve.from_json({"a": ["1", "2"]})
-    # only JSON integers and decimal "n" or "n/d" are read, each below 10^2000
+    # only JSON integers and decimal "n" or "n/d" are read, each below 10^2000, by the
+    # document reader and by the constructor alike; a Fraction is read by the constructor
+    assert Curve(0, "-1", 1, Fraction(0), "0") == curve
     for bad in ("1/0", "0.5", "1e3", "+1", " 1", "1_000", "1/-2", 1.0, True, None,
-                10 ** 2000, "1" + "0" * 2000, "1/1" + "0" * 2000):
-        with pytest.raises(InputError, match="'a' must be a list of five rational"):
-            Curve.from_json({"a": [0, 0, 0, 1, bad]})
+                10 ** 2000, "1" + "0" * 2000, "1/1" + "0" * 2000, Fraction(1, 10 ** 2000)):
+        for make in (lambda: Curve.from_json({"a": [0, 0, 0, 1, bad]}),
+                     lambda: Curve(0, 0, 0, 1, bad)):
+            with pytest.raises(InputError, match="curve coefficient a6 must be") as refused:
+                make()
+            assert len(str(refused.value)) < 140  # at most 40 characters of it are quoted
 
 
 # The four benchmark curves X_1(11), 37a1, y^2 = x^3 - x and 53a1 (which has

@@ -111,6 +111,10 @@ def test_extension_validation():
     root = 4 * 10 ** 285  # root^7 = 16384 * 10^1995 has 2000 digits
     with pytest.raises(InputError, match="perfect p-th power"):
         ExtensionSpec(7, root ** 7)
+    # m is an int: a float or a bool is refused by name, not read
+    for m, kind in ((113.0, "float"), (True, "bool"), ("113", "str")):
+        with pytest.raises(InputError, match=f"m must be an int, got {kind}"):
+            ExtensionSpec(7, m)
 
 
 def test_perfect_power_against_brute_force():

@@ -158,6 +158,10 @@ def test_oracle_demands_precision_beyond_deep_constants():
     deep = module(7, "T-2401")
     with pytest.raises(PrecisionError, match="raise precision"):
         finite_level_oracle(deep, 3)
+    # the error names the generator and the level w
+    with pytest.raises(PrecisionError, match="generator 1, w = 3: T-kernel undetermined; "
+                                             "raise precision"):
+        finite_level_oracle(module(7, "T", "T-2401"), 3)
     assert finite_level_oracle(deep, 12) == generalized_chi(deep)
     assert finite_level_oracle(deep, 12) == ChiResult(True, PowerOfP(7, 4), 0)
 
@@ -167,6 +171,9 @@ def test_oracle_demands_precision_for_large_finite_chi():
     big = module(7, "T*(T-343)")
     with pytest.raises(PrecisionError, match="raise precision"):
         finite_level_oracle(big, 3)
+    with pytest.raises(PrecisionError, match="generator 1, w = 3: evaluation map undetermined; "
+                                             "raise precision"):
+        finite_level_oracle(module(7, "1+T", "T*(T-343)"), 3)
     assert finite_level_oracle(big, 12) == ChiResult(True, PowerOfP(7, 3), 1)
     assert finite_level_oracle(big, 12) == generalized_chi(big)
     # genuine non-finiteness is still reported, even at low precision

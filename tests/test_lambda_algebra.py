@@ -10,7 +10,7 @@ from eulerchar import lambda_algebra
 from eulerchar.akashi import AkashiData, akashi_series, check_multiplicativity
 from eulerchar.errors import InputError, PrecisionError
 from eulerchar.gamma_modules import TorsionModule
-from eulerchar.lambda_algebra import (LambdaSeries, _invert_unit, distinguished_part,
+from eulerchar.lambda_algebra import (LambdaSeries, _invert_unit, _kronecker, distinguished_part,
                                       leading_term, mu_lambda,
                                       polynomial_from_text, series_from_doc, series_from_text,
                                       weierstrass_prepare)
@@ -74,14 +74,16 @@ def test_multiplication_matches_oracle_on_random_inputs():
         (5, [3], 3, 1, [4, 2], 2, 2),  # D = 1
         # unequal N: a's coefficients pass b's p^N
         (3, random_coeffs(rng, 3, 40, 12, 1), 40, 12, random_coeffs(rng, 3, 2, 15, 1), 2, 15),
-        # p^N = 2^6000, near the 10^2000 bound
-        (2, random_coeffs(rng, 2, 6000, 24, 1), 6000, 24, [2 ** 6000 - 1] * 24, 6000, 24),
     ]
     for p, a, na, da, b, nb, db in cases:
         got = series(p, a, na, da) * series(p, b, nb, db)
         n, d = min(na, nb), min(da, db)
         assert (got.coeff_precision, got.trunc_degree) == (n, d)
         assert got.coeffs == naive_product(p, a, b, n, d)
+    # p^N = 2^6000, near the 10^2000 bound: past the cost bound for a series, so the
+    # kernel is called on the operands directly
+    a, b = random_coeffs(rng, 2, 6000, 24, 1), [2 ** 6000 - 1] * 24
+    assert tuple(_kronecker(a, b, 24, 2 ** 6000)) == naive_product(2, a, b, 6000, 24)
 
 
 def operand(rng, top, length):
@@ -602,16 +604,30 @@ def test_polynomial_text_parsing():
 
 
 def test_construction_validation():
-    """make is the checked constructor: p prime, N >= 1, D >= 1, coefficients reduced."""
+    """make is the checked constructor and applies the document rules: integer p, N, D
+    and coefficients, p prime, N >= 1, D >= 1, the bounds, and no term past T^(D-1)."""
     assert LambdaSeries.make(7, [], 2, 3) == LambdaSeries(7, 2, (0, 0, 0))
     with pytest.raises(InputError, match="not prime: 6"):
         LambdaSeries.make(6, [1], 2, 3)
-    with pytest.raises(InputError, match="coefficient precision must be >= 1"):
+    with pytest.raises(InputError, match="'N' and 'D' must be >= 1"):
         LambdaSeries.make(7, [1], 0, 3)
     for degree in (0, -1):  # a negative degree must not cut terms off the end
-        with pytest.raises(InputError, match="truncation degree must be >= 1"):
+        with pytest.raises(InputError, match="'N' and 'D' must be >= 1"):
             LambdaSeries.make(7, [1, 2, 3], 4, degree)
     assert LambdaSeries.make(7, [7, 0], 1, 2).coeffs == (0, 0)
+    # a zero past T^(D-1) loses nothing; a nonzero term there is refused, not dropped
+    assert LambdaSeries.make(7, [1, 2, 0, 0], 4, 2).coeffs == (1, 2)
+    for args, message in [
+            ((7, [1, 2], 2.0, 3), "'N' must be a JSON integer, got 2.0"),
+            ((7, [1, 2], 2, 3.0), "'D' must be a JSON integer, got 3.0"),
+            ((True, [1], 2, 3), "'p' must be a JSON integer, got True"),
+            ((7, [1, 2.0], 2, 3), "'coeffs' must be a JSON integer, got 2.0"),
+            ((7, [1, 2, 3], 4, 2), "a term at T\\^2 exceeds truncation degree D = 2"),
+            ((7, [1], 4, 1025), "'D' = 1025 passes the bound 1024"),
+            ((7, [1], 2367, 1), "'N' = 2367 makes p\\^N = 7\\^2367 pass the bound"),
+            ((7, [7, 1] + [3] * 400, 300, 1024), "pass the cost bound 4000000")]:
+        with pytest.raises(InputError, match=message):
+            LambdaSeries.make(*args)
 
 
 def test_only_make_checks_the_prime(monkeypatch):
@@ -660,6 +676,19 @@ def test_series_from_doc_checks_the_prime_once(monkeypatch):
     for form in ({"coeffs": [1]}, {"poly": "T"}):
         with pytest.raises(InputError, match="not prime: 4"):
             series_from_doc({"p": 4, "N": 6000, "D": 1, **form})
+
+
+def test_a_polynomial_reaches_the_truncation_degree_cap():
+    """One degree bound: a polynomial term below D <= 1024 is read, and the parser
+    refuses a power past degree 1023 before forming it."""
+    got = series_from_doc({"p": 7, "N": 4, "D": 1024, "poly": "T^600 + 7"})
+    assert got.trunc_degree == 1024
+    assert [i for i, c in enumerate(got.coeffs) if c] == [0, 600]
+    assert (got.coeffs[0], got.coeffs[600]) == (7, 1)
+    with pytest.raises(InputError, match="polynomial degree exceeds parser cap 1024"):
+        series_from_doc({"p": 7, "N": 4, "D": 32, "poly": "T^2000"})
+    with pytest.raises(InputError, match="a term at T\\^40 exceeds truncation degree D = 32"):
+        series_from_doc({"p": 7, "N": 4, "D": 32, "poly": "T^40 + 1"})
 
 
 def test_mu_and_lambda_add_below_the_product_precision(monkeypatch):

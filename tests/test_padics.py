@@ -36,9 +36,9 @@ def test_valuation_additive_and_magnitude_multiplicative():
 
 def test_prime_is_checked():
     with pytest.raises(InputError, match="not prime"):
-        PowerOfP(6, 1)
+        PowerOfP.parse(6, "6")
     with pytest.raises(InputError, match="not prime"):
-        PowerOfP(1, 0)
+        PowerOfP.parse(1, "7")
 
 
 def test_prime_mismatch():
