@@ -4,14 +4,17 @@ Every command prints a single JSON report on stdout (keys sorted, no
 timestamps, all rationals and prime powers as exact strings) and uses
 stderr for diagnostics.  The report is written by :func:`_json_text`, in the
 bytes ``json.dumps(report, indent=2, sort_keys=True)`` gives, and holds JSON
-types only.  Exit codes: 0 success, 2 input error, 3 precision
-error, 4 golden-value mismatch (the worked-example command only).
+types only; an object that a list repeats is written once.  Each subcommand's
+arguments are parsed by its own parser (see :func:`_parse_args`).  Exit codes:
+0 success, 2 input error, 3 precision error, 4 golden-value mismatch (the
+worked-example command only).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -82,8 +85,10 @@ def _json_text(value, indent: str = "\n") -> str:
     if kind is list or kind is tuple:
         if all(type(x) is int for x in value):
             items = list(map(int.__repr__, value))
-        else:
-            items = [_json_text(x, inner) for x in value]
+        else:  # an item that *is* the one before it, not one equal to it, repeats its text
+            items = []
+            for i, x in enumerate(value):
+                items.append(items[-1] if i and x is value[i - 1] else _json_text(x, inner))
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     raise TypeError(f"a report holds JSON types only, not {kind.__name__}")
 
@@ -165,7 +170,7 @@ def _handle_akashi(args):
         for path in paths:
             doc = _load_json(path, "--check")
             if isinstance(doc, dict) and "coranks" in doc:
-                raise InputError(f"malformed Akashi document {path!r}: 'coranks' is read "
+                raise InputError(f"malformed Akashi document {quoted(path)}: 'coranks' is read "
                                  "only by akashi --data")
             data.append(AkashiData.from_json(doc))
         ok = check_multiplicativity(*data)
@@ -197,10 +202,11 @@ def _handle_split(args):
 
 def _handle_inertia_set(args):
     full = infinite_inertia_set(ExtensionSpec(args.p, args.m))
+    rows = {d: d.to_json() for d in full}  # the g places above l share l's row
     results = {
         "primes_with_infinite_inertia": [d.l for d in full],
-        "splitting": [d.to_json() for d in full],
-        "places_away_from_p": [d.to_json() for d in infinite_inertia_places(full)],
+        "splitting": list(rows.values()),
+        "places_away_from_p": [rows[d] for d in infinite_inertia_places(full)],
     }
     return ({"p": args.p, "m": args.m}, results,
             ["the place list expands each prime l != p to its g places, "
@@ -228,16 +234,16 @@ def _handle_theorem(args):
     product = euler_product(places, p)
     tamagawa_doc = doc.get("tamagawa", {})
     if type(tamagawa_doc) is not dict:
-        raise InputError(f"malformed Tamagawa map: expected an object, got {tamagawa_doc!r}")
+        raise InputError(f"malformed Tamagawa map: expected an object, got {quoted(tamagawa_doc)}")
     primes = {str(splitting.l) for splitting, _ in places}
     tamagawa = {}
     for key, value in tamagawa_doc.items():
         if key not in primes:  # also refuses '0113' and '1_13', which int() reads as 113
-            raise InputError(f"Tamagawa key {key!r} is not a prime dividing m other than p")
+            raise InputError(f"Tamagawa key {quoted(key)} is not a prime dividing m other than p")
         tamagawa[int(key)] = json_int(value, f"tamagawa.{key}", "pipeline")
 
     place_rows = []
-    for splitting, local in places:
+    for (splitting, local), run in itertools.groupby(places):  # a run: the g places above l
         row = {"l": splitting.l, "f": splitting.f, "q_v": splitting.q_v,
                **local.to_json()}
         if splitting.l in tamagawa:
@@ -245,7 +251,7 @@ def _handle_theorem(args):
             row["h1_gamma"] = str(cards.h1_gamma)
             row["h1_Fv"] = str(cards.h1_Fv)
             row["jv_constant_term_magnitude"] = str(PowerOfP(p, local.euler_valuation_at_p))
-        place_rows.append(row)
+        place_rows.extend(row for _ in run)
 
     results = {
         "chi_gamma": str(chi_gamma),
@@ -369,13 +375,31 @@ def _build_parser() -> argparse.ArgumentParser:
                          "(default 7^8)")
     ex.set_defaults(handler=_handle_example)
 
+    parser.subcommands = sub.choices  # each subcommand's own parser, by name
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv: list) -> argparse.Namespace:
+    """What ``_build_parser().parse_args(argv)`` returns, or the SystemExit it raises.
+
+    The top-level parser hands everything after a subcommand to that subcommand's
+    parser, so a known subcommand's arguments go to its parser directly.  Anything
+    else, and any argument that parser leaves over, takes the top-level route, so
+    help, usage errors and exit codes are the same bytes either way.
+    """
     parser = _build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    # "--" takes the top-level route: its handling has changed across argparse versions
+    if sub is not None and "--" not in argv:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -115,7 +115,7 @@ class Curve:
         # exact type: a string is not a list
         if type(entries) is not list or len(entries) != 5:
             raise InputError("malformed curve document: 'a' must be a list of five rational "
-                             f"strings or JSON integers a1,a2,a3,a4,a6, got {entries!r}")
+                             f"strings or JSON integers a1,a2,a3,a4,a6, got {quoted(entries)}")
         return cls(*entries)
 
 

@@ -65,8 +65,11 @@ def split(l: int, p: int) -> SplittingData:
 
     A residue field of size l^f >= MAX_VALUE (10^2000) is refused before l^f is formed.
     """
-    check_prime(l)
-    check_prime(p)
+    return _split(check_prime(l), check_prime(p))
+
+
+def _split(l: int, p: int) -> SplittingData:
+    """:func:`split` for an l and a p proved prime already."""
     f = 1 if l == p else multiplicative_order(l, p)
     if not power_below_bound(l, f):
         raise InputError(f"residue field too large: l = {l} has residue degree f = {f} "
@@ -120,8 +123,9 @@ def infinite_inertia_set(ext: ExtensionSpec) -> List[SplittingData]:
     These are exactly the primes with infinite inertia in the Kummer
     tower.  The place set the product formula uses is the sublist with
     l != p, expanded to its g places (see infinite_inertia_places).
+    prime_factors proves each l and ExtensionSpec proved p, so neither is checked again.
     """
-    return [split(l, ext.p) for l in prime_factors(ext.p * ext.m)]
+    return [_split(l, ext.p) for l in prime_factors(ext.p * ext.m)]
 
 
 def infinite_inertia_places(inertia_set: List[SplittingData]) -> List[SplittingData]:

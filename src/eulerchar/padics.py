@@ -43,9 +43,16 @@ def power_below_bound(base: int, exp: int) -> bool:
     return exp * (base.bit_length() - 1) < MAX_VALUE.bit_length() and base ** exp < MAX_VALUE
 
 
-def quoted(text: str) -> str:
-    """``text`` as an error message quotes it: its first 40 characters."""
-    return repr(text[:40]) + ("..." if len(text) > 40 else "")
+def quoted(value) -> str:
+    """``value`` as an error message quotes it: a string's first 40 characters, an
+    integer past 40 digits by its digit count, and any other value by its repr, or by
+    its type when the repr passes 40 characters."""
+    if type(value) is str:
+        return repr(value[:40]) + ("..." if len(value) > 40 else "")
+    if type(value) is int:
+        return repr(value) if abs(value) < 10 ** 40 else f"a {len(str(abs(value)))}-digit integer"
+    text = repr(value)
+    return text if len(text) <= 40 else f"a {type(value).__name__}"
 
 
 def is_prime(n: int) -> bool:
@@ -127,7 +134,7 @@ def prime_factors(n: int) -> List[int]:
 
 def check_prime(p: int) -> int:
     if not isinstance(p, int) or not is_prime(p):
-        raise InputError(f"not prime: {p!r}")
+        raise InputError(f"not prime: {quoted(p)}")
     return p
 
 
@@ -194,7 +201,7 @@ def json_int(value, field: str, document: str) -> int:
     """``value`` if it is a JSON integer, else an InputError naming the field."""
     if type(value) is not int:  # exact type: JSON true and 3.0 are not integers here
         raise InputError(f"malformed {document} document: {field!r} must be a JSON "
-                         f"integer, got {value!r}")
+                         f"integer, got {quoted(value)}")
     return value
 
 
@@ -202,5 +209,5 @@ def check_keys(doc: dict, allowed, document: str, prefix: str = "") -> None:
     """An InputError naming the first key of ``doc`` outside ``allowed``, the keys read."""
     for key in doc:
         if key not in allowed:
-            raise InputError(f"malformed {document} document: unknown key {prefix + key!r}; "
+            raise InputError(f"malformed {document} document: unknown key {quoted(prefix + key)}; "
                              f"the keys read here are {', '.join(allowed)}")

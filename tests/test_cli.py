@@ -542,6 +542,21 @@ QUICK_INERTIA_REFUSALS = [
      "cannot read '[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1'...: File name too long"),
     (["example-x1-11", "--chi-gamma", "7^" + "9" * 3000], 2,
      "cannot parse power of 7: '7^99999999999999999999999999999999999999'..."),
+    # a refused document value, key or number of 300 characters or more is quoted in part,
+    # or named by its digit count
+    (["split", "--l", "2" + "0" * 300, "--p", "7"], 2, "not prime: a 301-digit integer"),
+    (["theorem3", "--config", pipeline(p="x" * 300)], 2,
+     "'p' must be a JSON integer, got '%s'..." % ("x" * 40)),
+    (["theorem3", "--config", pipeline(**{"k" * 300: 1})], 2,
+     "unknown key '%s'...; the keys read here are p, chi_gamma" % ("k" * 40)),
+    (["count-points", "--curve", json.dumps({"a": "x" * 300}), "--q", "7"], 2,
+     "a1,a2,a3,a4,a6, got '%s'..." % ("x" * 40)),
+    (["theorem3", "--config", pipeline(tamagawa="x" * 300)], 2,
+     "malformed Tamagawa map: expected an object, got '%s'..." % ("x" * 40)),
+    (["theorem3", "--config", pipeline(tamagawa={"1" * 300: 1})], 2,
+     "Tamagawa key '%s'... is not a prime dividing m other than p" % ("1" * 40)),
+    (["akashi", "--check", '{"coranks":[5]%s},b.json,c.json' % (" " * 300)], 2,
+     "malformed Akashi document '{\"coranks\":[5]%s'...: 'coranks' is read only" % (" " * 26)),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)
@@ -663,14 +678,17 @@ def test_theorem3_report_counts_each_prime_once_on_either_route(capsys, monkeypa
 
 
 def test_inertia_set_report_splits_each_prime_once(capsys, monkeypatch):
-    from eulerchar import cli, cyclotomic_fields
+    from eulerchar import cyclotomic_fields
 
-    calls = _count_calls(monkeypatch, cyclotomic_fields, "split")
-    monkeypatch.setattr(cli, "split", cyclotomic_fields.split)
+    # _split is the step split takes once l and p are proved prime
+    calls = _count_calls(monkeypatch, cyclotomic_fields, "_split")
+    proofs = _count_calls(monkeypatch, cyclotomic_fields, "check_prime")
     code, report = run_report(capsys, "inertia-set", "--p", "7", "--m", "226")
     assert code == 0
     assert report["results"]["primes_with_infinite_inertia"] == [2, 7, 113]
     assert sorted(calls) == [(2, 7), (7, 7), (113, 7)]
+    # ExtensionSpec proves p, and prime_factors each l: none is proved again
+    assert proofs == [(7,)]
 
 
 def test_calls_in_one_process_share_no_state(capsys):
@@ -695,6 +713,31 @@ def test_calls_in_one_process_share_no_state(capsys):
     assert json.loads(forward[5][1])["results"]["chi_gamma_input"] == "7^8"
 
 
+def _parse_outcome(capsys, parse, argv):
+    """The namespace ``parse(argv)`` returns, or the exit code, stdout and stderr it exits with."""
+    try:
+        return parse(list(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["count-points", "-h"], ["no-such-command", "--l", "3"],
+    ["split", "--l", "3", "--p", "13", "extra"], ["split", "--l", "3", "--p", "13", "--bogus", "1"],
+    ["split", "--l=3", "--p", "13"], ["split", "--l", "3", "--", "--p", "13"],
+    ["count-points", "--cur", json.dumps(X1_11), "--q", "7"],
+    ["count-points", "--curve", json.dumps(X1_11), "--q", "7", "--q", "11"],
+    ["split", "--l", "3"], ["akashi", "--data", "{}", "--check", "a,b,c"],
+    ["chi-module", "--module", "{}", "--prec", "x"], ["example-x1-11"],
+])
+def test_subcommand_parser_gives_what_the_top_level_parser_gives(capsys, argv):
+    from eulerchar.cli import _build_parser, _parse_args
+
+    assert (_parse_outcome(capsys, _parse_args, argv)
+            == _parse_outcome(capsys, _build_parser().parse_args, argv))
+
+
 def test_writer_matches_json_dumps_on_golden_reports():
     for path in sorted(GOLDEN.glob("*.json")):
         text = path.read_text()
@@ -708,7 +751,10 @@ JSON_DOCUMENTS = st.recursive(
     | st.integers(min_value=-10 ** 1999, max_value=10 ** 1999)
     | st.sampled_from([0, 10 ** 1999, -10 ** 1999, "", "\x00\x1f\x7f\"\\", "\u00e9\u4e2d\U0001f600"]),
     lambda children: (st.lists(children) | st.lists(children).map(tuple)
-                      | st.dictionaries(st.text(), children)),
+                      | st.dictionaries(st.text(), children)
+                      # runs of one object, as a report lists the g places above a prime
+                      | st.lists(st.tuples(children, st.integers(1, 3))).map(
+                          lambda runs: [x for x, n in runs for _ in range(n)])),
     max_leaves=40)
 
 
@@ -718,7 +764,15 @@ def test_writer_matches_json_dumps(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("doc", [1.5, [1, 2.0], {"a": {"b": [float("nan")]}}, {1: 2}, {"a": b"x"}])
+# equal items are not the same item: True == 1, yet each is written as itself
+@pytest.mark.parametrize("doc", [[{"a": True}, {"a": 1}], [[1], [True]], [[0], [False], [0]],
+                                 [{"a": [1]}] * 3 + [{"a": [1]}]])
+def test_writer_repeats_the_text_of_the_same_item_only(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [1.5, [1, 2.0], {"a": {"b": [float("nan")]}}, {1: 2}, {"a": b"x"},
+                                 [[1.5]] * 3, [[1], [1.0]], [{"a": 1}, {"a": 1.0}]])
 def test_writer_refuses_what_json_cannot_hold_exactly(doc):
     with pytest.raises(TypeError):
         _json_text(doc)

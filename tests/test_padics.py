@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from eulerchar.errors import InputError
-from eulerchar.padics import MR_PROVEN_BELOW, PowerOfP, int_valuation, is_prime, prime_factors
+from eulerchar.padics import (MR_PROVEN_BELOW, PowerOfP, int_valuation, is_prime, prime_factors,
+                              quoted)
 
 
 def test_valuation_examples():
@@ -131,3 +132,12 @@ def test_prime_factors_against_trial_division():
     assert prime_factors(999983 * 1000003 * (10 ** 12 + 39)) == [999983, 1000003, 10 ** 12 + 39]
     assert prime_factors(43 ** 2 * 1000003 ** 3) == [43, 1000003]
     assert prime_factors(2 ** 10 * 41 ** 3) == [2, 41]
+
+
+@pytest.mark.parametrize("value, text", [
+    ("7", "'7'"), ("x" * 41, "'%s'..." % ("x" * 40)), (7.9, "7.9"), (True, "True"),
+    (None, "None"), (-10 ** 39, repr(-10 ** 39)), (10 ** 40, "a 41-digit integer"),
+    ([1, 2], "[1, 2]"), ([1] * 20, "a list"), ({"k" * 40: 1}, "a dict"),
+])
+def test_quoted_cuts_a_long_value_to_a_bounded_quote(value, text):
+    assert quoted(value) == text
