@@ -28,7 +28,7 @@ from .errors import InputError, PrecisionError
 from .euler_char import build_chi_input, euler_product, local_cardinalities
 from .gamma_modules import TorsionModule, finite_level_oracle, generalized_chi
 from .lambda_algebra import leading_term, series_from_doc, weierstrass_prepare
-from .padics import (DECIMAL_INT, MAX_VALUE, PowerOfP, check_keys, check_prime, json_int,
+from .padics import (DECIMAL_INT, MAX_VALUE, PowerOfP, check_prime, document_fields, json_int,
                      prime_factors, quoted)
 
 PAPER_NOTE = "magnitude convention: paper, |x|_p = p^(+v_p(x)), applied to Euler-factor products"
@@ -215,17 +215,17 @@ def _handle_inertia_set(args):
 
 def _handle_theorem(args):
     doc = _load_json(args.config, "--config")
-    try:
-        p = json_int(doc["p"], "p", "pipeline")
-        chi_gamma = PowerOfP.parse(p, str(doc["chi_gamma"]))
-        curve = Curve.from_json(doc["curve"])
-        ext_doc = doc["extension"]
-        ext = ExtensionSpec(json_int(ext_doc["p"], "extension.p", "pipeline"),
-                            json_int(ext_doc["m"], "extension.m", "pipeline"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed pipeline document: {exc}") from None
-    check_keys(doc, ("p", "chi_gamma", "curve", "extension", "tamagawa"), "pipeline")
-    check_keys(ext_doc, ("p", "m"), "pipeline", "extension.")
+    keys = ("p", "chi_gamma", "curve", "extension", "tamagawa")
+    p, chi_gamma, curve_doc, ext_doc = document_fields(doc, "pipeline", keys, keys[:4])
+    ext_p, m = document_fields(ext_doc, "pipeline", ("p", "m"), ("p", "m"), "extension")
+    p = json_int(p, "p", "pipeline")
+    if type(chi_gamma) is not str:
+        raise InputError(f"malformed pipeline document: 'chi_gamma' must be a JSON string, "
+                         f"got {quoted(chi_gamma)}")
+    chi_gamma = PowerOfP.parse(p, chi_gamma)
+    curve = Curve.from_json(curve_doc)
+    ext = ExtensionSpec(json_int(ext_p, "extension.p", "pipeline"),
+                        json_int(m, "extension.m", "pipeline"))
     if ext.p != p:
         raise InputError(f"extension prime disagrees with working prime: 'extension.p' = "
                          f"{ext.p}, 'p' = {p}")

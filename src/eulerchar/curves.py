@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .cyclotomic_fields import SplittingData
 from .errors import InputError
-from .padics import MAX_DIGITS, MAX_VALUE, check_keys, check_prime, int_valuation, quoted
+from .padics import MAX_DIGITS, MAX_VALUE, check_prime, document_fields, int_valuation, quoted
 
 MAX_COUNT_Q = 10 ** 16
 # Mestre's theorem guarantees the search ends only for q > 229.  The O(q) loop
@@ -107,11 +107,7 @@ class Curve:
 
     @classmethod
     def from_json(cls, doc) -> "Curve":
-        try:
-            entries = doc["a"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed curve document: {exc}") from None
-        check_keys(doc, ("a",), "curve")
+        (entries,) = document_fields(doc, "curve", ("a",), ("a",))
         # exact type: a string is not a list
         if type(entries) is not list or len(entries) != 5:
             raise InputError("malformed curve document: 'a' must be a list of five rational "

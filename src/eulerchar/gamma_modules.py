@@ -53,11 +53,7 @@ class TorsionModule:
 
     @classmethod
     def from_json(cls, doc) -> "TorsionModule":
-        """Generators are series entries, read by :func:`series_list_from_doc`.
-
-        Polynomial strings (e.g. "T^2" or "T*(T-7)") are read at the file's
-        "N"/"D" keys, defaults 16/32.
-        """
+        """Generators are series entries, "T*(T-7)" say, read by :func:`series_list_from_doc`."""
         return cls(*series_list_from_doc(doc, "generators", "module"))
 
 

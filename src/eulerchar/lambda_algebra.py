@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, PrecisionError
-from .padics import (MAX_VALUE, check_keys, check_prime, int_valuation, json_int,
+from .padics import (MAX_VALUE, check_prime, document_fields, int_valuation, json_int,
                      power_below_bound, quoted)
 
 _MAX_DEGREE = 1024  # bounds a series' D, and so the degree of a parsed polynomial
@@ -38,6 +38,7 @@ _MAX_COST = 4_000_000
 # its struct code.
 _MACHINE_SLOTS = ((1, "B"), (2, "H"), (4, "I"), (4, "I"), (8, "Q"), (8, "Q"), (8, "Q"), (8, "Q"))
 _MAX_WIDENED_BYTES = 2048  # see _kronecker
+_COEFFS_KEYS = ("p", "N", "D", "coeffs")  # the keys of a coefficient document
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,7 @@ class LambdaSeries:
     @classmethod
     def from_json(cls, doc) -> "LambdaSeries":
         """Read a coefficient document through :meth:`make`."""
-        try:
-            p, n, d, coeffs = doc["p"], doc["N"], doc["D"], doc["coeffs"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed series document: {exc}") from None
+        p, n, d, coeffs = document_fields(doc, "series", _COEFFS_KEYS, _COEFFS_KEYS)
         if not isinstance(coeffs, list):
             raise InputError("malformed series document: 'coeffs' must be a list")
         return cls.make(p, coeffs, n, d)
@@ -446,36 +444,32 @@ def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
     ``entry`` is a coefficient document (see :meth:`LambdaSeries.from_json`),
     a ``{"poly": ...}`` document, or a bare polynomial string.  Either form
     is read at the entry's own "p", "N" and "D", falling back to those of
-    the enclosing document ``outer`` (a module or Akashi file), then to
-    N = 16 and D = 32.  The enclosing numbers are checked whatever the
-    entry's form.  An entry holds "p", "N", "D" and one of "coeffs" and
-    "poly"; any other key, or both of those, is refused.  :meth:`LambdaSeries.make`
+    ``outer``, the enclosing module or Akashi document's as read by
+    :func:`series_list_from_doc`, then to N = 16 and D = 32.  An entry holds
+    "p" unless ``outer`` gives it, "N", "D" and one of "coeffs" and "poly";
+    any other key, or both of those, is refused.  :meth:`LambdaSeries.make`
     builds both forms, a polynomial once parsed.  Bad input raises InputError.
     """
     scope = {"N": 16, "D": 32, **(outer or {})}
-    scope = {key: json_int(scope[key], key, "series") for key in ("p", "N", "D")
-             if key in scope}
-    if isinstance(entry, str):
-        entry = {"poly": entry}
-    if not (isinstance(entry, dict) and ("coeffs" in entry or "poly" in entry)):
+    entry = {"poly": entry} if isinstance(entry, str) else entry
+    form = "coeffs" if type(entry) is dict and "coeffs" in entry else "poly"
+    if type(entry) is dict and form not in entry:
         raise InputError("malformed series document: needs either 'coeffs' or 'poly'")
-    form = "coeffs" if "coeffs" in entry else "poly"
-    check_keys(entry, ("p", "N", "D", form), "series")
+    document_fields(entry, "series", ("p", "N", "D", form),
+                    (form,) if "p" in scope else ("p", form))
     scope.update(entry)
     if form == "coeffs":
         return LambdaSeries.from_json(scope)
     if not isinstance(scope["poly"], str):
         raise InputError("malformed series document: 'poly' must be a string")
-    return series_from_text(scope.get("p"), scope["poly"], scope["N"], scope["D"])
+    return series_from_text(scope["p"], scope["poly"], scope["N"], scope["D"])
 
 
 def series_list_from_doc(doc, key: str, name: str, other_keys=()):
-    """The "p" of a module or Akashi document and its series entries listed under ``key``."""
-    try:
-        p, entries = doc["p"], doc[key]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed {name} document: {exc}") from None
-    check_keys(doc, ("p", "N", "D", key, *other_keys), name)
+    """The "p" of a module or Akashi document and its series entries listed under ``key``,
+    each read at the document's "p", "N" and "D" (see :func:`series_from_doc`)."""
+    _, entries = document_fields(doc, name, ("p", "N", "D", key, *other_keys), ("p", key))
     if not isinstance(entries, list):
         raise InputError(f"malformed {name} document: '{key}' must be a list")
-    return p, tuple(series_from_doc(entry, doc) for entry in entries)
+    scope = {field: json_int(doc[field], field, name) for field in ("p", "N", "D") if field in doc}
+    return scope["p"], tuple(series_from_doc(entry, scope) for entry in entries)

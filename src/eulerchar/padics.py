@@ -205,9 +205,21 @@ def json_int(value, field: str, document: str) -> int:
     return value
 
 
-def check_keys(doc: dict, allowed, document: str, prefix: str = "") -> None:
-    """An InputError naming the first key of ``doc`` outside ``allowed``, the keys read."""
+def document_fields(doc, document: str, keys, required, path: str = "") -> tuple:
+    """The values of the ``required`` keys of ``doc``, by the one shape rule of documents.
+
+    Refused in turn: a ``doc`` that is not a JSON object, a missing required key, and a key
+    outside ``keys``, the keys read, which the refusal lists.  Each names its key by its path
+    in the document; ``path`` is that of ``doc``, "" for a whole document."""
+    prefix = path + "." if path else ""
+    if type(doc) is not dict:
+        raise InputError(f"malformed {document} document: expected a JSON object"
+                         f"{' at ' + repr(path) if path else ''}, got {quoted(doc)}")
+    for key in required:
+        if key not in doc:
+            raise InputError(f"malformed {document} document: missing key {prefix + key!r}")
     for key in doc:
-        if key not in allowed:
+        if key not in keys:
             raise InputError(f"malformed {document} document: unknown key {quoted(prefix + key)}; "
-                             f"the keys read here are {', '.join(allowed)}")
+                             f"the keys read here are {', '.join(keys)}")
+    return tuple(doc[key] for key in required)

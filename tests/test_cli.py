@@ -6,12 +6,13 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eulerchar.cli import _json_text, main
 
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CALLS = Path(__file__).parent / "golden_calls.txt"  # the argv of each golden report
 README = Path(__file__).parent.parent / "README.md"
 X1_11 = {"a": ["0", "-1", "1", "0", "0"]}
 
@@ -232,41 +233,32 @@ def test_readme_examples_run(capsys):
         assert run(capsys, *argv)[0] == 0, argv
 
 
-@pytest.mark.parametrize("argv, golden", [
-    (["example-x1-11"], "example-x1-11.json"),
-    (["theorem3", "--config", json.dumps({
-        "p": 7, "chi_gamma": "7^8", "curve": X1_11,
-        "extension": {"p": 7, "m": 226}, "tamagawa": {"113": 1}})], "theorem3-m226.json"),
-    # mu = 1, lambda = 4 and every coefficient nonzero: the division runs seven
-    # rounds, and the file pins every coefficient of P and U
-    (["prep", "--series", json.dumps({"p": 7, "N": 8, "D": 24, "coeffs": [
-        1698683, 2775458, 2812649, 946582, 1653729, 5173385, 321342, 625268,
-        1004437, 1816227, 3716706, 1536990, 2941232, 4711336, 222362, 3370059,
-        3577553, 3326008, 2866122, 3633189, 4206762, 1410983, 2955715, 657419]})],
-     "prep-dense-lambda4.json"),
-    (["count-points", "--curve", json.dumps(X1_11), "--q", "10007"], "count-points-q10007.json"),
-    (["euler-factor", "--a", "0", "--q", "3", "--p", "5"], "euler-factor-negative.json"),
-    (["leading", "--series", '{"p":7,"N":4,"D":8,"poly":"49*T^2 + 7*T^3 + T^5"}'],
-     "leading-poly.json"),
-    (["chi-module", "--oracle", "--prec", "10", "--module", json.dumps({
-        "p": 7, "N": 8, "D": 12, "generators": [
-            "T*(T-7)", "T^2+7", {"p": 7, "N": 8, "D": 12, "coeffs": [49, 1]}]})],
-     "chi-module-oracle.json"),
-    (["akashi", "--data", json.dumps({
-        "p": 7, "N": 6, "D": 10, "char_elements": ["T", "T^2*(1+T)", "7+T"],
-        "coranks": [1, 2, 0]})], "akashi-data-coranks.json"),
-    (["akashi", "--check", "L.json,M.json,N.json"], "akashi-check.json"),
-    (["split", "--l", "3", "--p", "13"], "split-l3-p13.json"),
-    (["inertia-set", "--p", "7", "--m", "226"], "inertia-set-m226.json"),
-    # y^2 = x^3 - x at the second prime past 10^12, 1 mod 4: test_curves.py's closed form
-    (["count-points", "--curve", '{"a":["0","0","0","-1","0"]}', "--q", str(10 ** 12 + 61)],
-     "count-points-cm-q1000000000061.json"),
-])
+def _golden_calls():
+    """The files that the golden calls read, by name, and the (argv, golden file) calls."""
+    files, calls = {}, []
+    for line in GOLDEN_CALLS.read_text().splitlines():
+        if line.startswith("file "):
+            _, name, content = line.split(" ", 2)
+            files[name] = content
+        elif line and not line.startswith("#"):
+            golden, *argv = shlex.split(line)
+            calls.append((argv, golden))
+    return files, calls
+
+
+GOLDEN_FILES, GOLDEN_ARGVS = _golden_calls()
+
+
+def test_golden_calls_cover_every_golden_report():
+    assert sorted(golden for _, golden in GOLDEN_ARGVS) == sorted(
+        path.name for path in GOLDEN.glob("*.json"))
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN_ARGVS)
 def test_reports_match_golden_output(capsys, monkeypatch, tmp_path, argv, golden):
     monkeypatch.chdir(tmp_path)  # akashi --check echoes its file names as given
-    for name, elements in (("L", ["T"]), ("M", ["T*(T+7)", "1+T"]), ("N", ["T+7", "1+T"])):
-        (tmp_path / f"{name}.json").write_text(
-            json.dumps({"p": 7, "N": 6, "D": 8, "char_elements": elements}))
+    for name, content in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(content)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
@@ -348,7 +340,8 @@ QUICK_INERTIA_REFUSALS = [
     (["akashi", "--check", "a.json,b.json"], 2, "three files"),
     (["akashi"], 2, "one of the arguments --data --check is required"),
     (["prep", "--series", '{"p":7'], 2, "malformed JSON"),
-    (["theorem3", "--config", '{"p":7}'], 2, "malformed pipeline document: 'chi_gamma'"),
+    (["theorem3", "--config", '{"p":7}'], 2,
+     "malformed pipeline document: missing key 'chi_gamma'"),
     (["theorem3", "--config", pipeline(extension={"p": 11, "m": 113})], 2,
      "extension prime disagrees"),
     (["theorem3", "--config", pipeline(tamagawa=[1])], 2, "malformed Tamagawa map"),
@@ -528,7 +521,8 @@ QUICK_INERTIA_REFUSALS = [
      "malformed series document: 'poly' must be a string"),
     (["prep", "--series", '{"p":7,"N":4,"D":4,"coeffs":"x"}'], 2,
      "malformed series document: 'coeffs' must be a list"),
-    (["chi-module", "--module", '{"p":7}'], 2, "malformed module document: 'generators'"),
+    (["chi-module", "--module", '{"p":7}'], 2,
+     "malformed module document: missing key 'generators'"),
     (["chi-module", "--oracle", "--module", '{"p":7,"D":80,"generators":["T^65+7"]}'], 2,
      "total lattice rank exceeds 64"),
     (["count-points", "--curve", '{"a":[0,0,0,0,0]}', "--q", "7"], 2,
@@ -557,6 +551,32 @@ QUICK_INERTIA_REFUSALS = [
      "Tamagawa key '%s'... is not a prime dividing m other than p" % ("1" * 40)),
     (["akashi", "--check", '{"coranks":[5]%s},b.json,c.json' % (" " * 300)], 2,
      "malformed Akashi document '{\"coranks\":[5]%s'...: 'coranks' is read only" % (" " * 26)),
+    # one shape rule for every document: a value that is not an object, a missing key and an
+    # unknown key are refused in that order, each named by its path in its own document
+    (["theorem3", "--config", pipeline(extension={"p": 7})], 2,
+     "malformed pipeline document: missing key 'extension.m'"),
+    (["theorem3", "--config", pipeline(extension="x")], 2,
+     "malformed pipeline document: expected a JSON object at 'extension', got 'x'"),
+    (["theorem3", "--config", pipeline(extension={"n": 2})], 2,
+     "malformed pipeline document: missing key 'extension.p'"),
+    (["theorem3", "--config", pipeline(curve=["0", "-1", "1", "0", "0"])], 2,
+     "malformed curve document: expected a JSON object, got ['0', '-1', '1', '0', '0']"),
+    (["prep", "--series", '{"N":4,"D":4,"coeffs":[7,1]}'], 2,
+     "malformed series document: missing key 'p'"),
+    (["prep", "--series", '{"N":4,"D":4,"poly":"T+7"}'], 2,
+     "malformed series document: missing key 'p'"),
+    (["prep", "--series", "list.json"], 2,
+     "malformed series document: expected a JSON object, got [7, 1]"),
+    (["chi-module", "--module", '{"p":7,"N":"x","generators":["T"]}'], 2,
+     "malformed module document: 'N' must be a JSON integer, got 'x'"),
+    (["akashi", "--data", '{"p":7,"D":"x","char_elements":[]}'], 2,
+     "malformed Akashi document: 'D' must be a JSON integer, got 'x'"),
+    (["akashi", "--data", '{"p":7,"char_elements":["T",5]}'], 2,
+     "malformed series document: expected a JSON object, got 5"),
+    (["chi-module", "--module", '{"p":7,"generators":[{"N":4}]}'], 2,
+     "malformed series document: needs either 'coeffs' or 'poly'"),
+    (["count-points", "--curve", "list.json", "--q", "7"], 2,
+     "malformed curve document: expected a JSON object, got [7, 1]"),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)
@@ -565,6 +585,7 @@ def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, c
     (tmp_path / "deep.json").write_text(pipeline()[:-1] + ', "tamagawa": %s}' % DEEP_JSON)
     (tmp_path / "latin1.json").write_bytes(b'{"p":7,"N":4,"D":4,"poly":"T+\xe9"}')
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")  # a UTF-16 BOM, then one odd character
+    (tmp_path / "list.json").write_text("[7, 1]")
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert message in err
@@ -603,11 +624,69 @@ def test_undecided_primality_names_the_size_not_the_number(capsys):
      "'coranks' must be a JSON integer, got True"),
     (["akashi", "--data", '{"p":7,"char_elements":["7*T"],"coranks":5}'],
      "'coranks' must be a list"),
+    (["theorem3", "--config", pipeline(chi_gamma=49)],
+     "malformed pipeline document: 'chi_gamma' must be a JSON string, got 49"),
 ])
 def test_document_numbers_are_not_coerced(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
+
+
+# The golden calls that read a document, and the option that gives it
+SHAPE_CALLS = [(argv, argv.index(option) + 1) for argv, _ in GOLDEN_ARGVS
+               for option in ("--config", "--series", "--module", "--data", "--curve")
+               if option in argv]
+OTHER_JSON_VALUES = [None, True, 0, -1, 1.5, "", "x", [], [1], {}, {"p": 7}]
+
+
+def _places(doc, path=()):
+    """The path of every value below the top of the JSON value ``doc``."""
+    items = doc.items() if type(doc) is dict else enumerate(doc) if type(doc) is list else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _places(value, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A golden call's argv with one value of its document swapped for a value of another
+    JSON type, or one key of its document deleted."""
+    argv, i = draw(st.sampled_from(SHAPE_CALLS))
+    doc = json.loads(argv[i])
+    *head, last = draw(st.sampled_from(list(_places(doc))))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if type(parent) is dict and draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = draw(st.sampled_from(
+            [v for v in OTHER_JSON_VALUES if type(v) is not type(parent[last])]))
+    return [*argv[:i], json.dumps(doc), *argv[i + 1:]]
+
+
+def test_shape_calls_cover_every_document_reader():
+    assert sorted({f"{argv[0]} {argv[i - 1]}" for argv, i in SHAPE_CALLS}) == [
+        "akashi --data", "chi-module --module", "count-points --curve", "leading --series",
+        "prep --series", "theorem3 --config"]
+
+
+# derandomized, so that tools/cli_diff.py sees the same calls on both sides of a diff;
+# capsys is read after each call
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_documents())
+def test_a_mutated_document_gives_a_report_or_a_one_line_refusal(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == "" and json.loads(out)["command"] == argv[0]
+    else:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1 and len(err) < 200
+        # Python's own text for a value of the wrong type, which varies across versions
+        for text in ("indices must be", "not subscriptable", "object has no attribute"):
+            assert text not in err
 
 
 def _count_calls(monkeypatch, module, name):
