@@ -54,9 +54,10 @@ class AkashiData:
                 "char_elements": [g.to_json() for g in self.char_elements]}
 
     @classmethod
-    def from_json(cls, doc) -> "AkashiData":
-        """One series entry per degree (:func:`series_list_from_doc`); the CLI reads "coranks"."""
-        return cls(*series_list_from_doc(doc, "char_elements", "Akashi", ("coranks",)))
+    def from_json(cls, doc, other_keys=()) -> "AkashiData":
+        """One series entry per degree (:func:`series_list_from_doc`); ``other_keys`` are the
+        further keys the caller reads, as ``akashi --data`` reads "coranks"."""
+        return cls(*series_list_from_doc(doc, "char_elements", "Akashi", other_keys))
 
 
 @dataclass(frozen=True)

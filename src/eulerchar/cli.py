@@ -167,16 +167,19 @@ def _handle_akashi(args):
         if "" in paths:  # refused before any file is read
             raise InputError(f"part {paths.index('') + 1} of --check is empty")
         data = []
-        for path in paths:
-            doc = _load_json(path, "--check")
-            if isinstance(doc, dict) and "coranks" in doc:
-                raise InputError(f"malformed Akashi document {quoted(path)}: 'coranks' is read "
-                                 "only by akashi --data")
-            data.append(AkashiData.from_json(doc))
+        for part, path in zip("LMN", paths):
+            try:
+                doc = _load_json(path, "--check")
+                if isinstance(doc, dict) and "coranks" in doc:
+                    raise InputError("malformed Akashi document: 'coranks' is read only by "
+                                     "akashi --data")
+                data.append(AkashiData.from_json(doc))
+            except InputError as exc:
+                raise InputError(f"--check {part} {quoted(path)}: {exc}") from None
         ok = check_multiplicativity(*data)
         return {"check": paths}, {"multiplicative": ok}, [EXACT_NOTE]
     doc = _load_json(args.data, "--data")
-    data = AkashiData.from_json(doc)
+    data = AkashiData.from_json(doc, ("coranks",))
     fraction = akashi_series(data)
     results = {
         "numerator": fraction.numerator.to_json(),

@@ -9,13 +9,16 @@ result as the minimum of its operands'.
 
 The heavy lifting is Weierstrass preparation, which factors a nonzero
 series as p^mu * P(T) * U(T) with P monic distinguished of degree lambda
-and U an invertible series, by classical Weierstrass division by successive
-approximation in Z/p^N: exact, no floating point.  The rounds run at
-shrinking precision, and a series with lambda = 0 needs no round and no
-inverse.  :func:`weierstrass_prepare` returns all three factors;
+and U an invertible series, exactly in Z/p^N, with no floating point.
+:func:`weierstrass_prepare` returns all three factors by Hensel lifting:
+P * U = g / p^mu holds mod p with P = T^lambda, and each step doubles the
+p-adic precision, so N - mu takes ceil(log2(N - mu)) steps of a few products.
 :func:`distinguished_part` returns (mu, P) without forming U, for callers
-that compare characteristic elements, which are defined only up to units; its
-rounds run only on the terms that can still reach P.
+that compare characteristic elements, which are defined only up to units, by
+classical Weierstrass division by successive approximation: N - mu - 1 rounds
+at shrinking precision, each only on the terms that can still reach P, which
+on those callers' small series is faster than the lifting.  A series with
+lambda = 0 needs neither steps nor rounds, and no inverse.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from .padics import (MAX_VALUE, check_prime, document_fields, int_valuation, jso
                      power_below_bound, quoted)
 
 _MAX_DEGREE = 1024  # bounds a series' D, and so the degree of a parsed polynomial
-# Bounds a series' N * D * bitlen(p^N): preparation runs up to N rounds of one
-# D-term product, round k's coefficients below p^(N-k).  At the bound the slowest shape,
-# the largest prime p < MR_PROVEN_BELOW at D = 1024, N = 6, prepares in 1.0 s (2-vCPU Xeon).
+# Bounds a series' N * D * bitlen(p^N): distinguished_part's division runs up to N rounds
+# of one D-term product, round k's coefficients below p^(N-k), while weierstrass_prepare's
+# lifting runs about log2(N) steps of a few products.  At the bound the slowest shape,
+# the largest prime p < MR_PROVEN_BELOW at D = 1024, N = 6, takes about 0.3 s in
+# distinguished_part and 0.25 s in weierstrass_prepare (2-vCPU Xeon).
 _MAX_COST = 4_000_000
 # For a Kronecker slot of w = 1..8 bytes, at index w - 1: the machine width s >= w and
 # its struct code.
@@ -193,7 +198,9 @@ class DistinguishedPart:
 class WeierstrassForm(DistinguishedPart):
     """Factorization g = p^mu * P(T) * U(T) at precision: (mu, P) and the unit U.
 
-    The invertible series ``unit`` U is known to the same precision N - mu as P.
+    The invertible series ``unit`` U carries the precision N - mu of P, at which
+    p^mu * P * U = g mod T^D holds; :func:`weierstrass_prepare` says how much of P
+    that fixes.
     """
 
     unit: LambdaSeries
@@ -245,6 +252,14 @@ def _invert_unit(c: Sequence[int], m: int) -> List[int]:
     return out
 
 
+def _newton_step(x: List[int], y: Sequence[int], d: int, pj: int, mn: int) -> List[int]:
+    """x - x * (y*x - 1) mod (mn, T^d): from x = 1/y mod pj to 1/y mod mn, for mn | pj^2."""
+    err = _kronecker([c % mn for c in y], x, d, mn)
+    err[0] -= 1
+    t = _kronecker(x, [c % mn // pj for c in err], d, mn // pj)
+    return [(a - pj * b) % mn for a, b in zip(x + [0] * (d - len(x)), t)]
+
+
 def mu_lambda(g: LambdaSeries) -> Tuple[int, int]:
     """(mu, lambda) of g, read off its coefficients in one pass without preparing.
 
@@ -263,34 +278,31 @@ def mu_lambda(g: LambdaSeries) -> Tuple[int, int]:
     return mu, lam
 
 
-def _weierstrass_division(g: LambdaSeries, unit: bool) -> DistinguishedPart:
-    """g = p^mu * P * U divided out: a :class:`WeierstrassForm` with ``unit``, else
-    the :class:`DistinguishedPart` (mu, P) alone.
+def distinguished_part(g: LambdaSeries) -> DistinguishedPart:
+    """(mu, P) of g = p^mu * P * U by Weierstrass division, without forming U.
 
     With h = g / p^mu = h_low + T^lambda * h_high (see :func:`mu_lambda`),
     division of T^lambda by h keeps the dividend's part T^lambda * high; a round
     takes q = high / h_high and subtracts q * h, which from T^lambda on is
     q * h_low + T^lambda * high exactly.  So a round is one product high * (-G),
     G = h_low / h_high formed once: its terms below T^lambda add to the remainder
-    r, and P = T^lambda - r; the rest, shifted down, is the next high.  The
-    quotient 1/U, the sum of the q, is (sum of the high) / h_high, all in the
-    ring Z/p^n[T]/(T^D) with n = N - mu; so U = h_high / (sum of the high), one
-    inverse and one product.
+    r, and P = T^lambda - r; the rest, shifted down, is the next high.
 
     Each round runs at the precision it can still change.  As h_low = 0 mod p,
     G = p * G' with G' a whole series, and round k's high is p^k * a_k; so its
-    product is p^(k+1) * b_k with b_k = a_k * (-G') mod p^(n-k-1): the same
-    integers, on slots that shrink every round, and b_k from T^lambda on,
+    product is p^(k+1) * b_k with b_k = a_k * (-G') mod p^(n-k-1), n = N - mu: the
+    same integers, on slots that shrink every round, and b_k from T^lambda on,
     shifted down, is a_(k+1).  From round n - 1 on nothing changes.  When
-    lambda = 0, G = 0, P = 1 and U = h, and when n = 1 there is no round to
-    run; then no inverse is formed.
+    lambda = 0, P = 1, and when n = 1 there is no round to run; then no inverse
+    is formed.
 
-    Without ``unit`` the rounds also run at the length P needs.  Round k changes
-    P only through its product's terms below T^lambda, and a term at T^j reaches
-    there, through the later rounds' shifts by T^lambda up to round n - 2, only if
+    The rounds also run at the length P needs.  Round k changes P only through
+    its product's terms below T^lambda, and a term at T^j reaches there, through
+    the later rounds' shifts by T^lambda up to round n - 2, only if
     j < lambda * (n - 1 - k); so round k runs on min(D, lambda * (n - 1 - k))
-    terms, 1/h_high is formed mod T^min(D, lambda * (n - 1)), only the lambda
-    terms of r are summed, and the sum of the high is neither kept nor inverted.
+    terms, and 1/h_high is formed mod T^min(D, lambda * (n - 1)).  On the small
+    series of the oracle and the multiplicativity check this is about twice as
+    fast as the lifting of :func:`weierstrass_prepare`.
     """
     mu, lam = mu_lambda(g)
     p, d, pe = g.prime, g.trunc_degree, g.prime ** mu
@@ -298,35 +310,71 @@ def _weierstrass_division(g: LambdaSeries, unit: bool) -> DistinguishedPart:
     m = p ** n
     h = [c // pe for c in g.coeffs]
     h_high = h[lam:] + [0] * lam
-    # r, and with the unit T^lambda * (sum of the high)
-    acc = [0] * lam + ([1] + [0] * (d - lam - 1) if unit else [])
+    acc = [0] * lam  # r
     if lam and n > 1:
-        m1 = m // p
-        t = d if unit else min(d, lam * (n - 1))  # round 0's length
+        m1, t = m // p, min(d, lam * (n - 1))  # t: round 0's length
         g1 = _kronecker([-(c // p) % m1 for c in h[:lam]], _invert_unit(h_high[:t], m1), t, m1)
         a, k, pk = [1], 0, p  # round k's high is p^k * a, and pk = p^(k+1)
         while pk < m and any(a):
-            mk, t = m // pk, d if unit else min(d, lam * (n - 1 - k))
+            mk, t = m // pk, min(d, lam * (n - 1 - k))
             g1 = [c % mk for c in g1[:t]]  # -G' mod p^(n-k-1)
             b = _kronecker(a, g1, t, mk)
             acc = [x + pk * y for x, y in zip(acc, b)]
             a, k, pk = b[lam:], k + 1, pk * p
-    poly = tuple(-c % m for c in acc[:lam]) + (1,)
-    if not unit:
-        return DistinguishedPart(p, n, mu, poly)
-    u = h_high if not lam else _kronecker(
-        h_high, _invert_unit([c % m for c in acc[lam:]] + [0] * lam, m), d, m)
-    return WeierstrassForm(p, n, mu, poly, LambdaSeries(p, n, tuple(u)))
+    return DistinguishedPart(p, n, mu, tuple(-c % m for c in acc) + (1,))
 
 
 def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
-    """Factor g = p^mu * P * U with P monic distinguished and U a unit."""
-    return _weierstrass_division(g, unit=True)
+    """Factor g = p^mu * P * U with P monic distinguished and U a unit, by Hensel lifting.
 
+    h = g / p^mu = h_low + T^lambda * h_high (see :func:`mu_lambda`) is P * U mod
+    p with P = T^lambda and U = h_high, as h_low = 0 mod p.  A step takes the
+    factorization from p^k to p^k2, k2 = min(2k, n) and n = N - mu, all mod T^D:
+    with e = (h - P*U) / p^k and f = e * V, V = 1/U mod p^(k2-k), divide f by the
+    monic P as polynomials, f = q * P + r with deg r < lambda.  Then
+    (P + p^k * r) * (U + p^k * q * U) = P*U + p^k * U * f = h mod p^k2.  The
+    quotient comes from the reversed polynomials, rev(q) = rev(f) / rev(P) mod
+    T^(D - lambda), and rev(P) = 1 mod p is a unit.  V and W = 1/rev(P) are lifted
+    alongside by one Newton step each, x -> x - x * (y * x - 1), which doubles the
+    p-adic digits that x is right to.  So there are ceil(log2 n) steps of a few
+    products each, at the precision each operand carries; see von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, 15.4 (Hensel lifting) and 9.1 (Newton
+    inversion).  The first step needs no product for P*U, as h - P*U = h_low, and
+    none for the division, as W = 1 mod p.  When lambda = 0, P = 1 and U = h, and
+    when n = 1 no step is run; then no inverse is formed.
 
-def distinguished_part(g: LambdaSeries) -> DistinguishedPart:
-    """(mu, P) of g = p^mu * P * U, by the same division, without forming U."""
-    return _weierstrass_division(g, unit=False)
+    P * U = h mod (p^n, T^D), the precision the result claims.  As T^D lies in
+    (p^(D // lambda), P), that fixes P mod p^min(n, D // lambda): where
+    D >= lambda * n, all of P, which is then the P of :func:`distinguished_part`.
+    """
+    mu, lam = mu_lambda(g)
+    p, d, pe = g.prime, g.trunc_degree, g.prime ** mu
+    n = g.coeff_precision - mu
+    h = [c // pe for c in g.coeffs]
+    low, u = [0] * lam, h[lam:] + [0] * lam  # P = T^lambda + low and U
+    if lam and n > 1:
+        v, w, j = _invert_unit([c % p for c in u], p), [1], 1  # 1/U, 1/rev(P), right mod p^j
+        k = 1  # P * U = h mod p^k
+        while k < n:
+            k2 = min(2 * k, n)
+            pk, mj, m2 = p ** k, p ** (k2 - k), p ** k2
+            if k2 - k > j:
+                v = _newton_step(v, u, d, p ** j, mj)
+                w = _newton_step(w, [1] + low[::-1], d - lam, p ** j, mj)
+                j = k2 - k
+            if k == 1:  # P = T^lambda, so h - P*U = h_low and the quotient needs no W
+                f = _kronecker([c // p % mj for c in h[:lam]], v, d, mj)
+                q, r = f[lam:], f[:lam]
+            else:
+                pu = _kronecker(low, u, d, m2)
+                f = _kronecker([(x - y - z) % m2 // pk for x, y, z in zip(h, [0] * lam + u, pu)],
+                               v, d, mj)
+                q = _kronecker(f[::-1], w, d - lam, mj)[::-1]
+                r = [b - c for b, c in zip(f, _kronecker(q, low, lam, mj))]
+            low = [(a + pk * b) % m2 for a, b in zip(low, r)]
+            u = [(a + pk * b) % m2 for a, b in zip(u, _kronecker(q, [c % mj for c in u], d, mj))]
+            k = k2
+    return WeierstrassForm(p, n, mu, tuple(low) + (1,), LambdaSeries(p, n, tuple(u)))
 
 
 def leading_term(g: LambdaSeries) -> LeadingTerm:

@@ -402,7 +402,8 @@ QUICK_INERTIA_REFUSALS = [
      "malformed series document: unknown key 'poly'"),
     # --check reads no corank claim, so it refuses one; the first file is inline
     (["akashi", "--check", '{"coranks":[5]},b.json,c.json'], 2,
-     "malformed Akashi document '{\"coranks\":[5]}': 'coranks' is read only by akashi --data"),
+     "--check L '{\"coranks\":[5]}': malformed Akashi document: 'coranks' is read only by "
+     "akashi --data"),
     # N and D are bounded before any power or list is formed
     (["prep", "--series", '{"p":7,"N":3,"D":100000000,"poly":"T"}'], 2,
      "malformed series document: 'D' = 100000000 passes the bound 1024"),
@@ -550,7 +551,7 @@ QUICK_INERTIA_REFUSALS = [
     (["theorem3", "--config", pipeline(tamagawa={"1" * 300: 1})], 2,
      "Tamagawa key '%s'... is not a prime dividing m other than p" % ("1" * 40)),
     (["akashi", "--check", '{"coranks":[5]%s},b.json,c.json' % (" " * 300)], 2,
-     "malformed Akashi document '{\"coranks\":[5]%s'...: 'coranks' is read only" % (" " * 26)),
+     "--check L '{\"coranks\":[5]%s'...: malformed Akashi document: 'coranks'" % (" " * 26)),
     # one shape rule for every document: a value that is not an object, a missing key and an
     # unknown key are refused in that order, each named by its path in its own document
     (["theorem3", "--config", pipeline(extension={"p": 7})], 2,
@@ -577,6 +578,14 @@ QUICK_INERTIA_REFUSALS = [
      "malformed series document: needs either 'coeffs' or 'poly'"),
     (["count-points", "--curve", "list.json", "--q", "7"], 2,
      "malformed curve document: expected a JSON object, got [7, 1]"),
+    # a --check refusal names the part and its file, and lists the keys --check reads
+    (["akashi", "--check", "p7.json,extra-key.json,p7.json"], 2,
+     "--check M 'extra-key.json': malformed Akashi document: unknown key 'x'; the keys read "
+     "here are p, N, D, char_elements\n"),
+    (["akashi", "--check", "p7.json,p7.json,list.json"], 2,
+     "--check N 'list.json': malformed Akashi document: expected a JSON object, got [7, 1]"),
+    (["akashi", "--check", "p7.json,missing.json,p7.json"], 2,
+     "--check M 'missing.json': cannot read 'missing.json': No such file or directory"),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)
@@ -586,6 +595,7 @@ def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, c
     (tmp_path / "latin1.json").write_bytes(b'{"p":7,"N":4,"D":4,"poly":"T+\xe9"}')
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")  # a UTF-16 BOM, then one odd character
     (tmp_path / "list.json").write_text("[7, 1]")
+    (tmp_path / "extra-key.json").write_text('{"p": 7, "char_elements": ["T"], "x": 1}')
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert message in err

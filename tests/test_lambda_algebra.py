@@ -234,6 +234,32 @@ def assert_prepared(form, g):
     assert form.unit.coeffs[0] % p == g.coeffs[lam] // p ** mu % p != 0
 
 
+def assert_lifted(form, g):
+    """weierstrass_prepare's result for g against naive_prepare, at the precision g fixes.
+
+    p^mu * P * U = g mod (p^N, T^D), checked from g.  As T^D lies in (p^(D // lambda), P),
+    the factorization fixes P only mod p^min(N - mu, D // lambda), all of it when
+    D >= lambda * (N - mu), and U's T^i coefficient mod
+    p^min(N - mu - v_p(P(0)), (D - i) // lambda).  Returns the oracle's (mu, P, U).
+    """
+    p, n, d = g.prime, g.coeff_precision, g.trunc_degree
+    assert_prepared(form, g)
+    assert agrees_with(reconstruct(form), g)
+    mu, poly, unit = naive_prepare(p, g.coeffs, n)
+    lam, w = form.lam, n - mu
+
+    def agree(a, b, digits):
+        return all((x - y) % p ** digits == 0 for x, y in zip(a, b))
+
+    assert agree(form.distinguished_poly, poly, min(w, d // lam) if lam else w)
+    if d >= lam * w:
+        assert form.distinguished_poly == poly
+    v = int_valuation(poly[0], p) if poly[0] else w
+    assert all(agree([x], [y], min(w - v, (d - i) // lam) if lam else w)
+               for i, (x, y) in enumerate(zip(form.unit.coeffs, unit)))
+    return mu, poly, unit
+
+
 def random_prepared_input(rng, p, n, d, lam, mu):
     """A dense series at (N, D) = (n, d) with the given lambda and mu."""
     coeffs = random_coeffs(rng, p, n, d, 1)
@@ -251,10 +277,7 @@ def test_prepare_matches_the_two_product_loop(p):
     for n, d, mu in shapes:
         for lam in sorted({0, d // 2, d - 1}):
             g = random_prepared_input(rng, p, n, d, lam, rng.randint(0, n - 1) if mu is None else mu)
-            form = weierstrass_prepare(g)
-            assert_prepared(form, g)
-            assert (form.mu, form.distinguished_poly, form.unit.coeffs) == \
-                naive_prepare(p, g.coeffs, n)
+            assert_lifted(weierstrass_prepare(g), g)
 
 
 @pytest.mark.parametrize("p", [2, 7])
@@ -277,9 +300,9 @@ def test_division_rounds_run_at_shrinking_precision(p, monkeypatch):
 
 @pytest.mark.parametrize("n, d, lam, mu", [(24, 48, 5, 0), (10, 48, 3, 2), (6, 12, 4, 1)])
 def test_distinguished_part_rounds_run_at_the_length_p_needs(n, d, lam, mu, monkeypatch):
-    """Without the unit, round k's product is on min(D, lambda * (n - 1 - k)) terms,
-    n = N - mu, and 1/h_high is formed mod T^min(D, lambda * (n - 1)); with it,
-    every round and the inverse run on all D terms."""
+    """Round k's product is on min(D, lambda * (n - 1 - k)) terms, n = N - mu, and
+    1/h_high is formed mod T^min(D, lambda * (n - 1)), once; the lifting of the same
+    input agrees with the oracle at the precision the input fixes."""
     lengths, inverted = [], []  # d of each product outside an inversion; len of each inverse
     kronecker, invert = lambda_algebra._kronecker, lambda_algebra._invert_unit
 
@@ -298,20 +321,54 @@ def test_distinguished_part_rounds_run_at_the_length_p_needs(n, d, lam, mu, monk
     monkeypatch.setattr(lambda_algebra, "_kronecker", recorded)
     monkeypatch.setattr(lambda_algebra, "_invert_unit", recorded_inverse)
     rounds = n - mu - 1
-    truncated = [min(d, lam * rounds)] + [min(d, lam * (rounds - k)) for k in range(rounds)]
-    for prepare, want in ((distinguished_part, truncated),
-                          (weierstrass_prepare, [d] * (rounds + 2))):
-        lengths.clear()
-        inverted.clear()
-        prepare(g)
-        # 1/h_high, G' on its length, then the rounds; the unit adds 1/(sum of the high) and U
-        assert inverted[0] == want[0]
-        assert lengths == want
-        assert len(inverted) == (1 if prepare is distinguished_part else 2)
+    distinguished_part(g)
+    # 1/h_high, G' on its length, then the rounds
+    assert inverted == [min(d, lam * rounds)]
+    assert lengths == [min(d, lam * rounds)] + [min(d, lam * (rounds - k)) for k in range(rounds)]
+    assert_lifted(weierstrass_prepare(g), g)
+
+
+@pytest.mark.parametrize("n, mu", [(24, 0), (9, 1), (17, 0), (5, 3), (3, 1), (4, 3)])
+def test_lifting_runs_ceil_log2_steps(n, mu, monkeypatch):
+    """weierstrass_prepare lifts from p to p^(N - mu) in ceil(log2(N - mu)) steps, each
+    step k -> k2 = min(2k, N - mu) forming P * U mod p^k2 and its division mod p^(k2 - k)."""
+    p, d, lam = 5, 30, 3
+    moduli, kronecker = [], lambda_algebra._kronecker
+
+    def recorded(a, b, d, m):
+        moduli.append(m)
+        return kronecker(a, b, d, m)
+
+    def unrecorded(run):
+        def call(*args):
+            mark = len(moduli)
+            out = run(*args)
+            del moduli[mark:]
+            return out
+        return call
+
+    g = random_prepared_input(random.Random(n), p, n, d, lam, mu)
+    monkeypatch.setattr(lambda_algebra, "_kronecker", recorded)
+    monkeypatch.setattr(lambda_algebra, "_invert_unit", unrecorded(lambda_algebra._invert_unit))
+    monkeypatch.setattr(lambda_algebra, "_newton_step", unrecorded(lambda_algebra._newton_step))
+    form = weierstrass_prepare(g)
+    steps, k = [], 1
+    while k < n - mu:
+        steps.append((k, min(2 * k, n - mu)))
+        k = steps[-1][1]
+    assert len(steps) == math.ceil(math.log2(n - mu))
+    # step 1, where P = T^lambda: e * V and q * U; each later step: P * U, then e * V,
+    # the reversed quotient, the remainder's q * (P - T^lambda) and q * U
+    want = [p, p] if steps else []
+    for k, k2 in steps[1:]:
+        want += [p ** k2] + [p ** (k2 - k)] * 4
+    assert moduli == want
+    assert_lifted(form, g)
 
 
 def test_distinguished_part_matches_full_preparation_on_random_inputs():
-    """(mu, P, precision) of the truncated division equal the full one's, and P the oracle's."""
+    """(mu, P, precision) of the truncated division equal the oracle's, and the lifting
+    agrees with the oracle at the precision the input fixes."""
     rng = random.Random(19)
     for trial in range(3000):
         p = rng.choice([2, 3, 5, 7, 11, 13, 101])
@@ -322,13 +379,9 @@ def test_distinguished_part_matches_full_preparation_on_random_inputs():
         if trial % 3 == 0:  # sparse: keep only the unit at T^lambda and a few other terms
             g = series(p, [c if i == lam or rng.random() < 0.2 else 0
                            for i, c in enumerate(g.coeffs)], n, d)
-        form, part = weierstrass_prepare(g), distinguished_part(g)
-        assert (part.mu, part.distinguished_poly, part.precision) == \
-            (form.mu, form.distinguished_poly, form.precision) == \
-            (mu, part.distinguished_poly, n - mu)
-        assert part.lam == lam
-        if trial % 10 == 0:
-            assert part.distinguished_poly == naive_prepare(p, g.coeffs, n)[1]
+        part = distinguished_part(g)
+        assert (part.mu, part.lam, part.precision) == (mu, lam, n - mu)
+        assert part.distinguished_poly == assert_lifted(weierstrass_prepare(g), g)[1]
 
 
 def test_lambda_zero_unit_is_the_series_over_p_to_the_mu(monkeypatch):

@@ -5,10 +5,12 @@ Usage: python3 tools/cli_diff.py REV
 Runs tests/test_cli.py and tests/test_acceptance.py on the working tree and
 on an export of REV (``git archive``), each with this file loaded as a
 pytest plugin.  The plugin wraps ``eulerchar.cli.main`` and records the argv,
-exit code, stdout and stderr of every call, keyed by the test that made it.
-Both runs use the same --basetemp, so temporary paths in argv and messages
-match.  Prints each call whose record differs and each call made on one side
-only; exits 1 if there is any.  Standard library only.
+exit code, stdout and stderr of every call, keyed by the test function that
+made it (its pytest id without the [...] parameters, which may carry an
+expected message) and the argv.  Both runs use the same --basetemp, so
+temporary paths in argv and messages match.  Prints each call whose record
+differs, and each call made on one side only up to SHOWN per test and side,
+then their count; exits 1 if there is any.  Standard library only.
 """
 
 import contextlib
@@ -23,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ["tests/test_cli.py", "tests/test_acceptance.py"]
+SHOWN = 3  # one-sided calls printed in full per test and side, such as a property's examples
 _RECORDS = []
 
 
@@ -41,7 +44,7 @@ def pytest_configure(config):
             code = f"raised {exc!r}"
             raise
         finally:
-            test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0]
+            test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0].split("[", 1)[0]
             _RECORDS.append([test, list(argv or []), code, out.getvalue(), err.getvalue()])
             sys.stdout.write(out.getvalue())
             sys.stderr.write(err.getvalue())
@@ -85,22 +88,27 @@ def main(rev: str) -> int:
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         old = _record(tree, scratch)
         new = _record(ROOT, scratch)
-    differ = 0
+    differ, one_sided = 0, {}
     for key in sorted(old.keys() | new.keys()):
         test, argv = key
         name = f"{test} {argv if len(argv) < 300 else argv[:300] + '...'}"
-        if key not in new:
-            print(f"only at {rev}: {name}")
-        elif key not in old:
-            print(f"only in the working tree: {name}")
-            print("\n".join("    " + line for line in _text(new[key])))
-        elif old[key] != new[key]:
+        if key in old and key in new:
+            if old[key] == new[key]:
+                continue
             print(f"differs: {name}")
             print("\n".join(difflib.unified_diff(_text(old[key]), _text(new[key]), rev,
                                                  "working tree", lineterm="")))
         else:
-            continue
+            side = f"at {rev}" if key in old else "in the working tree"
+            seen = one_sided[test, side] = one_sided.get((test, side), 0) + 1
+            if seen <= SHOWN:
+                print(f"only {side}: {name}")
+                if key in new:
+                    print("\n".join("    " + line for line in _text(new[key])))
         differ += 1
+    for (test, side), count in sorted(one_sided.items()):
+        if count > SHOWN:
+            print(f"only {side}: {count - SHOWN} more calls of {test}")
     print(f"{len(old.keys() | new.keys())} distinct (test, argv) calls, {differ} not identical")
     return 1 if differ else 0
 
