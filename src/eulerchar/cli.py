@@ -144,7 +144,7 @@ def _handle_chi_module(args):
     if args.prec is not None and not args.oracle:
         raise InputError("--prec requires --oracle")
     if args.prec is not None and args.prec < 1:
-        raise InputError(f"--prec must be >= 1, got {args.prec}")
+        raise InputError(f"--prec must be >= 1, got {quoted(args.prec)}")
     module = TorsionModule.from_json(_load_json(args.module, "--module"))
     closed = generalized_chi(module)
     results = {"closed_form": closed.to_json()}
@@ -169,11 +169,7 @@ def _handle_akashi(args):
         data = []
         for part, path in zip("LMN", paths):
             try:
-                doc = _load_json(path, "--check")
-                if isinstance(doc, dict) and "coranks" in doc:
-                    raise InputError("malformed Akashi document: 'coranks' is read only by "
-                                     "akashi --data")
-                data.append(AkashiData.from_json(doc))
+                data.append(AkashiData.from_json(_load_json(path, "--check")))
             except InputError as exc:
                 raise InputError(f"--check {part} {quoted(path)}: {exc}") from None
         ok = check_multiplicativity(*data)
@@ -307,8 +303,12 @@ def _handle_example(args):
 def _int_option(text: str) -> int:
     """An integer option, read by the digit rule of documents (see padics.DECIMAL_INT)."""
     if not DECIMAL_INT.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}")
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's limit on the digits int() reads
+        raise argparse.ArgumentTypeError(f"invalid int value: {len(text)} characters pass "
+                                         "the interpreter's digit limit") from None
 
 
 @functools.cache  # built once per process: parse_args leaves the parser unchanged

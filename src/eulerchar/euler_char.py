@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .curves import Curve, CurveLocalData, local_data
 from .cyclotomic_fields import ExtensionSpec, infinite_inertia_places, infinite_inertia_set
 from .errors import InputError
-from .padics import PowerOfP, int_valuation
+from .padics import PowerOfP, int_valuation, quoted
 
 
 def euler_product(places, p: int) -> PowerOfP:
@@ -55,8 +55,9 @@ def local_cardinalities(c_v: int, local: CurveLocalData, p: int) -> LocalCardina
     v_c = int_valuation(c_v, p)
     v_l = local.euler_valuation_at_p
     if v_l - v_c < 0:
-        raise InputError(f"convention violation at the place with q_v = {local.q}: c_v = {c_v} "
-                         f"has v_p(c_v) = {v_c} > v_p(L_v) = {v_l}, with p = {p}")
+        raise InputError(f"convention violation at the place with q_v = {quoted(local.q)}: "
+                         f"c_v = {quoted(c_v)} has v_p(c_v) = {v_c} > v_p(L_v) = {v_l}, "
+                         f"with p = {p}")
     return LocalCardinalities(h1_gamma=PowerOfP(p, v_l - v_c), h1_Fv=PowerOfP(p, v_c))
 
 

@@ -76,10 +76,10 @@ class LambdaSeries:
             raise InputError("malformed series document: 'N' and 'D' must be >= 1")
         check_prime(p)
         if not power_below_bound(p, n):
-            raise InputError(f"malformed series document: 'N' = {n} makes p^N = {p}^{n} "
-                             "pass the bound 10^2000")
+            raise InputError(f"malformed series document: 'N' = {quoted(n)} makes p^N pass "
+                             f"the bound 10^2000 at p = {p}")
         if d > _MAX_DEGREE:
-            raise InputError(f"malformed series document: 'D' = {d} passes the bound "
+            raise InputError(f"malformed series document: 'D' = {quoted(d)} passes the bound "
                              f"{_MAX_DEGREE}")
         m = p ** n
         if n * d * m.bit_length() > _MAX_COST:
@@ -478,7 +478,7 @@ def series_from_text(prime: int, text: str, precision: int, degree: int) -> Lamb
     series = LambdaSeries.make(prime, poly, precision, degree)
     for i, (c, reduced) in enumerate(zip(poly, series.coeffs)):
         if c and not reduced:
-            raise InputError(f"polynomial {quoted(text)} has coefficient {c} of T^{i}, "
+            raise InputError(f"polynomial {quoted(text)} has coefficient {quoted(c)} of T^{i}, "
                              f"which is 0 mod p^N = {prime}^{precision}; a larger N keeps it")
     return series
 

@@ -16,12 +16,12 @@ from eulerchar.curves import Curve, count_points, euler_factor, weierstrass_inva
 from eulerchar.cyclotomic_fields import split
 from eulerchar.gamma_modules import (TorsionModule, finite_level_oracle,
                                      generalized_chi)
-from eulerchar.lambda_algebra import (LambdaSeries, leading_term, series_from_text,
-                                      weierstrass_prepare)
+from eulerchar.lambda_algebra import leading_term, series_from_text, weierstrass_prepare
 from eulerchar.padics import PowerOfP
-from test_akashi import degreewise_product
+from test_akashi import degreewise_product, random_data
 from test_curves import quadratic_twist
-from test_lambda_algebra import agrees_with, reconstruct
+from test_gamma_modules import random_normal_form_module
+from test_lambda_algebra import agrees_with, random_preparable, reconstruct
 
 
 @contextmanager
@@ -32,24 +32,6 @@ def criterion(number, description):
         print(f"[criterion {number}] FAIL - {description}")
         raise
     print(f"[criterion {number}] PASS - {description}")
-
-
-def _random_unit(rng, modulus, p):
-    u = rng.randrange(1, modulus)
-    while u % p == 0:
-        u = rng.randrange(1, modulus)
-    return u
-
-
-def _random_preparable(rng, p, n, d, max_unit_pos=6, max_mu=2):
-    # coefficients below the forced unit position are multiples of p, so the
-    # lambda invariant is exactly that position (uniform over 0..5)
-    pos = rng.randrange(0, min(max_unit_pos, d))
-    coeffs = [rng.randrange(p ** (n - 1)) * p if i < pos else rng.randrange(p ** n)
-              for i in range(d)]
-    coeffs[pos] = _random_unit(rng, p ** n, p)
-    e = rng.randint(0, max_mu)
-    return LambdaSeries.make(p, [c * p ** e for c in coeffs], n, d)
 
 
 def test_criterion_1_worked_example_point_counts():
@@ -107,8 +89,8 @@ def test_criterion_5_weierstrass_property_suite():
             n = rng.randint(4, 10)
             d = rng.randint(12, 40)
             max_mu = min(2, (n - 2) // 2)
-            g = _random_preparable(rng, p, n, d, max_unit_pos=6, max_mu=max_mu)
-            h = _random_preparable(rng, p, n, d, max_unit_pos=6, max_mu=max_mu)
+            g = random_preparable(rng, p, n, d, max_mu)
+            h = random_preparable(rng, p, n, d, max_mu)
             forms = []
             for s in (g, h):
                 form = weierstrass_prepare(s)
@@ -128,20 +110,6 @@ def test_criterion_5_weierstrass_property_suite():
         assert elapsed < 10.0
 
 
-def _random_normal_form_module(rng, p, precision, degree):
-    gens = []
-    for _ in range(rng.randint(1, 3)):
-        n = rng.randint(0, 1)
-        deg_f = rng.randint(0, 4)
-        v0 = rng.choice([0, 0, 0, 1, 2]) if deg_f >= 1 else 0
-        f = [rng.randrange(p ** precision) for _ in range(deg_f + 1)]
-        f[0] = (_random_unit(rng, p ** precision, p) * p ** v0) % p ** precision
-        if v0 > 0:
-            f[rng.randint(1, deg_f)] = _random_unit(rng, p ** precision, p)
-        gens.append(LambdaSeries.make(p, [0] * n + f, precision, degree))
-    return TorsionModule(p, tuple(gens))
-
-
 def test_criterion_6_oracle_equivalence():
     with criterion(6, "100 random modules: closed-form chi equals the Smith-form "
                       "oracle exactly, including r, under 30 s"):
@@ -149,7 +117,7 @@ def test_criterion_6_oracle_equivalence():
         start = time.perf_counter()
         for _ in range(100):
             p = rng.choice([3, 5, 7])
-            module = _random_normal_form_module(rng, p, 8, 20)
+            module = random_normal_form_module(rng, p, 8, 20)
             closed = generalized_chi(module)
             oracle = finite_level_oracle(module, 12)
             assert closed.finite and oracle.finite
@@ -171,17 +139,6 @@ def test_criterion_7_counterexample_fidelity():
             assert compute(middle).finite is False
 
 
-def _random_akashi(rng, p, precision=10, degree=32):
-    elements = []
-    for _ in range(rng.randint(1, 3)):
-        coeffs = [rng.randrange(p ** precision) for _ in range(rng.randint(1, 4))]
-        coeffs[rng.randrange(len(coeffs))] = _random_unit(rng, p ** precision, p)
-        if rng.random() < 0.25:
-            coeffs = [c * p for c in coeffs]
-        elements.append(LambdaSeries.make(p, coeffs, precision, degree))
-    return AkashiData(p, tuple(elements))
-
-
 def test_criterion_8_akashi_laws():
     with criterion(8, "alternating-product laws: 50 product triples true, 20 broken "
                       "triples false, leading terms additive, single degree matches "
@@ -190,8 +147,8 @@ def test_criterion_8_akashi_laws():
         t_series = {}
         for trial in range(50):
             p = rng.choice([3, 5, 7])
-            left = _random_akashi(rng, p)
-            right = _random_akashi(rng, p)
+            left = random_data(rng, p)
+            right = random_data(rng, p)
             middle = degreewise_product(left, right)
             assert check_multiplicativity(left, middle, right) is True
 
@@ -212,7 +169,7 @@ def test_criterion_8_akashi_laws():
 
         for _ in range(10):
             p = rng.choice([3, 5, 7])
-            single = _random_akashi(rng, p)
+            single = random_data(rng, p)
             g = single.char_elements[0]
             lead = akashi_series(AkashiData(p, (g,)))
             lt = leading_term(g)
@@ -222,7 +179,7 @@ def test_criterion_8_akashi_laws():
         # element reproduces that module's chi
         for _ in range(10):
             p = rng.choice([3, 5, 7])
-            module = _random_normal_form_module(rng, p, 10, 32)
+            module = random_normal_form_module(rng, p, 10, 32)
             chi = generalized_chi(module)
             product = module.generators[0]
             for g in module.generators[1:]:

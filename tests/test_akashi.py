@@ -10,7 +10,7 @@ from eulerchar.gamma_modules import TorsionModule, generalized_chi
 from eulerchar.lambda_algebra import (DistinguishedPart, LambdaSeries, distinguished_part,
                                       leading_term, mu_lambda, series_from_text)
 from eulerchar.padics import PowerOfP
-from test_lambda_algebra import agrees_with
+from test_lambda_algebra import agrees_with, random_prepared_input, random_unit
 
 
 def data(p, *polys, precision=10, degree=32):
@@ -109,29 +109,27 @@ def test_multiplicativity_prime_mismatch():
         check_multiplicativity(data(7, "T"), data(5, "T"), data(7, "T"))
 
 
-def _random_element(rng, p, precision, degree):
-    coeffs = [rng.randrange(p ** precision) for _ in range(rng.randint(1, 5))]
+def _random_element(rng, p):
+    coeffs = [rng.randrange(p ** 10) for _ in range(rng.randint(1, 5))]
     pos = rng.randrange(len(coeffs))
-    unit = rng.randrange(1, p ** precision)
-    while unit % p == 0:
-        unit = rng.randrange(1, p ** precision)
-    coeffs[pos] = unit
+    coeffs[pos] = random_unit(rng, p ** 10, p)
     if rng.random() < 0.3:
         coeffs = [c * p for c in coeffs]
-    return LambdaSeries.make(p, coeffs, precision, degree)
+    return LambdaSeries.make(p, coeffs, 10, 32)
 
 
-def _random_data(rng, p, precision=10, degree=32, max_degrees=3):
-    return AkashiData(p, tuple(_random_element(rng, p, precision, degree)
-                               for _ in range(rng.randint(1, max_degrees))))
+def random_data(rng, p):
+    """Akashi data at (N, D) = (10, 32) of one to three polynomials of degree below 5, each
+    with a unit coefficient, and three in ten of them then multiplied by p."""
+    return AkashiData(p, tuple(_random_element(rng, p) for _ in range(rng.randint(1, 3))))
 
 
 def test_leading_additive_under_degreewise_products():
     rng = random.Random(17)
     for _ in range(40):
         p = rng.choice([3, 5, 7])
-        a = _random_data(rng, p)
-        b = _random_data(rng, p)
+        a = random_data(rng, p)
+        b = random_data(rng, p)
         lead_a, lead_b = akashi_series(a), akashi_series(b)
         lead = akashi_series(degreewise_product(a, b))
         assert lead.k == lead_a.k + lead_b.k
@@ -142,7 +140,7 @@ def test_single_degree_agrees_with_leading_term():
     rng = random.Random(29)
     for _ in range(30):
         p = rng.choice([3, 5, 7])
-        g = _random_element(rng, p, 10, 32)
+        g = _random_element(rng, p)
         lead = akashi_series(AkashiData(p, (g,)))
         lt = leading_term(g)
         assert (lead.alpha_valuation, lead.k) == (lt.alpha_valuation, lt.k)
@@ -159,10 +157,7 @@ def test_torsion_module_chi_matches_single_degree_akashi():
         for _ in range(rng.randint(1, 2)):
             n = rng.randint(0, 1)
             f = [rng.randrange(p ** 10) for _ in range(rng.randint(1, 3))]
-            unit = rng.randrange(1, p ** 10)
-            while unit % p == 0:
-                unit = rng.randrange(1, p ** 10)
-            f[0] = unit * p ** rng.randint(0, 1)
+            f[0] = random_unit(rng, p ** 10, p) * p ** rng.randint(0, 1)
             gens.append(LambdaSeries.make(p, [0] * n + f, 10, 32))
         m = TorsionModule(p, tuple(gens))
         chi = generalized_chi(m)
@@ -225,14 +220,6 @@ def outcome(check, triple):
         return type(exc), str(exc)
 
 
-def _shaped(rng, p, n, d, mu, lam):
-    """A series at (N, D) = (n, d) with (mu, lambda) = (mu, lam), for mu < n and lam < d."""
-    coeffs = [rng.randrange(p ** n) for _ in range(d)]
-    coeffs[:lam] = [p * c for c in coeffs[:lam]]
-    coeffs[lam] = p * rng.randrange(p ** n) + rng.randrange(1, p)
-    return LambdaSeries.make(p, [c * p ** mu for c in coeffs], n, d)
-
-
 def _times_t(g):
     return LambdaSeries.make(g.prime, (0,) + g.coeffs[:-1], g.coeff_precision, g.trunc_degree)
 
@@ -240,8 +227,8 @@ def _times_t(g):
 def _job_triple(rng, p, n, d, broken):
     """Shaped like a benchmark series job: L and N two units each, M their degreewise
     products; ``broken`` multiplies one middle element by T."""
-    left = [_shaped(rng, p, n, d, 0, 0) for _ in range(2)]
-    right = [_shaped(rng, p, n, d, 0, 0) for _ in range(2)]
+    left = [random_prepared_input(rng, p, n, d, 0, 0) for _ in range(2)]
+    right = [random_prepared_input(rng, p, n, d, 0, 0) for _ in range(2)]
     middle = [x * y for x, y in zip(left, right)]
     if broken:
         i = rng.randrange(2)
@@ -255,7 +242,8 @@ def _loose_triple(rng, p):
     but most often not the distinguished part, or independent of L and N."""
     def element():
         n, d = rng.randint(2, 8), rng.randint(2, 10)
-        return _shaped(rng, p, n, d, rng.randrange(min(n, 3)), rng.randrange(min(d, 4)))
+        lam, mu = rng.randrange(min(d, 4)), rng.randrange(min(n, 3))
+        return random_prepared_input(rng, p, n, d, lam, mu)
     l_data = AkashiData(p, tuple(element() for _ in range(rng.randint(1, 2))))
     n_data = AkashiData(p, tuple(element() for _ in range(rng.randint(1, 2))))
     kind = rng.randrange(3)
@@ -281,7 +269,7 @@ def _edge_triple(rng, p):
     else:
         lam_a = rng.randrange(1, d)
         shapes = [(rng.randrange(n), lam_a), (rng.randrange(n), d - lam_a)]
-    a, b = (_shaped(rng, p, n, d, *shape) for shape in shapes)
+    a, b = (random_prepared_input(rng, p, n, d, lam, mu) for mu, lam in shapes)
     ab = a * b
     middle = ab if rng.random() < 0.5 and ab.t_order() is not None else a
     return AkashiData(p, (a,)), AkashiData(p, (middle,)), AkashiData(p, (b,))

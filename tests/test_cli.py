@@ -400,15 +400,16 @@ QUICK_INERTIA_REFUSALS = [
      "malformed Akashi document: unknown key 'corank'"),
     (["prep", "--series", '{"p":7,"N":4,"D":4,"coeffs":[7,1],"poly":"T"}'], 2,
      "malformed series document: unknown key 'poly'"),
-    # --check reads no corank claim, so it refuses one; the first file is inline
-    (["akashi", "--check", '{"coranks":[5]},b.json,c.json'], 2,
-     "--check L '{\"coranks\":[5]}': malformed Akashi document: 'coranks' is read only by "
-     "akashi --data"),
+    # --check reads no corank claim, so it refuses one by the shape rule (coranks.json is
+    # written below: an inline part cannot hold two keys, as --check splits on commas)
+    (["akashi", "--check", "coranks.json,b.json,c.json"], 2,
+     "--check L 'coranks.json': malformed Akashi document: unknown key 'coranks'; the keys read "
+     "here are p, N, D, char_elements"),
     # N and D are bounded before any power or list is formed
     (["prep", "--series", '{"p":7,"N":3,"D":100000000,"poly":"T"}'], 2,
      "malformed series document: 'D' = 100000000 passes the bound 1024"),
     (["leading", "--series", '{"p":7,"N":6000,"D":1,"coeffs":[-1]}'], 2,
-     "malformed series document: 'N' = 6000 makes p^N = 7^6000 pass the bound 10^2000"),
+     "malformed series document: 'N' = 6000 makes p^N pass the bound 10^2000 at p = 7"),
     (["chi-module", "--module", '{"p":7,"N":6000,"generators":["T-1"]}'], 2,
      "'N' = 6000 makes p^N"),
     # an integer literal past CPython's 4,300-digit limit
@@ -551,7 +552,8 @@ QUICK_INERTIA_REFUSALS = [
     (["theorem3", "--config", pipeline(tamagawa={"1" * 300: 1})], 2,
      "Tamagawa key '%s'... is not a prime dividing m other than p" % ("1" * 40)),
     (["akashi", "--check", '{"coranks":[5]%s},b.json,c.json' % (" " * 300)], 2,
-     "--check L '{\"coranks\":[5]%s'...: malformed Akashi document: 'coranks'" % (" " * 26)),
+     "--check L '{\"coranks\":[5]%s'...: malformed Akashi document: missing key 'p'"
+     % (" " * 26)),
     # one shape rule for every document: a value that is not an object, a missing key and an
     # unknown key are refused in that order, each named by its path in its own document
     (["theorem3", "--config", pipeline(extension={"p": 7})], 2,
@@ -586,6 +588,26 @@ QUICK_INERTIA_REFUSALS = [
      "--check N 'list.json': malformed Akashi document: expected a JSON object, got [7, 1]"),
     (["akashi", "--check", "p7.json,missing.json,p7.json"], 2,
      "--check M 'missing.json': cannot read 'missing.json': No such file or directory"),
+    # N, D, a polynomial coefficient, --prec, an integer option, c_v and q_v of 300 characters
+    # or more are quoted in part or named by their size
+    (["prep", "--series", json.dumps({"p": 7, "N": 10 ** 2000, "D": 4, "poly": "T"})], 2,
+     "'N' = a 2001-digit integer makes p^N pass the bound 10^2000 at p = 7"),
+    (["prep", "--series", json.dumps({"p": 7, "N": 4, "D": 10 ** 2000, "poly": "T"})], 2,
+     "'D' = a 2001-digit integer passes the bound 1024"),
+    (["prep", "--series", json.dumps({"p": 7, "N": 4, "D": 4, "poly": "%d*T + 1" % 7 ** 400})], 2,
+     "has coefficient a 339-digit integer of T^1, which is 0 mod p^N = 7^4"),
+    (["chi-module", "--module", '{"p":7,"generators":["T"]}', "--oracle", "--prec", "-" + "1" * 300],
+     2, "--prec must be >= 1, got a 300-digit integer"),
+    (["split", "--l", "x" * 3000, "--p", "7"], 2,
+     "argument --l: invalid int value: '%s'..." % ("x" * 40)),
+    (["split", "--l", "1" * 5000, "--p", "7"], 2,
+     "argument --l: invalid int value: 5000 characters pass the interpreter's digit limit"),
+    (["theorem3", "--config", pipeline(tamagawa={"113": 7 ** 1000})], 2,
+     "at the place with q_v = 113: c_v = a 846-digit integer has v_p(c_v) = 1000 > v_p(L_v) = 0"),
+    # l = 2 has residue degree 504 at p = 1009, so q_v = 2^504
+    (["theorem3", "--config", pipeline(p=1009, chi_gamma="1", extension={"p": 1009, "m": 2},
+                                       tamagawa={"2": 1009 ** 100})], 2,
+     "at the place with q_v = a 152-digit integer: c_v = a 301-digit integer has v_p(c_v) = 100"),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)
@@ -596,6 +618,7 @@ def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, c
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")  # a UTF-16 BOM, then one odd character
     (tmp_path / "list.json").write_text("[7, 1]")
     (tmp_path / "extra-key.json").write_text('{"p": 7, "char_elements": ["T"], "x": 1}')
+    (tmp_path / "coranks.json").write_text('{"p": 7, "char_elements": ["T"], "coranks": [1]}')
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert message in err
@@ -648,6 +671,7 @@ SHAPE_CALLS = [(argv, argv.index(option) + 1) for argv, _ in GOLDEN_ARGVS
                for option in ("--config", "--series", "--module", "--data", "--curve")
                if option in argv]
 OTHER_JSON_VALUES = [None, True, 0, -1, 1.5, "", "x", [], [1], {}, {"p": 7}]
+LONG_JSON_VALUES = [10 ** 2000, -10 ** 2000, -3, "7" * 300, "x" * 300]  # huge, negative, long
 
 
 def _places(doc, path=()):
@@ -661,17 +685,21 @@ def _places(doc, path=()):
 @st.composite
 def mutated_documents(draw):
     """A golden call's argv with one value of its document swapped for a value of another
-    JSON type, or one key of its document deleted."""
+    JSON type or for a huge, negative or long value, or with one key of its document deleted
+    or one list entry repeated."""
     argv, i = draw(st.sampled_from(SHAPE_CALLS))
     doc = json.loads(argv[i])
     *head, last = draw(st.sampled_from(list(_places(doc))))
     parent = doc
     for key in head:
         parent = parent[key]
-    if type(parent) is dict and draw(st.booleans()):
+    how = draw(st.sampled_from(["retype", "lengthen", "delete or repeat"]))
+    if how == "delete or repeat" and type(parent) is dict:
         del parent[last]
+    elif how == "delete or repeat":
+        parent.insert(last, parent[last])
     else:
-        parent[last] = draw(st.sampled_from(
+        parent[last] = draw(st.sampled_from(LONG_JSON_VALUES if how == "lengthen" else
             [v for v in OTHER_JSON_VALUES if type(v) is not type(parent[last])]))
     return [*argv[:i], json.dumps(doc), *argv[i + 1:]]
 

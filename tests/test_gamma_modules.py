@@ -9,6 +9,7 @@ from eulerchar.gamma_modules import (ChiResult, TorsionModule, companion_matrix,
                                      smith_normal_form)
 from eulerchar.lambda_algebra import LambdaSeries, series_from_text
 from eulerchar.padics import PowerOfP
+from test_lambda_algebra import random_unit
 
 
 def module(p, *polys, precision=8, degree=16):
@@ -191,24 +192,21 @@ def test_oracle_total_lambda_cap():
         finite_level_oracle(big, 6)
 
 
-def _random_normal_form_module(rng, p, precision, degree, max_components=3):
+def random_normal_form_module(rng, p, precision, degree):
+    """A direct sum of one to three Lambda/(T^n * f), n <= 1, with v_p(f(0)) <= 2 and f of
+    degree at most 4, each oracle-representable."""
     gens = []
-    for _ in range(rng.randint(1, max_components)):
+    for _ in range(rng.randint(1, 3)):
         n = rng.randint(0, 1)
         deg_f = rng.randint(0, 4)
         v0 = rng.choice([0, 0, 0, 1, 2]) if deg_f >= 1 else 0
-        unit = rng.randrange(1, p ** precision)
-        while unit % p == 0:
-            unit = rng.randrange(1, p ** precision)
+        unit = random_unit(rng, p ** precision, p)
         f = [rng.randrange(p ** precision) for _ in range(deg_f + 1)]
         f[0] = (unit * p ** v0) % p ** precision
         if v0 > 0:
             # keep the component oracle-representable: a unit coefficient
             pos = rng.randint(1, deg_f)
-            u2 = rng.randrange(1, p ** precision)
-            while u2 % p == 0:
-                u2 = rng.randrange(1, p ** precision)
-            f[pos] = u2
+            f[pos] = random_unit(rng, p ** precision, p)
         gens.append(LambdaSeries.make(p, [0] * n + f, precision, degree))
     return TorsionModule(p, tuple(gens))
 
@@ -217,7 +215,7 @@ def test_oracle_agrees_with_closed_form():
     rng = random.Random(97)
     for _ in range(40):
         p = rng.choice([3, 5, 7])
-        m = _random_normal_form_module(rng, p, 8, 20)
+        m = random_normal_form_module(rng, p, 8, 20)
         assert finite_level_oracle(m, 12) == generalized_chi(m)
 
 

@@ -268,6 +268,21 @@ def random_prepared_input(rng, p, n, d, lam, mu):
     return series(p, [c * p ** mu for c in coeffs], n, d)
 
 
+def random_preparable(rng, p, n, d, max_mu=2):
+    """A dense series at (N, D) = (n, d), n >= 2, with lambda drawn below min(6, d) and mu
+    at most min(max_mu, n - 2)."""
+    return random_prepared_input(rng, p, n, d, rng.randrange(min(6, d)),
+                                 rng.randint(0, min(max_mu, n - 2)))
+
+
+def random_unit(rng, modulus, p):
+    """A residue in [1, modulus) prime to p: a unit mod ``modulus``, a power of p."""
+    unit = rng.randrange(1, modulus)
+    while unit % p == 0:
+        unit = rng.randrange(1, modulus)
+    return unit
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_prepare_matches_the_two_product_loop(p):
     rng = random.Random(100 + p)
@@ -461,8 +476,8 @@ def test_leading_term_multiplicativity():
     for _ in range(100):
         p = rng.choice([3, 5, 7, 11])
         n, d = rng.randint(3, 8), rng.randint(8, 20)
-        g = _random_preparable(rng, p, n, d)
-        h = _random_preparable(rng, p, n, d)
+        g = random_preparable(rng, p, n, d)
+        h = random_preparable(rng, p, n, d)
         lt_g, lt_h = leading_term(g), leading_term(h)
         if lt_g.k + lt_h.k >= d:
             continue
@@ -475,26 +490,13 @@ def test_leading_term_multiplicativity():
         assert lt.alpha == alpha
 
 
-def _random_preparable(rng, p, n, d, max_unit_pos=6, max_mu=2):
-    # force lambda to be exactly the chosen unit position
-    pos = rng.randrange(0, min(max_unit_pos, d))
-    coeffs = [rng.randrange(p ** (n - 1)) * p if i < pos else rng.randrange(p ** n)
-              for i in range(d)]
-    unit = rng.randrange(1, p ** n)
-    while unit % p == 0:
-        unit = rng.randrange(1, p ** n)
-    coeffs[pos] = unit
-    e = rng.randint(0, min(max_mu, n - 2)) if n > 2 else 0
-    return LambdaSeries.make(p, [c * p ** e for c in coeffs], n, d)
-
-
 def test_mu_lambda_additive_under_products():
     rng = random.Random(31)
     for _ in range(60):
         p = rng.choice([3, 5, 7, 11])
         n, d = rng.randint(6, 9), 32
-        g = _random_preparable(rng, p, n, d, max_unit_pos=6, max_mu=2)
-        h = _random_preparable(rng, p, n, d, max_unit_pos=6, max_mu=2)
+        g = random_preparable(rng, p, n, d)
+        h = random_preparable(rng, p, n, d)
         form_g, form_h = weierstrass_prepare(g), weierstrass_prepare(h)
         mu, lam = form_g.mu + form_h.mu, form_g.lam + form_h.lam
         if mu > n - 2 or lam >= d:
@@ -507,7 +509,7 @@ def test_preparation_idempotent():
     rng = random.Random(43)
     for _ in range(60):
         p = rng.choice([3, 5, 7, 11])
-        g = _random_preparable(rng, p, rng.randint(4, 9), rng.randint(10, 30))
+        g = random_preparable(rng, p, rng.randint(4, 9), rng.randint(10, 30))
         form = weierstrass_prepare(g)
         again = weierstrass_prepare(reconstruct(form))
         assert_prepared(form, g)
@@ -677,7 +679,7 @@ def test_construction_validation():
             ((7, [1, 2.0], 2, 3), "'coeffs' must be a JSON integer, got 2.0"),
             ((7, [1, 2, 3], 4, 2), "a term at T\\^2 exceeds truncation degree D = 2"),
             ((7, [1], 4, 1025), "'D' = 1025 passes the bound 1024"),
-            ((7, [1], 2367, 1), "'N' = 2367 makes p\\^N = 7\\^2367 pass the bound"),
+            ((7, [1], 2367, 1), "'N' = 2367 makes p\\^N pass the bound 10\\^2000 at p = 7"),
             ((7, [7, 1] + [3] * 400, 300, 1024), "pass the cost bound 4000000")]:
         with pytest.raises(InputError, match=message):
             LambdaSeries.make(*args)

@@ -76,13 +76,9 @@ def test_power_arithmetic():
         PowerOfP(7, 1) * PowerOfP(5, 1)
 
 
-def _slow_prime(n):
-    return n > 1 and all(n % d for d in range(2, n))
-
-
 def test_is_prime_against_slow_reference():
     for n in range(-2, 400):
-        assert is_prime(n) == _slow_prime(n)
+        assert is_prime(n) == _trial_prime(n)
 
 
 # Trial division: the slow route that checks Miller-Rabin and Pollard-Brent rho.
