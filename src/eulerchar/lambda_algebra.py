@@ -388,15 +388,6 @@ def leading_term(g: LambdaSeries) -> LeadingTerm:
 # -- compact polynomial notation ---------------------------------------------
 
 
-def _poly_add(a: List[int], b: List[int]) -> List[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
 def _poly_mul(a: List[int], b: List[int], text: str) -> List[int]:
     """The product a*b in the polynomial ``text``, refused past degree or coefficient bounds."""
     if len(a) + len(b) - 1 > _MAX_DEGREE:
@@ -431,19 +422,15 @@ def _poly_pow(base: List[int], k: int, text: str) -> List[int]:
 
 
 def _evaluate(node, text: str) -> List[int]:
-    """The coefficients of the parsed polynomial ``text`` at its syntax-tree ``node``."""
+    """The coefficients of the parsed polynomial ``text`` at its syntax-tree ``node``.
+
+    Products and powers recurse; sums and unary signs are walked by :func:`_evaluate_sum`.
+    """
     if isinstance(node, ast.Constant) and type(node.value) is int:
         return [node.value]
     if isinstance(node, ast.Name) and node.id in ("T", "t"):
         return [0, 1]
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        inner = _evaluate(node.operand, text)
-        return [-c for c in inner] if isinstance(node.op, ast.USub) else inner
     if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Add):
-            return _poly_add(_evaluate(node.left, text), _evaluate(node.right, text))
-        if isinstance(node.op, ast.Sub):
-            return _poly_add(_evaluate(node.left, text), [-c for c in _evaluate(node.right, text)])
         if isinstance(node.op, ast.Mult):
             return _poly_mul(_evaluate(node.left, text), _evaluate(node.right, text), text)
         if isinstance(node.op, ast.Pow):
@@ -451,7 +438,44 @@ def _evaluate(node, text: str) -> List[int]:
             if not (isinstance(exp, ast.Constant) and type(exp.value) is int and exp.value >= 0):
                 raise InputError(f"unsupported exponent in polynomial {quoted(text)}")
             return _poly_pow(_evaluate(node.left, text), exp.value, text)
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            return _evaluate_sum(node, text)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        return _evaluate_sum(node, text)
     raise InputError(f"unsupported expression in polynomial {quoted(text)}")
+
+
+def _evaluate_sum(node, text: str) -> List[int]:
+    """The coefficients of the sum or signed term ``node`` of the polynomial ``text``.
+
+    The walk keeps a stack, not the call stack, so a long sum does not recurse.  It takes
+    at most _MAX_DEGREE terms, as many as a dense polynomial below the degree cap has, and
+    at most as many unary signs; past either bound the polynomial is refused.
+    """
+    out: List[int] = []
+    terms = signs = 0
+    stack = [(node, 1)]
+    while stack:
+        node, sign = stack.pop()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            stack.append((node.right, -sign if isinstance(node.op, ast.Sub) else sign))
+            stack.append((node.left, sign))  # popped first: terms are read left to right
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            signs += 1
+            if signs > _MAX_DEGREE:
+                raise InputError(f"polynomial {quoted(text)} has more than {_MAX_DEGREE} "
+                                 "unary signs in a sum")
+            stack.append((node.operand, -sign if isinstance(node.op, ast.USub) else sign))
+        else:
+            terms += 1
+            if terms > _MAX_DEGREE:
+                raise InputError(f"polynomial {quoted(text)} has a sum of more than "
+                                 f"{_MAX_DEGREE} terms")
+            term = _evaluate(node, text)
+            out.extend([0] * (len(term) - len(out)))
+            for i, c in enumerate(term):
+                out[i] += sign * c
+    return out
 
 
 def polynomial_from_text(text: str) -> List[int]:

@@ -45,12 +45,14 @@ def power_below_bound(base: int, exp: int) -> bool:
 
 def quoted(value) -> str:
     """``value`` as an error message quotes it: a string's first 40 characters, an
-    integer past 40 digits by its digit count, and any other value by its repr, or by
-    its type when the repr passes 40 characters."""
+    integer past 40 digits by its digit count and sign, and any other value by its repr,
+    or by its type when the repr passes 40 characters."""
     if type(value) is str:
         return repr(value[:40]) + ("..." if len(value) > 40 else "")
     if type(value) is int:
-        return repr(value) if abs(value) < 10 ** 40 else f"a {len(str(abs(value)))}-digit integer"
+        if abs(value) < 10 ** 40:
+            return repr(value)
+        return f"a {len(str(abs(value)))}-digit {'negative ' if value < 0 else ''}integer"
     text = repr(value)
     return text if len(text) <= 40 else f"a {type(value).__name__}"
 

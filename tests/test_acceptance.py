@@ -186,6 +186,7 @@ def test_criterion_8_akashi_laws():
                 product = product * g
             lead = akashi_series(AkashiData(p, (product,)))
             assert chi.finite and lead.chi == chi.value
+            assert lead.k == chi.r
 
 
 def test_criterion_9_hasse_and_twist_invariants():

@@ -6,9 +6,8 @@ import pytest
 from eulerchar import akashi
 from eulerchar.akashi import AkashiData, akashi_series, check_multiplicativity
 from eulerchar.errors import EulerCharError, InputError, PrecisionError
-from eulerchar.gamma_modules import TorsionModule, generalized_chi
 from eulerchar.lambda_algebra import (DistinguishedPart, LambdaSeries, distinguished_part,
-                                      leading_term, mu_lambda, series_from_text)
+                                      mu_lambda, series_from_text)
 from eulerchar.padics import PowerOfP
 from test_lambda_algebra import agrees_with, random_prepared_input, random_unit
 
@@ -122,52 +121,6 @@ def random_data(rng, p):
     """Akashi data at (N, D) = (10, 32) of one to three polynomials of degree below 5, each
     with a unit coefficient, and three in ten of them then multiplied by p."""
     return AkashiData(p, tuple(_random_element(rng, p) for _ in range(rng.randint(1, 3))))
-
-
-def test_leading_additive_under_degreewise_products():
-    rng = random.Random(17)
-    for _ in range(40):
-        p = rng.choice([3, 5, 7])
-        a = random_data(rng, p)
-        b = random_data(rng, p)
-        lead_a, lead_b = akashi_series(a), akashi_series(b)
-        lead = akashi_series(degreewise_product(a, b))
-        assert lead.k == lead_a.k + lead_b.k
-        assert lead.alpha_valuation == lead_a.alpha_valuation + lead_b.alpha_valuation
-
-
-def test_single_degree_agrees_with_leading_term():
-    rng = random.Random(29)
-    for _ in range(30):
-        p = rng.choice([3, 5, 7])
-        g = _random_element(rng, p)
-        lead = akashi_series(AkashiData(p, (g,)))
-        lt = leading_term(g)
-        assert (lead.alpha_valuation, lead.k) == (lt.alpha_valuation, lt.k)
-
-
-def test_torsion_module_chi_matches_single_degree_akashi():
-    # For a module over the rank-one group itself, the alternating product
-    # is just the characteristic element, and its leading coefficient
-    # valuation is the chi exponent.
-    rng = random.Random(41)
-    for _ in range(25):
-        p = rng.choice([3, 5, 7])
-        gens = []
-        for _ in range(rng.randint(1, 2)):
-            n = rng.randint(0, 1)
-            f = [rng.randrange(p ** 10) for _ in range(rng.randint(1, 3))]
-            f[0] = random_unit(rng, p ** 10, p) * p ** rng.randint(0, 1)
-            gens.append(LambdaSeries.make(p, [0] * n + f, 10, 32))
-        m = TorsionModule(p, tuple(gens))
-        chi = generalized_chi(m)
-        char_element = gens[0]
-        for g in gens[1:]:
-            char_element = char_element * g
-        lead = akashi_series(AkashiData(p, (char_element,)))
-        assert chi.finite
-        assert lead.chi == chi.value
-        assert lead.k == chi.r
 
 
 def test_fraction_reduction_cancels_common_factors():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eulerchar.cli import _json_text, main
+from eulerchar.cli import _build_parser, _json_text, _parse_args, main
+from eulerchar.padics import MR_PROVEN_BELOW
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CALLS = Path(__file__).parent / "golden_calls.txt"  # the argv of each golden report
@@ -171,14 +172,6 @@ def test_theorem_command(capsys, tmp_path):
     assert results["euler_product_magnitude"] == "1"
     assert len(results["places"]) == 6
     assert all(row["h1_Fv"] == "1" for row in results["places"])
-    assert any("external input" in note for note in report["provenance_notes"])
-
-
-def test_example_command_passes_by_default(capsys):
-    code, report = run_report(capsys, "example-x1-11")
-    assert code == 0
-    assert report["results"]["all_checks_pass"] is True
-    assert report["results"]["chi_sigma"] == "7^8"
     assert any("external input" in note for note in report["provenance_notes"])
 
 
@@ -597,7 +590,7 @@ QUICK_INERTIA_REFUSALS = [
     (["prep", "--series", json.dumps({"p": 7, "N": 4, "D": 4, "poly": "%d*T + 1" % 7 ** 400})], 2,
      "has coefficient a 339-digit integer of T^1, which is 0 mod p^N = 7^4"),
     (["chi-module", "--module", '{"p":7,"generators":["T"]}', "--oracle", "--prec", "-" + "1" * 300],
-     2, "--prec must be >= 1, got a 300-digit integer"),
+     2, "--prec must be >= 1, got a 300-digit negative integer"),
     (["split", "--l", "x" * 3000, "--p", "7"], 2,
      "argument --l: invalid int value: '%s'..." % ("x" * 40)),
     (["split", "--l", "1" * 5000, "--p", "7"], 2,
@@ -704,24 +697,47 @@ def mutated_documents(draw):
     return [*argv[:i], json.dumps(doc), *argv[i + 1:]]
 
 
+# The golden calls' integer options, and example-x1-11's --chi-gamma, by the index of the value
+OPTION_CALLS = [(argv, i) for argv, _ in GOLDEN_ARGVS for i in range(1, len(argv))
+                if argv[i - 1].startswith("--") and re.fullmatch(r"-?\d+", argv[i])]
+OPTION_CALLS.append((["example-x1-11", "--chi-gamma", "7^8"], 2))
+OPTION_VALUES = ["0", "1", "-3", "1" + "0" * 39, "7" * 300, "1" + "0" * 1999, "-1" + "0" * 1999,
+                 str(10 ** 9 + 7), str(MR_PROVEN_BELOW), str(10 ** 16 + 61), "7^8", "7^-3"]
+
+
+@st.composite
+def swapped_options(draw):
+    """A golden call's argv with one integer option, or example-x1-11's --chi-gamma, set to
+    a small, zero, negative, long, huge or prime value, or to a power of 7."""
+    argv, i = draw(st.sampled_from(OPTION_CALLS))
+    return [*argv[:i], draw(st.sampled_from(OPTION_VALUES)), *argv[i + 1:]]
+
+
 def test_shape_calls_cover_every_document_reader():
     assert sorted({f"{argv[0]} {argv[i - 1]}" for argv, i in SHAPE_CALLS}) == [
         "akashi --data", "chi-module --module", "count-points --curve", "leading --series",
         "prep --series", "theorem3 --config"]
+    # with the option calls, the property below reaches every subcommand
+    assert {argv[0] for argv, _ in SHAPE_CALLS + OPTION_CALLS} == set(
+        _build_parser().subcommands)
 
 
 # derandomized, so that tools/cli_diff.py sees the same calls on both sides of a diff;
-# capsys is read after each call
-@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+# capsys is read after each call.  COLUMNS fixes the width of argparse's usage line.
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(mutated_documents())
-def test_a_mutated_document_gives_a_report_or_a_one_line_refusal(capsys, argv):
+@given(mutated_documents() | swapped_options())
+def test_a_mutated_document_gives_a_report_or_a_one_line_refusal(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
     code, out, err = run(capsys, *argv)
-    assert code in (0, 2, 3)
-    if code == 0:
+    # only example-x1-11 checks a golden value, and a failed check still gives the report
+    assert code in (0, 2, 3) or code == 4 and argv[0] == "example-x1-11"
+    if code in (0, 4):
         assert err == "" and json.loads(out)["command"] == argv[0]
     else:
-        assert out == "" and err.endswith("\n") and err.count("\n") == 1 and len(err) < 200
+        lines = err.splitlines()
+        assert out == "" and err.endswith("\n") and len(err) < 200
+        assert len(lines) == 1 or len(lines) == 2 and lines[0].startswith("usage: ")
         # Python's own text for a value of the wrong type, which varies across versions
         for text in ("indices must be", "not subscriptable", "object has no attribute"):
             assert text not in err
@@ -849,8 +865,6 @@ def _parse_outcome(capsys, parse, argv):
     ["chi-module", "--module", "{}", "--prec", "x"], ["example-x1-11"],
 ])
 def test_subcommand_parser_gives_what_the_top_level_parser_gives(capsys, argv):
-    from eulerchar.cli import _build_parser, _parse_args
-
     assert (_parse_outcome(capsys, _parse_args, argv)
             == _parse_outcome(capsys, _build_parser().parse_args, argv))
 
@@ -895,32 +909,13 @@ def test_writer_refuses_what_json_cannot_hold_exactly(doc):
         _json_text(doc)
 
 
-def test_reports_leave_no_garbage(capsys, tmp_path):
+def test_reports_leave_no_garbage(capsys, monkeypatch, tmp_path):
     """A successful report leaves no reference cycle for the collector to find."""
-    for name, elements in (("L", ["T"]), ("M", ["T*(T+7)", {"coeffs": [1, 1]}]),
-                           ("N", ["T+7", "1+T"])):
-        (tmp_path / f"{name}.json").write_text(
-            json.dumps({"p": 7, "N": 6, "D": 8, "char_elements": elements}))
-    check = ",".join(str(tmp_path / f"{name}.json") for name in "LMN")
-    module = {"p": 7, "N": 8, "D": 12, "generators": ["T*(T-7)", {"coeffs": [49, 1]}]}
-    akashi = {"p": 7, "N": 6, "D": 10, "char_elements": ["T", {"coeffs": [0, 0, 1, 1]}, "7+T"],
-              "coranks": [1, 2, 0]}
-    calls = [
-        ["count-points", "--curve", json.dumps(X1_11), "--q", "113"],
-        ["euler-factor", "--a", "-2", "--q", "7", "--p", "7"],
-        ["prep", "--series", '{"p":7,"N":6,"D":8,"poly":"T^2+7*T+49"}'],
-        ["leading", "--series", '{"p":7,"N":4,"D":8,"coeffs":[0,0,49,7]}'],
-        ["chi-module", "--oracle", "--module", json.dumps(module)],
-        ["akashi", "--data", json.dumps(akashi)],
-        ["akashi", "--check", check],
-        ["split", "--l", "3", "--p", "13"],
-        ["inertia-set", "--p", "7", "--m", "226"],
-        ["theorem3", "--config", pipeline(tamagawa={"113": 1})],
-        ["example-x1-11"],
-    ]
-    assert {argv[0] for argv in calls} == {
-        "count-points", "euler-factor", "prep", "leading", "chi-module", "akashi", "split",
-        "inertia-set", "theorem3", "example-x1-11"}
+    monkeypatch.chdir(tmp_path)
+    for name, content in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(content)
+    calls = [argv for argv, _ in GOLDEN_ARGVS]
+    assert {argv[0] for argv in calls} == set(_build_parser().subcommands)
     for argv in calls:
         assert main(argv) == 0  # first calls build the parser and fill module caches
     capsys.readouterr()

@@ -211,24 +211,6 @@ def random_normal_form_module(rng, p, precision, degree):
     return TorsionModule(p, tuple(gens))
 
 
-def test_oracle_agrees_with_closed_form():
-    rng = random.Random(97)
-    for _ in range(40):
-        p = rng.choice([3, 5, 7])
-        m = random_normal_form_module(rng, p, 8, 20)
-        assert finite_level_oracle(m, 12) == generalized_chi(m)
-
-
-def test_counterexample_sequence():
-    ends = module(7, "T")
-    middle = module(7, "T^2")
-    assert generalized_chi(ends).finite is True
-    assert generalized_chi(ends).value == PowerOfP(7, 0)
-    assert generalized_chi(middle).finite is False
-    assert finite_level_oracle(ends, 10).finite is True
-    assert finite_level_oracle(middle, 10).finite is False
-
-
 def test_module_json_roundtrip():
     m = module(7, "T*(T-7)", "T-7")
     doc = m.to_json()

@@ -490,21 +490,6 @@ def test_leading_term_multiplicativity():
         assert lt.alpha == alpha
 
 
-def test_mu_lambda_additive_under_products():
-    rng = random.Random(31)
-    for _ in range(60):
-        p = rng.choice([3, 5, 7, 11])
-        n, d = rng.randint(6, 9), 32
-        g = random_preparable(rng, p, n, d)
-        h = random_preparable(rng, p, n, d)
-        form_g, form_h = weierstrass_prepare(g), weierstrass_prepare(h)
-        mu, lam = form_g.mu + form_h.mu, form_g.lam + form_h.lam
-        if mu > n - 2 or lam >= d:
-            continue
-        form = weierstrass_prepare(g * h)
-        assert (form.mu, form.lam) == (mu, lam)
-
-
 def test_preparation_idempotent():
     rng = random.Random(43)
     for _ in range(60):
@@ -653,9 +638,18 @@ def test_polynomial_text_parsing():
                 "9" * 5000, "-" * 5000 + "T", "+".join(["T"] * 5000)):
         with pytest.raises(InputError):
             polynomial_from_text(bad)
-    # parsed, but past what the evaluator recurses through
+    # a sum is walked without recursing, up to 1024 terms and 1024 unary signs
+    assert polynomial_from_text("+".join(["T"] * 1000)) == [0, 1000]
+    dense = " + ".join(f"{i + 1}*T^{i}" for i in range(1024))
+    assert series_from_doc({"p": 7, "N": 4, "D": 1024, "poly": dense}).coeffs == tuple(
+        range(1, 1025))
+    for bad, message in ((dense + " + 1", "has a sum of more than 1024 terms"),
+                         ("-" * 1025 + "T", "has more than 1024 unary signs in a sum")):
+        with pytest.raises(InputError, match=message):
+            polynomial_from_text(bad)
+    # parsed, but past what the evaluator recurses through: products and powers recurse
     with pytest.raises(InputError, match="polynomial nested too deeply"):
-        polynomial_from_text("+".join(["T"] * 1000))
+        polynomial_from_text("*".join(["T"] * 1000))
 
 
 def test_construction_validation():
