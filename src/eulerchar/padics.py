@@ -74,6 +74,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
+    # the last bound is MR_PROVEN_BELOW, which n is below: the loop returns on every path
     for b, bound in zip(_MR_BASES, _MR_DECIDED_BELOW):
         x = pow(b, d, n)
         if x != 1 and x != n - 1:
@@ -85,7 +86,6 @@ def is_prime(n: int) -> bool:
                 return False
         if n < bound:
             return True
-    return True
 
 
 def _rho_divisor(n: int) -> int:

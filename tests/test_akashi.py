@@ -74,14 +74,8 @@ def test_multiplicativity_examples():
     assert check_multiplicativity(data(7, "T"), data(7, "T^3"), data(7, "T")) is False
 
 
-def test_multiplicativity_compares_mu_and_lambda_before_preparing(monkeypatch):
-    prepared = []
-
-    def counted(g):
-        prepared.append(g)
-        return distinguished_part(g)
-
-    monkeypatch.setattr(akashi, "distinguished_part", counted)
+def test_multiplicativity_compares_mu_and_lambda_before_preparing(count_calls):
+    prepared = count_calls(akashi, "distinguished_part")
     one = data(7, "1")
     # cross-products 7*T and T differ in mu, T^2 and T in lambda: neither is prepared
     assert check_multiplicativity(one, data(7, "7*T"), data(7, "T")) is False
@@ -260,12 +254,8 @@ def test_multiplicativity_matches_the_full_route(monkeypatch):
     assert outcomes[:2] == [True, False] and outcomes[-1][0] is PrecisionError
 
 
-def test_multiplicativity_forms_cross_products_only_when_the_sums_leave_it_open(monkeypatch):
-    products, mul = [], LambdaSeries.__mul__
-
-    def counted(a, b):
-        products.append((a, b))
-        return mul(a, b)
+def test_multiplicativity_forms_cross_products_only_when_the_sums_leave_it_open(count_calls):
+    products = count_calls(LambdaSeries, "__mul__")
 
     def cross_products(triple):
         """The answer, and the products check_multiplicativity forms beyond its fractions'."""
@@ -279,7 +269,6 @@ def test_multiplicativity_forms_cross_products_only_when_the_sums_leave_it_open(
     one = data(7, "1")
     rng = random.Random(59)
     job, broken = _job_triple(rng, 7, 10, 32, False), _job_triple(rng, 7, 10, 32, True)
-    monkeypatch.setattr(LambdaSeries, "__mul__", counted)
     # all units; equal (mu, lambda) = (0, 0) decides without a product
     assert cross_products(job) == (True, 0)
     assert cross_products((data(7, "1+7*T"), data(7, "3+T"), data(7, "2+T^2"))) == (True, 0)

@@ -29,37 +29,11 @@ def run_report(capsys, *argv):
     return code, json.loads(out)
 
 
-def test_split_command(capsys):
-    code, report = run_report(capsys, "split", "--l", "113", "--p", "7")
-    assert code == 0
-    assert report["results"]["splitting"]["f"] == 1
-    assert report["results"]["splitting"]["g"] == 6
-    assert any("magnitude convention" in note for note in report["provenance_notes"])
-
-
-def test_euler_factor_command(capsys):
-    code, report = run_report(capsys, "euler-factor", "--a", "-2", "--q", "7", "--p", "7")
-    assert code == 0
-    assert report["results"]["value"] == "49/36"
-    assert report["results"]["valuation_at_p"] == 2
-    assert report["results"]["magnitude_paper"] == "7^2"
-
-
 def test_chi_module_counterexample(capsys):
     code, report = run_report(capsys, "chi-module", "--module",
                               '{"p":7,"generators":["T^2"]}')
     assert code == 0
     assert report["results"]["closed_form"] == {"finite": False}
-
-
-def test_chi_module_with_oracle(capsys):
-    code, report = run_report(capsys, "chi-module", "--module",
-                              '{"p":7,"generators":["T*(T-7)"]}',
-                              "--oracle", "--prec", "10")
-    assert code == 0
-    assert report["results"]["closed_form"] == {"finite": True, "value": "7", "r": 1}
-    assert report["results"]["oracle"] == {"finite": True, "value": "7", "r": 1}
-    assert report["results"]["agree"] is True
 
 
 def test_prec_without_oracle_is_an_input_error(capsys):
@@ -80,29 +54,6 @@ def test_prep_command(capsys, tmp_path):
     assert report["results"]["distinguished_poly"] == [7, 1]
     # 49 + 350T + 49T^2 = 7 * (T + 7) * (1 + 7T)
     assert report["results"]["unit"] == {"p": 7, "N": 3, "D": 8, "coeffs": [1, 7, 0, 0, 0, 0, 0, 0]}
-
-
-def test_leading_command(capsys):
-    code, report = run_report(capsys, "leading", "--series",
-                              '{"p":7,"N":3,"D":4,"coeffs":[0,0,49,0]}')
-    assert code == 0
-    assert report["results"] == {"alpha": 49, "alpha_valuation": 2, "k": 2}
-
-
-def test_leading_accepts_poly_documents(capsys):
-    code, report = run_report(capsys, "leading", "--series",
-                              '{"p":7,"poly":"7*T","N":5,"D":6}')
-    assert code == 0
-    assert report["results"] == {"alpha": 7, "alpha_valuation": 1, "k": 1}
-
-
-def test_akashi_command(capsys):
-    code, report = run_report(capsys, "akashi", "--data",
-                              '{"p":7,"char_elements":["7*T"]}')
-    assert code == 0
-    lead = report["results"]["leading"]
-    assert lead == {"alpha_valuation": 1, "k": 1, "chi_if_finite": "7"}
-    assert any("hypothesis" in note for note in report["provenance_notes"])
 
 
 @pytest.mark.parametrize("doc, k, alpha_valuation, chi", [
@@ -129,52 +80,6 @@ def test_akashi_corank_claims_are_checked(capsys):
     assert report["results"]["coranks_consistent_with_k"] is False
 
 
-def test_akashi_check_command(capsys, tmp_path):
-    files = {}
-    for name, elements in (("L", ["T"]), ("M", ["T*(T+7)"]), ("N", ["T+7"])):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"p": 7, "char_elements": elements}))
-        files[name] = str(path)
-    code, report = run_report(capsys, "akashi", "--check",
-                              ",".join([files["L"], files["M"], files["N"]]))
-    assert code == 0
-    assert report["results"]["multiplicative"] is True
-
-
-def test_count_points_inline(capsys):
-    code, report = run_report(capsys, "count-points", "--curve",
-                              '{"a":["0","-1","1","0","0"]}', "--q", "7")
-    assert code == 0
-    assert report["results"] == {"q": 7, "point_count": 10, "a_v": -2}
-
-
-def test_inertia_set_command(capsys):
-    code, report = run_report(capsys, "inertia-set", "--p", "7", "--m", "113")
-    assert code == 0
-    assert report["results"]["primes_with_infinite_inertia"] == [7, 113]
-    assert len(report["results"]["places_away_from_p"]) == 6
-
-
-def test_theorem_command(capsys, tmp_path):
-    config = {
-        "p": 7,
-        "chi_gamma": "7^8",
-        "curve": {"a": ["0", "-1", "1", "0", "0"]},
-        "extension": {"p": 7, "m": 113},
-        "tamagawa": {"113": 1},
-    }
-    path = tmp_path / "pipeline.json"
-    path.write_text(json.dumps(config))
-    code, report = run_report(capsys, "theorem3", "--config", str(path))
-    assert code == 0
-    results = report["results"]
-    assert results["chi_sigma"] == "7^8"
-    assert results["euler_product_magnitude"] == "1"
-    assert len(results["places"]) == 6
-    assert all(row["h1_Fv"] == "1" for row in results["places"])
-    assert any("external input" in note for note in report["provenance_notes"])
-
-
 def test_example_command_flags_mismatch(capsys):
     code, out, _ = run(capsys, "example-x1-11", "--chi-gamma", "7^5")
     assert code == 4
@@ -182,37 +87,6 @@ def test_example_command_flags_mismatch(capsys):
     assert report["results"]["all_checks_pass"] is False
     failed = [c for c in report["results"]["checks"] if not c["ok"]]
     assert [c["name"] for c in failed] == ["product formula output"]
-
-
-def test_reports_are_deterministic(capsys):
-    _, first, _ = run(capsys, "inertia-set", "--p", "7", "--m", "10")
-    _, second, _ = run(capsys, "inertia-set", "--p", "7", "--m", "10")
-    assert first == second
-
-
-def test_input_error_exit_code(capsys):
-    code, out, err = run(capsys, "split", "--l", "4", "--p", "7")
-    assert code == 2
-    assert out == ""
-    assert "not prime" in err
-
-
-def test_precision_error_exit_code(capsys):
-    code, _, err = run(capsys, "chi-module", "--module",
-                       '{"p":7,"N":2,"D":2,"generators":[{"p":7,"N":2,"D":2,"coeffs":[0,0]}]}')
-    assert code == 3
-    assert "zero at precision" in err
-
-
-def test_unknown_subcommand_and_flag(capsys):
-    assert run(capsys, "no-such-command")[0] == 2
-    assert run(capsys, "split", "--bogus", "1")[0] == 2
-
-
-def test_missing_file_is_input_error(capsys):
-    code, _, err = run(capsys, "prep", "--series", "/nonexistent/series.json")
-    assert code == 2
-    assert "cannot read" in err
 
 
 def test_readme_examples_run(capsys):
@@ -743,22 +617,10 @@ def test_a_mutated_document_gives_a_report_or_a_one_line_refusal(capsys, monkeyp
             assert text not in err
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_akashi_report_computes_the_product_once(capsys, monkeypatch):
+def test_akashi_report_computes_the_product_once(capsys, monkeypatch, count_calls):
     from eulerchar import akashi, cli
 
-    calls = _count_calls(monkeypatch, akashi, "akashi_series")
+    calls = count_calls(akashi, "akashi_series")
     monkeypatch.setattr(cli, "akashi_series", akashi.akashi_series)
     code, report = run_report(capsys, "akashi", "--data",
                               '{"p":7,"char_elements":["T","T^2*(1+T)"],"coranks":[1,2]}')
@@ -777,12 +639,12 @@ def test_residue_field_below_the_bound_is_reported(capsys):
     assert (row["f"], row["q_v"]) == (6636, 2 ** 6636)
 
 
-def test_example_report_counts_each_prime_once_per_place(capsys, monkeypatch):
+def test_example_report_counts_each_prime_once_per_place(capsys, monkeypatch, count_calls):
     from eulerchar import cli, curves
 
-    calls = _count_calls(monkeypatch, curves, "count_points")
-    mestre = _count_calls(monkeypatch, curves, "_count_mestre")
-    exhaustive = _count_calls(monkeypatch, curves, "_count_exhaustive")
+    calls = count_calls(curves, "count_points")
+    mestre = count_calls(curves, "_count_mestre")
+    exhaustive = count_calls(curves, "_count_exhaustive")
     monkeypatch.setattr(cli, "count_points", curves.count_points)
     code, _ = run_report(capsys, "example-x1-11")
     assert code == 0
@@ -793,12 +655,12 @@ def test_example_report_counts_each_prime_once_per_place(capsys, monkeypatch):
     assert mestre == []
 
 
-def test_theorem3_report_counts_each_prime_once_on_either_route(capsys, monkeypatch):
+def test_theorem3_report_counts_each_prime_once_on_either_route(capsys, count_calls):
     from eulerchar import curves
 
-    calls = _count_calls(monkeypatch, curves, "count_points")
-    mestre = _count_calls(monkeypatch, curves, "_count_mestre")
-    exhaustive = _count_calls(monkeypatch, curves, "_count_exhaustive")
+    calls = count_calls(curves, "count_points")
+    mestre = count_calls(curves, "_count_mestre")
+    exhaustive = count_calls(curves, "_count_exhaustive")
     # 29 and 421 are 1 mod 7, so each has g = 6 places; 29 < MESTRE_FROM_Q <= 421
     code, report = run_report(capsys, "theorem3", "--config",
                               pipeline(extension={"p": 7, "m": 29 * 421}))
@@ -810,12 +672,12 @@ def test_theorem3_report_counts_each_prime_once_on_either_route(capsys, monkeypa
     assert [q for _, q in mestre] == [421]
 
 
-def test_inertia_set_report_splits_each_prime_once(capsys, monkeypatch):
+def test_inertia_set_report_splits_each_prime_once(capsys, count_calls):
     from eulerchar import cyclotomic_fields
 
     # _split is the step split takes once l and p are proved prime
-    calls = _count_calls(monkeypatch, cyclotomic_fields, "_split")
-    proofs = _count_calls(monkeypatch, cyclotomic_fields, "check_prime")
+    calls = count_calls(cyclotomic_fields, "_split")
+    proofs = count_calls(cyclotomic_fields, "check_prime")
     code, report = run_report(capsys, "inertia-set", "--p", "7", "--m", "226")
     assert code == 0
     assert report["results"]["primes_with_infinite_inertia"] == [2, 7, 113]

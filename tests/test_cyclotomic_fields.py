@@ -6,21 +6,6 @@ from eulerchar.errors import InputError
 from eulerchar.padics import MAX_VALUE, is_prime
 
 
-def test_split_completely():
-    data = split(113, 7)
-    assert (data.f, data.g, data.ramified, data.q_v) == (1, 6, False, 113)
-
-
-def test_split_inert_ish():
-    data = split(2, 7)  # order of 2 mod 7 is 3
-    assert (data.f, data.g, data.q_v) == (3, 2, 8)
-
-
-def test_split_ramified():
-    data = split(7, 7)
-    assert (data.f, data.g, data.ramified, data.q_v) == (1, 1, True, 7)
-
-
 def test_split_rejects_composites():
     with pytest.raises(InputError, match="not prime"):
         split(15, 7)
@@ -69,21 +54,6 @@ def test_split_refuses_residue_fields_past_the_bound():
     # f = (p - 1)/2: refused before 2^f is formed
     with pytest.raises(InputError, match="f = 500000003 in Q"):
         split(2, 1000000007)
-
-
-def test_inertia_set_worked_example():
-    ext = ExtensionSpec(7, 113)
-    full = infinite_inertia_set(ext)
-    assert [d.l for d in full] == [7, 113]
-    places = infinite_inertia_places(full)
-    assert len(places) == 6
-    assert all(d.l == 113 and d.q_v == 113 for d in places)
-
-
-def test_inertia_set_small_m():
-    places = infinite_inertia_places(infinite_inertia_set(ExtensionSpec(7, 2)))
-    assert len(places) == 2
-    assert all(d.l == 2 and d.q_v == 8 for d in places)
 
 
 def test_inertia_set_m_10_p_5():

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from eulerchar.curves import Curve, CurveLocalData, local_data, x1_11
-from eulerchar.cyclotomic_fields import ExtensionSpec, SplittingData, split
+from eulerchar.cyclotomic_fields import SplittingData, split
 from eulerchar.errors import InputError
-from eulerchar.euler_char import build_chi_input, euler_product, local_cardinalities
+from eulerchar.euler_char import euler_product, local_cardinalities
 from eulerchar.padics import PowerOfP, int_valuation
 
 
@@ -18,24 +18,6 @@ def synthetic_place(p, l, valuation):
     splitting = SplittingData(l, p, 1)
     local = CurveLocalData(l, 0, Fraction(l * l, l * l + 1), valuation)
     return splitting, local
-
-
-def test_worked_example_product():
-    places = build_chi_input(x1_11(), ExtensionSpec(7, 113))
-    assert len(places) == 6
-    assert all(local.euler_valuation_at_p == 0 for _, local in places)
-    assert PowerOfP(7, 8) * euler_product(places, 7) == PowerOfP(7, 8)
-
-
-def test_pipeline_with_higher_residue_degree():
-    # m = 2: the order of 2 mod 7 is 3, so two places with residue field F_8
-    places = build_chi_input(x1_11(), ExtensionSpec(7, 2))
-    assert len(places) == 2
-    for splitting, local in places:
-        assert (splitting.f, local.q, local.a_v) == (3, 8, 4)
-        assert local.euler_value == Fraction(64, 97)
-        assert local.euler_valuation_at_p == 0
-    assert euler_product(places, 7) == PowerOfP(7, 0)
 
 
 def test_empty_place_set():

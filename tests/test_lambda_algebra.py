@@ -296,20 +296,14 @@ def test_prepare_matches_the_two_product_loop(p):
 
 
 @pytest.mark.parametrize("p", [2, 7])
-def test_division_rounds_run_at_shrinking_precision(p, monkeypatch):
+def test_division_rounds_run_at_shrinking_precision(p, count_calls):
     """At (N, D) = (24, 48) and mu = 0, round k's product is taken mod p^(23 - k),
     with G' reduced to that modulus."""
-    moduli, kronecker = [], lambda_algebra._kronecker
-
-    def recorded(a, b, d, m):
-        moduli.append(m)
-        assert max(b) < m
-        return kronecker(a, b, d, m)
-
     g = random_prepared_input(random.Random(p), p, 24, 48, 5, 0)
-    monkeypatch.setattr(lambda_algebra, "_kronecker", recorded)
+    calls = count_calls(lambda_algebra, "_kronecker")
     part = distinguished_part(g)
-    assert moduli[-23:] == [p ** (23 - k) for k in range(23)]
+    assert all(max(b) < m for _, b, _, m in calls)
+    assert [m for *_, m in calls][-23:] == [p ** (23 - k) for k in range(23)]
     assert part.distinguished_poly == naive_prepare(p, g.coeffs, 24)[1]
 
 
@@ -399,14 +393,8 @@ def test_distinguished_part_matches_full_preparation_on_random_inputs():
         assert part.distinguished_poly == assert_lifted(weierstrass_prepare(g), g)[1]
 
 
-def test_lambda_zero_unit_is_the_series_over_p_to_the_mu(monkeypatch):
-    rng, inversions, invert = random.Random(9), [], lambda_algebra._invert_unit
-
-    def counted(c, m):
-        inversions.append(m)
-        return invert(c, m)
-
-    monkeypatch.setattr(lambda_algebra, "_invert_unit", counted)
+def test_lambda_zero_unit_is_the_series_over_p_to_the_mu(count_calls):
+    rng, inversions = random.Random(9), count_calls(lambda_algebra, "_invert_unit")
     for p, n, d, mu in [(2, 6, 10, 0), (7, 5, 8, 3), (13, 2, 1, 1), (101, 9, 40, 4)]:
         g = random_prepared_input(rng, p, n, d, 0, mu)
         form = weierstrass_prepare(g)
@@ -679,15 +667,9 @@ def test_construction_validation():
             LambdaSeries.make(*args)
 
 
-def test_only_make_checks_the_prime(monkeypatch):
+def test_only_make_checks_the_prime(count_calls):
     """Series built from series already made are not checked again."""
-    calls, check = [], lambda_algebra.check_prime
-
-    def counted(p):
-        calls.append(p)
-        return check(p)
-
-    monkeypatch.setattr(lambda_algebra, "check_prime", counted)
+    calls = count_calls(lambda_algebra, "check_prime")
     rng = random.Random(3)
     made = [series(7, [0, 0, 7, 14, 49], 6, 12)]  # 7 * T^2 * (1 + 2T + 7T^2)
     assert len(calls) == 1
@@ -705,21 +687,15 @@ def test_only_make_checks_the_prime(monkeypatch):
     assert calls == []
 
 
-def test_series_from_doc_checks_the_prime_once(monkeypatch):
-    calls, check = [], lambda_algebra.check_prime
-
-    def counted(p):
-        calls.append(p)
-        return check(p)
-
-    monkeypatch.setattr(lambda_algebra, "check_prime", counted)
+def test_series_from_doc_checks_the_prime_once(count_calls):
+    calls = count_calls(lambda_algebra, "check_prime")
     for entry, outer in [({"p": 7, "N": 4, "D": 8, "coeffs": [7, 1]}, None),
                          ({"p": 7, "N": 4, "D": 8, "poly": "T+7"}, None),
                          ({"coeffs": [7, 1]}, {"p": 7, "N": 4, "D": 8}),
                          ("T+7", {"p": 7, "N": 4, "D": 8})]:
         calls.clear()
         got = series_from_doc(entry, outer)
-        assert calls == [7]
+        assert calls == [(7,)]
         assert got.coeffs == (7, 1, 0, 0, 0, 0, 0, 0) and got.coeff_precision == 4
     # the prime is refused before p^N is bounded, in both forms
     for form in ({"coeffs": [1]}, {"poly": "T"}):
@@ -740,17 +716,11 @@ def test_a_polynomial_reaches_the_truncation_degree_cap():
         series_from_doc({"p": 7, "N": 4, "D": 32, "poly": "T^40 + 1"})
 
 
-def test_mu_and_lambda_add_below_the_product_precision(monkeypatch):
+def test_mu_and_lambda_add_below_the_product_precision(count_calls):
     """mu_lambda(a * b) is the sum of the factors' when both sums lie below the
     product's (n, d); at or past it nothing is claimed, and the multiplicativity
     check forms its cross-products instead of reading the sums."""
-    products, mul = [], LambdaSeries.__mul__
-
-    def counted(a, b):
-        products.append((a, b))
-        return mul(a, b)
-
-    monkeypatch.setattr(LambdaSeries, "__mul__", counted)
+    products = count_calls(LambdaSeries, "__mul__")
     rng = random.Random(37)
     below = at_n = at_d = 0
     for _ in range(600):

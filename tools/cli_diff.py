@@ -8,9 +8,10 @@ pytest plugin.  The plugin wraps ``eulerchar.cli.main`` and records the argv,
 exit code, stdout and stderr of every call, keyed by the test function that
 made it (its pytest id without the [...] parameters, which may carry an
 expected message) and the argv.  Both runs use the same --basetemp, so
-temporary paths in argv and messages match.  Prints each call whose record
-differs, and each call made on one side only up to SHOWN per test and side,
-then their count; exits 1 if there is any.  Standard library only.
+temporary paths in argv and messages match.  Prints each call whose distinct
+records differ (a call that a test repeats on one side only is no difference),
+and each call made on one side only up to SHOWN per test and side, then their
+count; exits 1 if there is any.  Standard library only.
 """
 
 import contextlib
@@ -58,7 +59,8 @@ def pytest_unconfigure(config):
 
 
 def _record(tree: Path, scratch: Path) -> dict:
-    """{(test, argv as JSON): [(code, stdout, stderr), ...]} for the tests in ``tree``."""
+    """{(test, argv as JSON): {(code, stdout, stderr): None, ...}} for the tests in ``tree``:
+    each call's distinct records, in the order first made."""
     out = scratch / "calls.json"
     env = {**os.environ, "CLI_DIFF_OUT": str(out),
            "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(ROOT / "tools")])}
@@ -68,7 +70,7 @@ def _record(tree: Path, scratch: Path) -> dict:
     print(f"{tree}: {(run.stdout.strip().splitlines() or ['no output'])[-1]}")
     calls = {}
     for test, argv, code, stdout, stderr in json.loads(out.read_text()):
-        calls.setdefault((test, json.dumps(argv)), []).append((code, stdout, stderr))
+        calls.setdefault((test, json.dumps(argv)), {})[code, stdout, stderr] = None
     return calls
 
 
@@ -93,7 +95,7 @@ def main(rev: str) -> int:
         test, argv = key
         name = f"{test} {argv if len(argv) < 300 else argv[:300] + '...'}"
         if key in old and key in new:
-            if old[key] == new[key]:
+            if old[key].keys() == new[key].keys():
                 continue
             print(f"differs: {name}")
             print("\n".join(difflib.unified_diff(_text(old[key]), _text(new[key]), rev,
