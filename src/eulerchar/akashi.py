@@ -26,28 +26,28 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, PrecisionError
 from .lambda_algebra import (LambdaSeries, distinguished_part, leading_term, mu_lambda,
                              series_list_from_doc)
-from .padics import PowerOfP
+from .padics import PowerOfP, Record
 
 
-@dataclass(frozen=True)
-class AkashiData:
+class AkashiData(Record):
     """Characteristic elements indexed by homological degree 0, 1, 2, ..."""
 
-    prime: int
-    char_elements: tuple
+    __slots__ = ("prime", "char_elements")
 
-    def __post_init__(self):
-        if not self.char_elements:
+    def __init__(self, prime: int, char_elements: tuple):
+        if not char_elements:
             raise InputError("need at least one characteristic element")
-        for i, g in enumerate(self.char_elements):
-            if g.prime != self.prime:
+        for i, g in enumerate(char_elements):
+            if g.prime != prime:
                 raise InputError(f"prime mismatch: characteristic element {i} is at "
-                                 f"p = {g.prime}, the data at p = {self.prime}")
+                                 f"p = {g.prime}, the data at p = {prime}")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "char_elements", char_elements)
 
     def to_json(self) -> dict:
         return {"p": self.prime,
@@ -60,8 +60,7 @@ class AkashiData:
         return cls(*series_list_from_doc(doc, "char_elements", "Akashi", other_keys))
 
 
-@dataclass(frozen=True)
-class AkashiFraction:
+class AkashiFraction(NamedTuple):
     """The alternating product as a formal numerator/denominator pair, with its leading
     T-exponent k and v_p(alpha): the alternating sums of the elements' own."""
 

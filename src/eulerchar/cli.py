@@ -18,7 +18,6 @@ import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .akashi import AkashiData, akashi_series, check_multiplicativity, coranks_consistent
 from .curves import Curve, count_points, euler_factor, is_ordinary, local_data, x1_11
@@ -48,7 +47,8 @@ def _load_json(text_or_path: str, option: str):
         raise InputError(f"{option} is empty")
     if not text.startswith("{"):
         try:
-            text = Path(text_or_path).read_bytes()  # json.loads detects the encoding
+            with open(text_or_path, "rb") as fh:
+                text = fh.read()  # json.loads detects the encoding
         except OSError as exc:
             raise InputError(f"cannot read {quoted(text_or_path)}: {exc.strerror}") from None
     try:

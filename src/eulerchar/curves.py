@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic_fields import SplittingData
 from .errors import InputError
-from .padics import MAX_DIGITS, MAX_VALUE, check_prime, document_fields, int_valuation, quoted
+from .padics import (MAX_DIGITS, MAX_VALUE, Record, check_prime, document_fields, int_valuation,
+                     quoted)
 
 MAX_COUNT_Q = 10 ** 16
 # Mestre's theorem guarantees the search ends only for q > 229.  The O(q) loop
@@ -70,8 +70,7 @@ def _document_rational(c, name: str) -> Fraction:
                      f'"n" or "n/d" below 10^2000, got {shown}')
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Record):
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 with rational a_i, each read
     by the rule of curve documents (see :func:`_document_rational`) and kept as a Fraction.
 
@@ -82,18 +81,11 @@ class Curve:
     each q that :func:`count_points` has counted to #E(F_q).
     """
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
-    _integral: tuple = field(init=False, repr=False, compare=False)
-    _counts: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_integral", "_counts")
 
-    def __post_init__(self):
-        names = ("a1", "a2", "a3", "a4", "a6")
-        coeffs = [_document_rational(getattr(self, name), name) for name in names]
-        for name, c in zip(names, coeffs):
+    def __init__(self, a1, a2, a3, a4, a6):
+        coeffs = [_document_rational(c, n) for c, n in zip((a1, a2, a3, a4, a6), self.__slots__)]
+        for name, c in zip(self.__slots__, coeffs):
             object.__setattr__(self, name, c)
         u = math.lcm(*(c.denominator for c in coeffs))
         a = tuple(c.numerator * (u ** i // c.denominator) for i, c in zip((1, 2, 3, 4, 6), coeffs))
@@ -101,6 +93,10 @@ class Curve:
             raise InputError("singular curve: discriminant is zero")
         object.__setattr__(self, "_integral", (u, a))
         object.__setattr__(self, "_counts", {})
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:5])
+        return f"Curve({fields})"
 
     def to_json(self) -> dict:
         return {"a": [str(c) for c in (self.a1, self.a2, self.a3, self.a4, self.a6)]}
@@ -356,8 +352,7 @@ def is_ordinary(a_p: int, p: int) -> bool:
     return a_p % p != 0
 
 
-@dataclass(frozen=True)
-class CurveLocalData:
+class CurveLocalData(NamedTuple):
     """Local invariants of a curve at one place with residue field size q.
 
     The point count is q + 1 - a_v; :func:`local_data`, the only constructor, keeps a_v^2 <= 4q.

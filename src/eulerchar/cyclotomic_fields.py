@@ -14,15 +14,13 @@ must supply the place list explicitly; this module does not guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from .errors import InputError
-from .padics import MAX_VALUE, check_prime, power_below_bound, prime_factors
+from .padics import MAX_VALUE, Record, check_prime, power_below_bound, prime_factors
 
 
-@dataclass(frozen=True)
-class SplittingData:
+class SplittingData(NamedTuple):
     """How a rational prime l decomposes in Q(mu_p)."""
 
     l: int
@@ -95,26 +93,26 @@ def _is_perfect_power(m: int, k: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
+class ExtensionSpec(Record):
     """Parameters (p, m) of the Kummer-tower extension of Q(mu_p)."""
 
-    p: int
-    m: int
+    __slots__ = ("p", "m")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.p < 5:
+    def __init__(self, p: int, m: int):
+        check_prime(p)
+        if p < 5:
             raise InputError("extension prime must be >= 5")
-        if type(self.m) is not int:  # exact type, as in documents: no float and no bool
+        if type(m) is not int:  # exact type, as in documents: no float and no bool
             raise InputError(f"invalid extension parameter: m must be an int, "
-                             f"got {type(self.m).__name__}")
-        if self.m <= 1:
+                             f"got {type(m).__name__}")
+        if m <= 1:
             raise InputError("invalid extension parameter: m must be >= 2")
-        if self.m >= MAX_VALUE:
+        if m >= MAX_VALUE:
             raise InputError("invalid extension parameter: m passes the bound 10^2000")
-        if _is_perfect_power(self.m, self.p):
+        if _is_perfect_power(m, p):
             raise InputError("invalid extension parameter: m is a perfect p-th power")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
 
 
 def infinite_inertia_set(ext: ExtensionSpec) -> List[SplittingData]:

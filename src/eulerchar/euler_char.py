@@ -14,7 +14,7 @@ This module evaluates the product, not the starting point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import Curve, CurveLocalData, local_data
 from .cyclotomic_fields import ExtensionSpec, infinite_inertia_places, infinite_inertia_set
@@ -33,8 +33,7 @@ def euler_product(places, p: int) -> PowerOfP:
     return PowerOfP(p, sum(local.euler_valuation_at_p for _, local in places))
 
 
-@dataclass(frozen=True)
-class LocalCardinalities:
+class LocalCardinalities(NamedTuple):
     """Orders of the two local H^1 groups at a place away from p."""
 
     h1_gamma: PowerOfP

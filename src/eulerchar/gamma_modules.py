@@ -21,32 +21,31 @@ invariants-vs-coinvariants Euler characteristic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .errors import InputError, PrecisionError
 from .lambda_algebra import distinguished_part, leading_term, series_list_from_doc
-from .padics import PowerOfP, int_valuation
+from .padics import PowerOfP, Record, int_valuation
 
 MAX_TOTAL_LAMBDA = 64  # desk-scale cap on the oracle's lattice rank
 
 
-@dataclass(frozen=True)
-class TorsionModule:
+class TorsionModule(Record):
     """Direct sum of factors Lambda/(g_i), generators nonzero at precision."""
 
-    prime: int
-    generators: tuple
+    __slots__ = ("prime", "generators")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, prime: int, generators: tuple):
+        if not generators:
             raise InputError("torsion module needs at least one generator")
-        for i, g in enumerate(self.generators):
-            if g.prime != self.prime:
+        for i, g in enumerate(generators):
+            if g.prime != prime:
                 raise InputError(f"prime mismatch: generator {i} is at p = {g.prime}, "
-                                 f"the module at p = {self.prime}")
+                                 f"the module at p = {prime}")
             if g.t_order() is None:
                 raise PrecisionError(f"generator {i} is indistinguishable from zero at precision")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "generators", generators)
 
     def to_json(self) -> dict:
         return {"p": self.prime, "generators": [g.to_json() for g in self.generators]}
@@ -57,8 +56,7 @@ class TorsionModule:
         return cls(*series_list_from_doc(doc, "generators", "module"))
 
 
-@dataclass(frozen=True)
-class ChiResult:
+class ChiResult(NamedTuple):
     """Outcome of an Euler-characteristic computation.
 
     ``value`` and ``r`` are present only when ``finite``; ``r`` is the

@@ -23,13 +23,11 @@ lambda = 0 needs neither steps nor rounds, and no inverse.
 
 from __future__ import annotations
 
-import ast
 import struct
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, PrecisionError
-from .padics import (MAX_VALUE, check_prime, document_fields, int_valuation, json_int,
+from .padics import (MAX_VALUE, Record, check_prime, document_fields, int_valuation, json_int,
                      power_below_bound, quoted)
 
 _MAX_DEGREE = 1024  # bounds a series' D, and so the degree of a parsed polynomial
@@ -46,8 +44,7 @@ _MAX_WIDENED_BYTES = 2048  # see _kronecker
 _COEFFS_KEYS = ("p", "N", "D", "coeffs")  # the keys of a coefficient document
 
 
-@dataclass(frozen=True)
-class LambdaSeries:
+class LambdaSeries(Record):
     """A power series known mod (p^coeff_precision, T^trunc_degree).
 
     ``coeffs`` is little-endian in T, nonempty, and reduced into
@@ -57,9 +54,12 @@ class LambdaSeries:
     from series that hold these facts already.
     """
 
-    prime: int
-    coeff_precision: int  # N: coefficients known mod p^N
-    coeffs: tuple
+    __slots__ = ("prime", "coeff_precision", "coeffs")
+
+    def __init__(self, prime: int, coeff_precision: int, coeffs: tuple):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "coeff_precision", coeff_precision)  # N: known mod p^N
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- construction ------------------------------------------------------
 
@@ -151,8 +151,7 @@ class LambdaSeries:
         return cls.make(p, coeffs, n, d)
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
+class LeadingTerm(NamedTuple):
     """Lowest-degree term alpha*T^k of a series nonzero at precision."""
 
     prime: int
@@ -164,8 +163,7 @@ class LeadingTerm:
         return int_valuation(self.alpha, self.prime)
 
 
-@dataclass(frozen=True)
-class DistinguishedPart:
+class DistinguishedPart(NamedTuple):
     """The unit-free part (mu, P) of g = p^mu * P(T) * U(T), at precision N - mu.
 
     ``distinguished_poly`` P is little-endian and monic of degree lambda,
@@ -194,16 +192,22 @@ class DistinguishedPart:
                    zip(self.distinguished_poly, other.distinguished_poly))
 
 
-@dataclass(frozen=True)
-class WeierstrassForm(DistinguishedPart):
+class WeierstrassForm(NamedTuple):
     """Factorization g = p^mu * P(T) * U(T) at precision: (mu, P) and the unit U.
 
-    The invertible series ``unit`` U carries the precision N - mu of P, at which
-    p^mu * P * U = g mod T^D holds; :func:`weierstrass_prepare` says how much of P
-    that fixes.
+    The first four fields are those of :class:`DistinguishedPart`.  The invertible
+    series ``unit`` U carries the precision N - mu of P, at which p^mu * P * U = g
+    mod T^D holds; :func:`weierstrass_prepare` says how much of P that fixes.
     """
 
+    prime: int
+    precision: int
+    mu: int
+    distinguished_poly: tuple
     unit: LambdaSeries
+
+    lam = DistinguishedPart.lam
+    same_characteristic_element = DistinguishedPart.same_characteristic_element
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int], d: int, m: int) -> List[int]:
@@ -386,50 +390,54 @@ def leading_term(g: LambdaSeries) -> LeadingTerm:
 
 
 # -- compact polynomial notation ---------------------------------------------
+# A polynomial is parsed as (length, {exponent: coefficient}): a term c*T^i costs O(1), and
+# the length is that of the dense coefficient list the parse returns.
 
 
-def _poly_mul(a: List[int], b: List[int], text: str) -> List[int]:
+def _poly_mul(a, b, text: str):
     """The product a*b in the polynomial ``text``, refused past degree or coefficient bounds."""
-    if len(a) + len(b) - 1 > _MAX_DEGREE:
+    (la, ca), (lb, cb) = a, b
+    if la + lb - 1 > _MAX_DEGREE:
         raise InputError(f"polynomial degree exceeds parser cap {_MAX_DEGREE}")
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
+    out = {}
+    for i, c in ca.items():
         if c:
-            for j, e in enumerate(b):
-                out[i + j] += c * e
-    if max(map(abs, out)) >= MAX_VALUE:
+            for j, e in cb.items():
+                out[i + j] = out.get(i + j, 0) + c * e
+    if max(map(abs, out.values()), default=0) >= MAX_VALUE:
         raise InputError(f"polynomial {quoted(text)} has a coefficient past the bound 10^2000")
-    return out
+    return la + lb - 1, out
 
 
-def _poly_pow(base: List[int], k: int, text: str) -> List[int]:
+def _poly_pow(base, k: int, text: str):
     """base^k in the polynomial ``text``: base's T-power as a shift, the rest by squaring.
 
     The degree cap is checked on base^k up front; the coefficient bound on each
     product, all of them powers of base with exponent at most k.
     """
-    if k * (len(base) - 1) >= _MAX_DEGREE:
+    length, coeffs = base
+    if k * (length - 1) >= _MAX_DEGREE:
         raise InputError(f"polynomial degree exceeds parser cap {_MAX_DEGREE}")
-    s = next((i for i, c in enumerate(base) if c), 0)  # base = T^s * rest
-    rest, out, e = base[s:], [1], k
-    while e and rest != [1]:
+    s = min((i for i, c in coeffs.items() if c), default=0)  # base = T^s * rest
+    rest, out, e = (length - s, {i - s: c for i, c in coeffs.items() if c}), (1, {0: 1}), k
+    while e and rest[1] != {0: 1}:
         if e & 1:
             out = _poly_mul(out, rest, text)
         e >>= 1
         if e:
             rest = _poly_mul(rest, rest, text)
-    return [0] * (s * k) + out
+    return 1 + k * (length - 1), {i + s * k: c for i, c in out[1].items()}
 
 
-def _evaluate(node, text: str) -> List[int]:
-    """The coefficients of the parsed polynomial ``text`` at its syntax-tree ``node``.
+def _evaluate(node, text: str):
+    """The parsed polynomial ``text`` at its syntax-tree ``node``.
 
     Products and powers recurse; sums and unary signs are walked by :func:`_evaluate_sum`.
     """
     if isinstance(node, ast.Constant) and type(node.value) is int:
-        return [node.value]
+        return 1, {0: node.value}
     if isinstance(node, ast.Name) and node.id in ("T", "t"):
-        return [0, 1]
+        return 2, {1: 1}
     if isinstance(node, ast.BinOp):
         if isinstance(node.op, ast.Mult):
             return _poly_mul(_evaluate(node.left, text), _evaluate(node.right, text), text)
@@ -445,14 +453,14 @@ def _evaluate(node, text: str) -> List[int]:
     raise InputError(f"unsupported expression in polynomial {quoted(text)}")
 
 
-def _evaluate_sum(node, text: str) -> List[int]:
-    """The coefficients of the sum or signed term ``node`` of the polynomial ``text``.
+def _evaluate_sum(node, text: str):
+    """The sum or signed term ``node`` of the parsed polynomial ``text``.
 
     The walk keeps a stack, not the call stack, so a long sum does not recurse.  It takes
     at most _MAX_DEGREE terms, as many as a dense polynomial below the degree cap has, and
     at most as many unary signs; past either bound the polynomial is refused.
     """
-    out: List[int] = []
+    length, out = 0, {}
     terms = signs = 0
     stack = [(node, 1)]
     while stack:
@@ -471,11 +479,11 @@ def _evaluate_sum(node, text: str) -> List[int]:
             if terms > _MAX_DEGREE:
                 raise InputError(f"polynomial {quoted(text)} has a sum of more than "
                                  f"{_MAX_DEGREE} terms")
-            term = _evaluate(node, text)
-            out.extend([0] * (len(term) - len(out)))
-            for i, c in enumerate(term):
-                out[i] += sign * c
-    return out
+            term_length, term = _evaluate(node, text)
+            length = max(length, term_length)
+            for i, c in term.items():
+                out[i] = out.get(i, 0) + sign * c
+    return length, out
 
 
 def polynomial_from_text(text: str) -> List[int]:
@@ -485,14 +493,17 @@ def polynomial_from_text(text: str) -> List[int]:
     and the operators + - * ^.  Used for compact generators in JSON files,
     e.g. "T^2" or "T*(T-7)".
     """
+    global ast
+    import ast  # on the first parse, not at import: a CLI start that parses nothing skips it
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
     except (SyntaxError, ValueError, RecursionError, MemoryError):  # MemoryError: deep nesting
         raise InputError(f"cannot parse polynomial {quoted(text)}") from None
     try:
-        return _evaluate(tree.body, text)
+        length, coeffs = _evaluate(tree.body, text)
     except RecursionError:
         raise InputError(f"polynomial nested too deeply: {quoted(text)}") from None
+    return [coeffs.get(i, 0) for i in range(length)]
 
 
 def series_from_text(prime: int, text: str, precision: int, degree: int) -> LambdaSeries:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import List
 
 from .errors import InputError
@@ -152,8 +151,29 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class PowerOfP:
+class Record:
+    """Base of the slotted value types: __init__ sets each field once, by object.__setattr__,
+    and equality and hash are by the fields, the slots not named with a leading "_".  Unlike
+    a NamedTuple, a Record is no tuple, so ``3 * x``, ``x + y`` and len(x) raise TypeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class PowerOfP(Record):
     """An exact (possibly negative) power of a fixed prime, kept as an exponent.
 
     The quantities the library certifies -- Euler characteristics, H^1
@@ -163,8 +183,11 @@ class PowerOfP:
     constructor checks nothing, and is given only primes proved already.
     """
 
-    prime: int
-    exponent: int
+    __slots__ = ("prime", "exponent")
+
+    def __init__(self, prime: int, exponent: int):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "exponent", exponent)
 
     def __mul__(self, other: "PowerOfP") -> "PowerOfP":
         if self.prime != other.prime:

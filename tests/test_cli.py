@@ -1,7 +1,10 @@
 import gc
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -791,3 +794,21 @@ def test_reports_leave_no_garbage(capsys, monkeypatch, tmp_path):
     finally:
         gc.enable()
     assert garbage == [(argv[0], 0, 0) for argv in calls]
+
+
+def test_cli_starts_without_the_modules_it_does_not_need():
+    """A fresh interpreter imports the CLI and builds its parser without loading dataclasses,
+    inspect, ast or pathlib, each a cost of every report's start; a poly document then parses,
+    ast loaded on the way."""
+    probe = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import eulerchar.cli as cli",
+        "cli._build_parser()",
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'pathlib'} & set(sys.modules) - before))",
+        "from eulerchar.lambda_algebra import series_from_doc",
+        "print(series_from_doc({'p': 7, 'N': 2, 'D': 3, 'poly': 'T*(T-7)'}).coeffs)"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n(0, 42, 1)\n", "")

@@ -620,6 +620,12 @@ def test_polynomial_text_parsing():
     assert polynomial_from_text("7 + T") == [7, 1]
     for one in ("T^0", "(T+7)^0", "0^0"):
         assert polynomial_from_text(one) == [1]
+    # a sum is as long as its longest term, and a product or power as its factors make
+    # it, whatever cancels
+    assert polynomial_from_text("T - T") == [0, 0]
+    assert polynomial_from_text("(T-T)^2") == [0, 0, 0]
+    with pytest.raises(InputError, match="degree exceeds parser cap 1024"):
+        polynomial_from_text("(T^600 - T^600) * T^600")
     g = series_from_text(7, "T*(T-7)", 8, 12)
     assert g.coeffs[:3] == (0, 7 ** 8 - 7, 1)
     for bad in ("T/2", "__import__('os')", "T^T", "x + 1", "T^(2+2)", "True", "T\x00",

@@ -3,9 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from eulerchar.errors import InputError
-from eulerchar.padics import (MR_PROVEN_BELOW, PowerOfP, int_valuation, is_prime, prime_factors,
-                              quoted)
+from eulerchar.akashi import AkashiData, akashi_series
+from eulerchar.curves import Curve, local_data, x1_11
+from eulerchar.cyclotomic_fields import ExtensionSpec, split
+from eulerchar.errors import InputError, PrecisionError
+from eulerchar.euler_char import local_cardinalities
+from eulerchar.gamma_modules import TorsionModule, generalized_chi
+from eulerchar.lambda_algebra import (LambdaSeries, distinguished_part, leading_term,
+                                      weierstrass_prepare)
+from eulerchar.padics import (MAX_VALUE, MR_PROVEN_BELOW, PowerOfP, int_valuation, is_prime,
+                              prime_factors, quoted)
 
 
 def test_valuation_examples():
@@ -133,3 +140,38 @@ def test_prime_factors_against_trial_division():
 ])
 def test_quoted_cuts_a_long_value_to_a_bounded_quote(value, text):
     assert quoted(value) == text
+
+
+def test_records_are_immutable_and_the_slotted_ones_no_tuples():
+    g = LambdaSeries(7, 4, (7, 1, 0))  # 7 + T
+    power, module, data = PowerOfP(7, 2), TorsionModule(7, (g,)), AkashiData(7, (g,))
+    place = local_data(x1_11(), split(113, 7))
+    records = [g, power, x1_11(), ExtensionSpec(7, 113), module, data,  # slotted
+               leading_term(g), distinguished_part(g), weierstrass_prepare(g),  # NamedTuples
+               akashi_series(data), generalized_chi(module), local_cardinalities(1, place, 7),
+               split(113, 7), place]
+    for record in records:
+        for name in record._fields if isinstance(record, tuple) else type(record).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+    for x in (g, power):
+        for op in (lambda x: x + x, len, iter, lambda x: 3 * x):
+            with pytest.raises(TypeError):
+                op(x)
+    zero = LambdaSeries(7, 4, (0, 0, 0))
+    for build, error, message in [
+            (lambda: Curve(0, 0, 0, 0, 1.5), InputError, "curve coefficient a6 must be"),
+            (lambda: Curve(0, 0, 0, 0, 0), InputError, "singular curve"),
+            (lambda: ExtensionSpec(9, 10), InputError, "not prime"),
+            (lambda: ExtensionSpec(3, 10), InputError, "must be >= 5"),
+            (lambda: ExtensionSpec(7, True), InputError, "m must be an int, got bool"),
+            (lambda: ExtensionSpec(7, 1), InputError, "m must be >= 2"),
+            (lambda: ExtensionSpec(7, MAX_VALUE), InputError, "m passes the bound"),
+            (lambda: ExtensionSpec(5, 32), InputError, "perfect p-th power"),
+            (lambda: TorsionModule(7, ()), InputError, "at least one generator"),
+            (lambda: TorsionModule(5, (g,)), InputError, "generator 0 is at p = 7"),
+            (lambda: TorsionModule(7, (g, zero)), PrecisionError, "generator 1 is indistinguish"),
+            (lambda: AkashiData(7, ()), InputError, "at least one characteristic element"),
+            (lambda: AkashiData(5, (g,)), InputError, "element 0 is at p = 7")]:
+        with pytest.raises(error, match=message):
+            build()
