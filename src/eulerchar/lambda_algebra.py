@@ -17,8 +17,13 @@ p-adic precision, so N - mu takes ceil(log2(N - mu)) steps of a few products.
 that compare characteristic elements, which are defined only up to units, by
 classical Weierstrass division by successive approximation: N - mu - 1 rounds
 at shrinking precision, each only on the terms that can still reach P, which
-on those callers' small series is faster than the lifting.  A series with
-lambda = 0 needs neither steps nor rounds, and no inverse.
+on those callers' small series is faster than the lifting.  A series
+p^mu * T^lambda * U, lambda = 0 among them, needs neither steps nor rounds,
+and no inverse.
+
+Every product runs on one kernel, :func:`_kronecker`, whose operands are
+residues mod the product's modulus m and whose result is the raw convolution
+sums, below d * m * m: each caller reduces them once, in a pass it makes anyway.
 """
 
 from __future__ import annotations
@@ -113,13 +118,17 @@ class LambdaSeries(Record):
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
+        if not isinstance(other, LambdaSeries):
+            return NotImplemented
         if self.prime != other.prime:
             raise InputError(f"prime mismatch: a product of a series at p = "
                              f"{self.prime} and one at p = {other.prime}")
         n = min(self.coeff_precision, other.coeff_precision)
         d = min(self.trunc_degree, other.trunc_degree)
-        return LambdaSeries(self.prime, n,
-                            tuple(_kronecker(self.coeffs, other.coeffs, d, self.prime ** n)))
+        m = self.prime ** n
+        a, b = ([c % m for c in x.coeffs] if x.coeff_precision > n else x.coeffs
+                for x in (self, other))  # the finer operand, reduced to residues mod p^n
+        return LambdaSeries(self.prime, n, tuple([c % m for c in _kronecker(a, b, d, m)]))
 
     def shift_down(self, k: int) -> "LambdaSeries":
         """Divide by T^k; callers take k from :meth:`t_order`, so T^k divides and k < D."""
@@ -211,12 +220,14 @@ class WeierstrassForm(NamedTuple):
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int], d: int, m: int) -> List[int]:
-    """The first d coefficients of a*b, reduced mod m, by Kronecker substitution.
+    """The first d coefficients of a*b, not reduced, by Kronecker substitution.
 
-    a and b hold nonnegative integers.  Each is packed into one integer, a
-    coefficient per fixed-width slot, so that one big-integer product does
-    the convolution.  A slot holds d * (max a + 1) * (max b + 1), which bounds
-    every output coefficient, so no slot carries into the next.
+    Every coefficient of a and b is a residue in [0, m).  Each operand is packed
+    into one integer, a coefficient per fixed-width slot, so that one big-integer
+    product does the convolution.  A slot holds d * m * m, which bounds every
+    output coefficient, so no slot carries into the next; its width comes from
+    (d, m) alone, and the caller reduces the raw sums it gets back in a pass it
+    makes anyway.
 
     A slot of w <= 8 bytes is widened to s, the least of 1, 2, 4 and 8 bytes
     with s >= w, and each operand is packed, and the first d slots read back,
@@ -228,22 +239,22 @@ def _kronecker(a: Sequence[int], b: Sequence[int], d: int, m: int) -> List[int]:
     coefficient at a time.
     """
     a, b = a[:d], b[:d]
-    w = ((d * (max(a, default=0) + 1) * (max(b, default=0) + 1)).bit_length() + 7) // 8
+    w = ((d * m * m).bit_length() + 7) // 8
     if w <= len(_MACHINE_SLOTS):
         s, code = _MACHINE_SLOTS[w - 1]
         if s == w or d * s <= _MAX_WIDENED_BYTES:
             x = int.from_bytes(struct.pack(f"<{len(a)}{code}", *a), "little")
             y = int.from_bytes(struct.pack(f"<{len(b)}{code}", *b), "little")
             z = (x * y).to_bytes(max(len(a) + len(b), d) * s, "little")
-            return [c % m for c in struct.unpack_from(f"<{d}{code}", z)]
+            return list(struct.unpack_from(f"<{d}{code}", z))
     x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
     y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little")
     z = (x * y).to_bytes((len(a) + len(b)) * w, "little")
-    return [int.from_bytes(z[i:i + w], "little") % m for i in range(0, d * w, w)]
+    return [int.from_bytes(z[i:i + w], "little") for i in range(0, d * w, w)]
 
 
 def _invert_unit(c: Sequence[int], m: int) -> List[int]:
-    """Inverse of coefficients c, with invertible constant term, mod (m, T^len(c)).
+    """Inverse of coefficients c, residues mod m with a unit constant term, mod (m, T^len(c)).
 
     Newton iteration: if v = 1/c mod T^k, then c*v - 1 vanishes below T^k and
     v - (c*v - 1)*v = 1/c mod T^2k, so about log2 D rounds of two products.
@@ -251,16 +262,16 @@ def _invert_unit(c: Sequence[int], m: int) -> List[int]:
     out = [pow(c[0], -1, m)]
     while len(out) < len(c):
         k, k2 = len(out), min(2 * len(out), len(c))
-        err = _kronecker(c, out, k2, m)[k:]  # c*out - 1, which vanishes below T^k
+        err = [x % m for x in _kronecker(c, out, k2, m)[k:]]  # c*out - 1: 0 below T^k
         out += [-x % m for x in _kronecker(err, out, k2 - k, m)]
     return out
 
 
 def _newton_step(x: List[int], y: Sequence[int], d: int, pj: int, mn: int) -> List[int]:
     """x - x * (y*x - 1) mod (mn, T^d): from x = 1/y mod pj to 1/y mod mn, for mn | pj^2."""
-    err = _kronecker([c % mn for c in y], x, d, mn)
+    err, mq = _kronecker([c % mn for c in y], x, d, mn), mn // pj
     err[0] -= 1
-    t = _kronecker(x, [c % mn // pj for c in err], d, mn // pj)
+    t = _kronecker(x if pj <= mq else [c % mq for c in x], [c % mn // pj for c in err], d, mq)
     return [(a - pj * b) % mn for a, b in zip(x + [0] * (d - len(x)), t)]
 
 
@@ -296,9 +307,9 @@ def distinguished_part(g: LambdaSeries) -> DistinguishedPart:
     G = p * G' with G' a whole series, and round k's high is p^k * a_k; so its
     product is p^(k+1) * b_k with b_k = a_k * (-G') mod p^(n-k-1), n = N - mu: the
     same integers, on slots that shrink every round, and b_k from T^lambda on,
-    shifted down, is a_(k+1).  From round n - 1 on nothing changes.  When
-    lambda = 0, P = 1, and when n = 1 there is no round to run; then no inverse
-    is formed.
+    shifted down, is a_(k+1).  From round n - 1 on nothing changes, nor from a
+    round whose a_k is 0 at its modulus.  When h_low = 0, P = T^lambda (P = 1 when
+    lambda = 0), and when n = 1 there is no round to run; then no inverse is formed.
 
     The rounds also run at the length P needs.  Round k changes P only through
     its product's terms below T^lambda, and a term at T^j reaches there, through
@@ -315,16 +326,17 @@ def distinguished_part(g: LambdaSeries) -> DistinguishedPart:
     h = [c // pe for c in g.coeffs]
     h_high = h[lam:] + [0] * lam
     acc = [0] * lam  # r
-    if lam and n > 1:
+    if lam and n > 1 and any(h[:lam]):
         m1, t = m // p, min(d, lam * (n - 1))  # t: round 0's length
-        g1 = _kronecker([-(c // p) % m1 for c in h[:lam]], _invert_unit(h_high[:t], m1), t, m1)
+        g1 = _kronecker([-(c // p) % m1 for c in h[:lam]],
+                        _invert_unit([c % m1 for c in h_high[:t]], m1), t, m1)
         a, k, pk = [1], 0, p  # round k's high is p^k * a, and pk = p^(k+1)
         while pk < m and any(a):
             mk, t = m // pk, min(d, lam * (n - 1 - k))
             g1 = [c % mk for c in g1[:t]]  # -G' mod p^(n-k-1)
             b = _kronecker(a, g1, t, mk)
-            acc = [x + pk * y for x, y in zip(acc, b)]
-            a, k, pk = b[lam:], k + 1, pk * p
+            acc = [x + pk * y for x, y in zip(acc, b)]  # pk * y mod m needs only y mod mk
+            a, k, pk = [c % (mk // p) for c in b[lam:]], k + 1, pk * p
     return DistinguishedPart(p, n, mu, tuple(-c % m for c in acc) + (1,))
 
 
@@ -344,8 +356,8 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     products each, at the precision each operand carries; see von zur Gathen and
     Gerhard, *Modern Computer Algebra*, 15.4 (Hensel lifting) and 9.1 (Newton
     inversion).  The first step needs no product for P*U, as h - P*U = h_low, and
-    none for the division, as W = 1 mod p.  When lambda = 0, P = 1 and U = h, and
-    when n = 1 no step is run; then no inverse is formed.
+    none for the division, as W = 1 mod p.  When h_low = 0, P = T^lambda and
+    U = h_high, and when n = 1 no step is run; then no inverse is formed.
 
     P * U = h mod (p^n, T^D), the precision the result claims.  As T^D lies in
     (p^(D // lambda), P), that fixes P mod p^min(n, D // lambda): where
@@ -356,7 +368,7 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     n = g.coeff_precision - mu
     h = [c // pe for c in g.coeffs]
     low, u = [0] * lam, h[lam:] + [0] * lam  # P = T^lambda + low and U
-    if lam and n > 1:
+    if lam and n > 1 and any(h[:lam]):
         v, w, j = _invert_unit([c % p for c in u], p), [1], 1  # 1/U, 1/rev(P), right mod p^j
         k = 1  # P * U = h mod p^k
         while k < n:
@@ -366,15 +378,17 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
                 v = _newton_step(v, u, d, p ** j, mj)
                 w = _newton_step(w, [1] + low[::-1], d - lam, p ** j, mj)
                 j = k2 - k
+            elif k2 - k < j:  # the last step, at fewer digits than V and W are right to
+                v, w = [c % mj for c in v], [c % mj for c in w]
             if k == 1:  # P = T^lambda, so h - P*U = h_low and the quotient needs no W
                 f = _kronecker([c // p % mj for c in h[:lam]], v, d, mj)
-                q, r = f[lam:], f[:lam]
+                q, r = [c % mj for c in f[lam:]], f[:lam]
             else:
                 pu = _kronecker(low, u, d, m2)
-                f = _kronecker([(x - y - z) % m2 // pk for x, y, z in zip(h, [0] * lam + u, pu)],
-                               v, d, mj)
-                q = _kronecker(f[::-1], w, d - lam, mj)[::-1]
-                r = [b - c for b, c in zip(f, _kronecker(q, low, lam, mj))]
+                f = [c % mj for c in _kronecker(
+                    [(x - y - z) % m2 // pk for x, y, z in zip(h, [0] * lam + u, pu)], v, d, mj)]
+                q = [c % mj for c in _kronecker(f[::-1], w, d - lam, mj)[::-1]]
+                r = [b - c for b, c in zip(f, _kronecker(q, [c % mj for c in low], lam, mj))]
             low = [(a + pk * b) % m2 for a, b in zip(low, r)]
             u = [(a + pk * b) % m2 for a, b in zip(u, _kronecker(q, [c % mj for c in u], d, mj))]
             k = k2

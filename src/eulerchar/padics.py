@@ -190,6 +190,8 @@ class PowerOfP(Record):
         object.__setattr__(self, "exponent", exponent)
 
     def __mul__(self, other: "PowerOfP") -> "PowerOfP":
+        if not isinstance(other, PowerOfP):
+            return NotImplemented
         if self.prime != other.prime:
             raise InputError("prime mismatch")
         return PowerOfP(self.prime, self.exponent + other.exponent)

@@ -21,14 +21,32 @@ def series(p, coeffs, n, d):
     return LambdaSeries.make(p, coeffs, n, d)
 
 
-# Independent oracle for products: plain convolution over Z, reduced afterwards.
-def naive_product(p, a, b, n, d):
+def convolution(a, b, d):
+    """The first d coefficients of a*b over Z, not reduced."""
     out = [0] * d
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             if i + j < d:
                 out[i + j] += x * y
-    return tuple(c % p ** n for c in out)
+    return tuple(out)
+
+
+# Independent oracle for products: plain convolution over Z, reduced afterwards.
+def naive_product(p, a, b, n, d):
+    return tuple(c % p ** n for c in convolution(a, b, d))
+
+
+@pytest.fixture
+def residue_operands(monkeypatch):
+    """Wraps the product kernel for the test so that each call asserts its contract:
+    every operand coefficient is a residue in [0, m), as the slot width assumes."""
+    kernel = lambda_algebra._kronecker
+
+    def checked(a, b, d, m):
+        assert all(0 <= c < m for c in a) and all(0 <= c < m for c in b), (a, b, m)
+        return kernel(a, b, d, m)
+
+    monkeypatch.setattr(lambda_algebra, "_kronecker", checked)
 
 
 def agrees_with(a, b):
@@ -61,7 +79,7 @@ def random_coeffs(rng, p, n, d, density):
     return [rng.randrange(p ** n) if rng.random() < density else 0 for _ in range(d)]
 
 
-def test_multiplication_matches_oracle_on_random_inputs():
+def test_multiplication_matches_oracle_on_random_inputs(residue_operands):
     rng = random.Random(11)
     cases = []
     for trial in range(100):
@@ -81,23 +99,29 @@ def test_multiplication_matches_oracle_on_random_inputs():
         assert (got.coeff_precision, got.trunc_degree) == (n, d)
         assert got.coeffs == naive_product(p, a, b, n, d)
     # p^N = 2^6000, near the 10^2000 bound: past the cost bound for a series, so the
-    # kernel is called on the operands directly
+    # kernel is called on residues directly, and returns the convolution's raw sums
     a, b = random_coeffs(rng, 2, 6000, 24, 1), [2 ** 6000 - 1] * 24
-    assert tuple(_kronecker(a, b, 24, 2 ** 6000)) == naive_product(2, a, b, 6000, 24)
+    assert tuple(_kronecker(a, b, 24, 2 ** 6000)) == convolution(a, b, 24)
 
 
-def operand(rng, top, length):
-    """``length`` coefficients in [0, top] with top among them, or [] for length 0."""
-    out = [rng.randrange(top + 1) for _ in range(length)]
+def operand(rng, m, length):
+    """``length`` residues mod m with m - 1 among them, or [] for length 0."""
+    out = [rng.randrange(m) for _ in range(length)]
     if out:
-        out[rng.randrange(length)] = top
+        out[rng.randrange(length)] = m - 1
     return out
 
 
+def widest_modulus(d, w):
+    """The largest m whose slot bound d * m * m fits in w bytes."""
+    return math.isqrt((2 ** (8 * w) - 1) // d)
+
+
 def test_kronecker_routes_match_the_oracle(monkeypatch):
-    """Slots of up to 8 bytes are packed with one struct call per operand, wider
-    slots and widened operands past 2 KiB one coefficient at a time; both routes
-    agree with the convolution oracle at every width step and at the cap."""
+    """The slot width comes from (d, m): slots of up to 8 bytes are packed with one
+    struct call per operand, wider slots and widened operands past 2 KiB one
+    coefficient at a time; both routes return the convolution's raw sums at every
+    width step and at the cap."""
     packed = []
 
     class Recording:
@@ -112,35 +136,37 @@ def test_kronecker_routes_match_the_oracle(monkeypatch):
     slot = {1: (1, "B"), 2: (2, "H"), 3: (4, "I"), 4: (4, "I"),
             5: (8, "Q"), 6: (8, "Q"), 7: (8, "Q"), 8: (8, "Q")}  # width: (s, struct code)
     rng = random.Random(18)
-    cases = []  # (a, b, d, slot width in bytes)
+    cases = []  # (a, b, d, m, slot width in bytes)
     for w in range(1, 10):
-        # slot bound d * (max a + 1) * (max b + 1) = 2^(8w) - 1, in w bytes, and 2^(8w), in w + 1
-        cases.append((operand(rng, 4, 3), operand(rng, (2 ** (8 * w) - 1) // 15 - 1, 3), 3, w))
-        cases.append((operand(rng, 1, 4), operand(rng, 2 ** (8 * w - 3) - 1, 4), 4, w + 1))
-    for top, w in ((6, 1), (2 ** 66, 9)):  # each edge on both routes
-        cases += [([], operand(rng, top, 5), 5, w), ([top], [1], 1, w),
-                  (operand(rng, 3, 2), operand(rng, top, 1), 8, w)]
+        # the widest m in w bytes, with every coefficient m - 1 so that a sum meets the
+        # bound, and the next m, in w + 1
+        m = widest_modulus(3, w)
+        cases.append(([m - 1] * 3, [m - 1] * 3, 3, m, w))
+        cases.append((operand(rng, m + 1, 3), operand(rng, m + 1, 3), 3, m + 1, w + 1))
+    for w in (1, 9):  # each edge on both routes
+        m1, m5, m8 = (widest_modulus(d, w) for d in (1, 5, 8))
+        cases += [([], operand(rng, m5, 5), 5, m5, w), ([m1 - 1], [1], 1, m1, w),
+                  (operand(rng, m8, 2), operand(rng, m8, 1), 8, m8, w)]
     # a widened slot at d * s = 2048 and at the next d, and unwidened slots past 2 KiB
     for w, d in ((3, 512), (3, 513), (5, 256), (5, 257), (7, 256), (7, 257), (2, 1024), (8, 300)):
-        top = math.isqrt(2 ** (8 * w - 1) // d) - 1
-        cases.append((operand(rng, top, d), operand(rng, top, d), d, w))
+        m = widest_modulus(d, w)
+        cases.append((operand(rng, m, d), operand(rng, m, d), d, m, w))
     routes = set()
-    for a, b, d, w in cases:
-        bound = d * (max(a, default=0) + 1) * (max(b, default=0) + 1)
-        assert (bound.bit_length() + 7) // 8 == w
+    for a, b, d, m, w in cases:
+        assert ((d * m * m).bit_length() + 7) // 8 == w
         s, want = slot.get(w, (0, None))
         if s != w and d * s > 2048:
             want = None
         packed.clear()
-        got = lambda_algebra._kronecker(a, b, d, 7 ** 5)
-        assert tuple(got) == naive_product(7, a, b, 5, d)
+        got = lambda_algebra._kronecker(a, b, d, m)
+        assert tuple(got) == convolution(a, b, d)
         assert packed == ([want, want] if want else [])
         routes.add(want)
     assert routes == {"B", "H", "I", "Q", None}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_invert_unit_is_an_inverse(p):
+def test_invert_unit_is_an_inverse(p, residue_operands):
     rng = random.Random(p)
     for n, d in [(1, 1), (1, 9), (3, 16), (12, 40), (30, 64)]:
         for density in (1, 0.1):
@@ -375,7 +401,7 @@ def test_lifting_runs_ceil_log2_steps(n, mu, monkeypatch):
     assert_lifted(form, g)
 
 
-def test_distinguished_part_matches_full_preparation_on_random_inputs():
+def test_distinguished_part_matches_full_preparation_on_random_inputs(residue_operands):
     """(mu, P, precision) of the truncated division equal the oracle's, and the lifting
     agrees with the oracle at the precision the input fixes."""
     rng = random.Random(19)
@@ -393,15 +419,23 @@ def test_distinguished_part_matches_full_preparation_on_random_inputs():
         assert part.distinguished_poly == assert_lifted(weierstrass_prepare(g), g)[1]
 
 
-def test_lambda_zero_unit_is_the_series_over_p_to_the_mu(count_calls):
+def test_t_lambda_times_a_unit_needs_no_inverse(count_calls):
+    """g = p^mu * T^lambda * u, so h_low = 0: P = T^lambda and U = g / (p^mu * T^lambda)
+    on both routes, without an inverse; lambda = 0, lambda = D - 1 and N - mu = 1 among
+    the shapes."""
     rng, inversions = random.Random(9), count_calls(lambda_algebra, "_invert_unit")
-    for p, n, d, mu in [(2, 6, 10, 0), (7, 5, 8, 3), (13, 2, 1, 1), (101, 9, 40, 4)]:
-        g = random_prepared_input(rng, p, n, d, 0, mu)
-        form = weierstrass_prepare(g)
-        assert (form.mu, form.distinguished_poly, form.precision) == (mu, (1,), n - mu)
-        assert form.unit.coeffs == tuple(c // p ** mu for c in g.coeffs)
-        part = distinguished_part(g)
-        assert (part.mu, part.distinguished_poly) == (mu, (1,))
+    for p, n, d, lam, mu in [(2, 6, 10, 0, 0), (7, 5, 8, 0, 3), (13, 2, 1, 0, 1),
+                             (101, 9, 40, 0, 4), (2, 6, 10, 3, 0), (7, 5, 8, 7, 2),
+                             (5, 4, 12, 5, 3), (13, 12, 30, 29, 0), (3, 20, 16, 4, 5)]:
+        g = random_prepared_input(rng, p, n, d, lam, mu)
+        g = series(p, [0] * lam + list(g.coeffs[lam:]), n, d)
+        unit = tuple(c // p ** mu for c in g.coeffs[lam:]) + (0,) * lam
+        _, poly, oracle_unit = naive_prepare(p, g.coeffs, n)
+        assert poly == (0,) * lam + (1,) and oracle_unit == unit
+        form, part = weierstrass_prepare(g), distinguished_part(g)
+        assert (form.mu, form.distinguished_poly, form.precision) == (mu, poly, n - mu)
+        assert form.unit.coeffs == unit
+        assert (part.mu, part.distinguished_poly, part.precision) == (mu, poly, n - mu)
     assert inversions == []
 
 

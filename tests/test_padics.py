@@ -155,9 +155,12 @@ def test_records_are_immutable_and_the_slotted_ones_no_tuples():
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
     for x in (g, power):
-        for op in (lambda x: x + x, len, iter, lambda x: 3 * x):
+        for op in (lambda x: x + x, len, iter, lambda x: 3 * x, lambda x: x * 3):
             with pytest.raises(TypeError):
                 op(x)
+    for x, y in ((g, power), (power, g)):  # a series and a power of p do not multiply
+        with pytest.raises(TypeError):
+            x * y
     zero = LambdaSeries(7, 4, (0, 0, 0))
     for build, error, message in [
             (lambda: Curve(0, 0, 0, 0, 1.5), InputError, "curve coefficient a6 must be"),
