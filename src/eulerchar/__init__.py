@@ -4,7 +4,9 @@ Submodules:
 
 * ``padics`` -- primes, p-adic valuations, exact powers of p, JSON integers.
 * ``lambda_algebra`` -- truncated power series over Z_p, Weierstrass
-  preparation, leading terms, the one reader of series documents.
+  preparation (both routes return a ``WeierstrassForm``, whose unit
+  ``distinguished_part`` leaves None), leading terms, and
+  ``LambdaSeries.from_json``, the one reader of series entries.
 * ``gamma_modules`` -- Euler characteristics of torsion modules, closed
   form and finite-level Smith-normal-form oracle.
 * ``akashi`` -- alternating products of characteristic elements.

@@ -123,8 +123,6 @@ def check_multiplicativity(l_data: AkashiData, m_data: AkashiData,
     if all(mu < n and lam < d for mu, lam in sums) and (sums[0] != sums[1] or not sums[0][1]):
         return sums[0] == sums[1]
     left, right = left[0] * (left[1] * left[2]), (right[0] * right[1]) * right[2]
-    if mu_lambda(left) != mu_lambda(right):
-        return False
     return distinguished_part(left).same_characteristic_element(distinguished_part(right))
 
 

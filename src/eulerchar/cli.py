@@ -26,7 +26,7 @@ from .cyclotomic_fields import (ExtensionSpec, SplittingData, infinite_inertia_p
 from .errors import InputError, PrecisionError
 from .euler_char import build_chi_input, euler_product, local_cardinalities
 from .gamma_modules import TorsionModule, finite_level_oracle, generalized_chi
-from .lambda_algebra import leading_term, series_from_doc, weierstrass_prepare
+from .lambda_algebra import LambdaSeries, leading_term, weierstrass_prepare
 from .padics import (DECIMAL_INT, MAX_VALUE, PowerOfP, check_prime, document_fields, json_int,
                      prime_factors, quoted)
 
@@ -120,7 +120,7 @@ def _handle_euler_factor(args):
 
 
 def _handle_prep(args):
-    series = series_from_doc(_load_json(args.series, "--series"))
+    series = LambdaSeries.from_json(_load_json(args.series, "--series"))
     form = weierstrass_prepare(series)
     results = {
         "mu": form.mu,
@@ -133,7 +133,7 @@ def _handle_prep(args):
 
 
 def _handle_leading(args):
-    series = series_from_doc(_load_json(args.series, "--series"))
+    series = LambdaSeries.from_json(_load_json(args.series, "--series"))
     term = leading_term(series)
     results = {"alpha": term.alpha, "alpha_valuation": term.alpha_valuation,
                "k": term.k}

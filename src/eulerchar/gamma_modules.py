@@ -218,10 +218,7 @@ def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiRe
         aug = [c[i][:] + [v[i][j] for j in kernel_cols] for i in range(lam)]
         aug_exps, _ = smith_normal_form(aug, p, w)
         if any(e >= w for e in aug_exps):
-            divisible_by_t_squared = (lam >= 2
-                                      and form.distinguished_poly[0] == 0
-                                      and form.distinguished_poly[1] == 0)
-            if divisible_by_t_squared:
+            if form.distinguished_poly[0] == form.distinguished_poly[1] == 0:  # T^2 divides P
                 return ChiResult(finite=False)
             raise PrecisionError(f"generator {i}, w = {w}: evaluation map undetermined; "
                                  "raise precision")

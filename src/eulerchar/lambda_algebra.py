@@ -10,16 +10,20 @@ result as the minimum of its operands'.
 The heavy lifting is Weierstrass preparation, which factors a nonzero
 series as p^mu * P(T) * U(T) with P monic distinguished of degree lambda
 and U an invertible series, exactly in Z/p^N, with no floating point.
-:func:`weierstrass_prepare` returns all three factors by Hensel lifting:
-P * U = g / p^mu holds mod p with P = T^lambda, and each step doubles the
-p-adic precision, so N - mu takes ceil(log2(N - mu)) steps of a few products.
-:func:`distinguished_part` returns (mu, P) without forming U, for callers
-that compare characteristic elements, which are defined only up to units, by
-classical Weierstrass division by successive approximation: N - mu - 1 rounds
-at shrinking precision, each only on the terms that can still reach P, which
-on those callers' small series is faster than the lifting.  A series
-p^mu * T^lambda * U, lambda = 0 among them, needs neither steps nor rounds,
-and no inverse.
+Its two routes both return a :class:`WeierstrassForm`.  :func:`weierstrass_prepare`
+returns all three factors by Hensel lifting: P * U = g / p^mu holds mod p
+with P = T^lambda, and each step doubles the p-adic precision, so N - mu
+takes ceil(log2(N - mu)) steps of a few products.  :func:`distinguished_part`
+returns (mu, P), with unit None, for callers that compare characteristic
+elements, which are defined only up to units, by classical Weierstrass
+division by successive approximation: N - mu - 1 rounds at shrinking
+precision, each only on the terms that can still reach P, which on those
+callers' small series is faster than the lifting.  Both start from
+:func:`_prologue`, which also tells them when g = p^mu * T^lambda * U, so
+that neither steps nor rounds nor an inverse are needed.
+
+:meth:`LambdaSeries.from_json` is the one reader of series entries in JSON
+documents: coefficient lists, polynomial strings and the defaults of both.
 
 Every product runs on one kernel, :func:`_kronecker`, whose operands are
 residues mod the product's modulus m and whose result is the raw convolution
@@ -46,7 +50,6 @@ _MAX_COST = 4_000_000
 # its struct code.
 _MACHINE_SLOTS = ((1, "B"), (2, "H"), (4, "I"), (4, "I"), (8, "Q"), (8, "Q"), (8, "Q"), (8, "Q"))
 _MAX_WIDENED_BYTES = 2048  # see _kronecker
-_COEFFS_KEYS = ("p", "N", "D", "coeffs")  # the keys of a coefficient document
 
 
 class LambdaSeries(Record):
@@ -152,12 +155,34 @@ class LambdaSeries(Record):
                 "D": self.trunc_degree, "coeffs": list(self.coeffs)}
 
     @classmethod
-    def from_json(cls, doc) -> "LambdaSeries":
-        """Read a coefficient document through :meth:`make`."""
-        p, n, d, coeffs = document_fields(doc, "series", _COEFFS_KEYS, _COEFFS_KEYS)
-        if not isinstance(coeffs, list):
-            raise InputError("malformed series document: 'coeffs' must be a list")
-        return cls.make(p, coeffs, n, d)
+    def from_json(cls, entry, outer: Optional[dict] = None) -> "LambdaSeries":
+        """Read one series entry of a JSON document, the one reader of series.
+
+        ``entry`` is a coefficient document ``{"coeffs": [...]}``, a ``{"poly": ...}``
+        document, or a bare polynomial string.  Either form is read at the entry's own
+        "p", "N" and "D", falling back to those of ``outer``, the enclosing module or
+        Akashi document's as read by :func:`series_list_from_doc`, then to N = 16 and
+        D = 32.  An entry holds "p" unless ``outer`` gives it, "N", "D" and one of
+        "coeffs" and "poly"; any other key, or both of those, is refused.  :meth:`make`
+        builds both forms, a polynomial once parsed by :func:`series_from_text`.  Bad
+        input raises InputError.
+        """
+        scope = {"N": 16, "D": 32, **(outer or {})}
+        entry = {"poly": entry} if isinstance(entry, str) else entry
+        form = "coeffs" if type(entry) is dict and "coeffs" in entry else "poly"
+        if type(entry) is dict and form not in entry:
+            raise InputError("malformed series document: needs either 'coeffs' or 'poly'")
+        document_fields(entry, "series", ("p", "N", "D", form),
+                        (form,) if "p" in scope else ("p", form))
+        scope.update(entry)
+        p, n, d, body = (scope[key] for key in ("p", "N", "D", form))
+        if form == "coeffs":
+            if not isinstance(body, list):
+                raise InputError("malformed series document: 'coeffs' must be a list")
+            return cls.make(p, body, n, d)
+        if not isinstance(body, str):
+            raise InputError("malformed series document: 'poly' must be a string")
+        return series_from_text(p, body, n, d)
 
 
 class LeadingTerm(NamedTuple):
@@ -172,51 +197,37 @@ class LeadingTerm(NamedTuple):
         return int_valuation(self.alpha, self.prime)
 
 
-class DistinguishedPart(NamedTuple):
-    """The unit-free part (mu, P) of g = p^mu * P(T) * U(T), at precision N - mu.
+class WeierstrassForm(NamedTuple):
+    """Factorization g = p^mu * P(T) * U(T) at precision N - mu: (mu, P) and the unit U.
 
-    ``distinguished_poly`` P is little-endian and monic of degree lambda,
-    with all lower coefficients divisible by p.  :func:`distinguished_part`
-    and :func:`weierstrass_prepare`, the only constructors, guarantee these.
+    ``distinguished_poly`` P is little-endian and monic of degree lambda, with all
+    lower coefficients divisible by p.  :func:`weierstrass_prepare` and
+    :func:`distinguished_part`, the only constructors, guarantee these; the latter
+    leaves ``unit`` None.  The invertible series ``unit`` U carries the precision of
+    P, at which p^mu * P * U = g mod T^D holds; :func:`weierstrass_prepare` says how
+    much of P that fixes.
     """
 
     prime: int
     precision: int
     mu: int
     distinguished_poly: tuple
+    unit: Optional[LambdaSeries] = None
 
     @property
     def lam(self) -> int:
         return len(self.distinguished_poly) - 1
 
-    def same_characteristic_element(self, other: "DistinguishedPart") -> bool:
-        """Equality up to units: compare distinguished_poly at shared precision.
+    def same_characteristic_element(self, other: "WeierstrassForm") -> bool:
+        """Equality up to units: equal p, mu and lambda, and P equal at shared precision.
 
         Characteristic elements are only defined modulo invertible series,
-        so the unit part is deliberately ignored.  Callers compare p, mu and
-        lambda first, so both parts share them and only P is left to compare.
+        so the unit part is deliberately ignored.
         """
         m = self.prime ** min(self.precision, other.precision)
-        return all((a - b) % m == 0 for a, b in
-                   zip(self.distinguished_poly, other.distinguished_poly))
-
-
-class WeierstrassForm(NamedTuple):
-    """Factorization g = p^mu * P(T) * U(T) at precision: (mu, P) and the unit U.
-
-    The first four fields are those of :class:`DistinguishedPart`.  The invertible
-    series ``unit`` U carries the precision N - mu of P, at which p^mu * P * U = g
-    mod T^D holds; :func:`weierstrass_prepare` says how much of P that fixes.
-    """
-
-    prime: int
-    precision: int
-    mu: int
-    distinguished_poly: tuple
-    unit: LambdaSeries
-
-    lam = DistinguishedPart.lam
-    same_characteristic_element = DistinguishedPart.same_characteristic_element
+        return ((self.prime, self.mu, self.lam) == (other.prime, other.mu, other.lam)
+                and all((a - b) % m == 0 for a, b in
+                        zip(self.distinguished_poly, other.distinguished_poly)))
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int], d: int, m: int) -> List[int]:
@@ -293,10 +304,25 @@ def mu_lambda(g: LambdaSeries) -> Tuple[int, int]:
     return mu, lam
 
 
-def distinguished_part(g: LambdaSeries) -> DistinguishedPart:
-    """(mu, P) of g = p^mu * P * U by Weierstrass division, without forming U.
+def _prologue(g: LambdaSeries) -> Tuple[int, int, int, List[int], bool]:
+    """Where both preparation routes start: (mu, lambda) of g (see :func:`mu_lambda`),
+    n = N - mu, h = g / p^mu, and whether P = T^lambda.
 
-    With h = g / p^mu = h_low + T^lambda * h_high (see :func:`mu_lambda`),
+    h = h_low + T^lambda * h_high with h_low = 0 mod p, as lambda is the first index
+    of the least valuation.  When h_low = 0, g = p^mu * T^lambda * U: P = T^lambda
+    (P = 1 when lambda = 0) and U = h_high, and neither route forms an inverse.  That
+    holds at n = 1 too, as h is stored mod p^n and h_low is then 0.
+    """
+    mu, lam = mu_lambda(g)
+    pe = g.prime ** mu
+    h = [c // pe for c in g.coeffs]
+    return mu, lam, g.coeff_precision - mu, h, not any(h[:lam])
+
+
+def distinguished_part(g: LambdaSeries) -> WeierstrassForm:
+    """(mu, P) of g = p^mu * P * U by Weierstrass division, without forming U: unit None.
+
+    With h = g / p^mu = h_low + T^lambda * h_high (see :func:`_prologue`),
     division of T^lambda by h keeps the dividend's part T^lambda * high; a round
     takes q = high / h_high and subtracts q * h, which from T^lambda on is
     q * h_low + T^lambda * high exactly.  So a round is one product high * (-G),
@@ -308,8 +334,7 @@ def distinguished_part(g: LambdaSeries) -> DistinguishedPart:
     product is p^(k+1) * b_k with b_k = a_k * (-G') mod p^(n-k-1), n = N - mu: the
     same integers, on slots that shrink every round, and b_k from T^lambda on,
     shifted down, is a_(k+1).  From round n - 1 on nothing changes, nor from a
-    round whose a_k is 0 at its modulus.  When h_low = 0, P = T^lambda (P = 1 when
-    lambda = 0), and when n = 1 there is no round to run; then no inverse is formed.
+    round whose a_k is 0 at its modulus.
 
     The rounds also run at the length P needs.  Round k changes P only through
     its product's terms below T^lambda, and a term at T^j reaches there, through
@@ -319,14 +344,11 @@ def distinguished_part(g: LambdaSeries) -> DistinguishedPart:
     series of the oracle and the multiplicativity check this is about twice as
     fast as the lifting of :func:`weierstrass_prepare`.
     """
-    mu, lam = mu_lambda(g)
-    p, d, pe = g.prime, g.trunc_degree, g.prime ** mu
-    n = g.coeff_precision - mu
-    m = p ** n
-    h = [c // pe for c in g.coeffs]
-    h_high = h[lam:] + [0] * lam
+    mu, lam, n, h, t_power = _prologue(g)
+    p, d, m = g.prime, g.trunc_degree, g.prime ** n
     acc = [0] * lam  # r
-    if lam and n > 1 and any(h[:lam]):
+    if not t_power:
+        h_high = h[lam:] + [0] * lam
         m1, t = m // p, min(d, lam * (n - 1))  # t: round 0's length
         g1 = _kronecker([-(c // p) % m1 for c in h[:lam]],
                         _invert_unit([c % m1 for c in h_high[:t]], m1), t, m1)
@@ -337,13 +359,13 @@ def distinguished_part(g: LambdaSeries) -> DistinguishedPart:
             b = _kronecker(a, g1, t, mk)
             acc = [x + pk * y for x, y in zip(acc, b)]  # pk * y mod m needs only y mod mk
             a, k, pk = [c % (mk // p) for c in b[lam:]], k + 1, pk * p
-    return DistinguishedPart(p, n, mu, tuple(-c % m for c in acc) + (1,))
+    return WeierstrassForm(p, n, mu, tuple(-c % m for c in acc) + (1,))
 
 
 def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     """Factor g = p^mu * P * U with P monic distinguished and U a unit, by Hensel lifting.
 
-    h = g / p^mu = h_low + T^lambda * h_high (see :func:`mu_lambda`) is P * U mod
+    h = g / p^mu = h_low + T^lambda * h_high (see :func:`_prologue`) is P * U mod
     p with P = T^lambda and U = h_high, as h_low = 0 mod p.  A step takes the
     factorization from p^k to p^k2, k2 = min(2k, n) and n = N - mu, all mod T^D:
     with e = (h - P*U) / p^k and f = e * V, V = 1/U mod p^(k2-k), divide f by the
@@ -356,19 +378,16 @@ def weierstrass_prepare(g: LambdaSeries) -> WeierstrassForm:
     products each, at the precision each operand carries; see von zur Gathen and
     Gerhard, *Modern Computer Algebra*, 15.4 (Hensel lifting) and 9.1 (Newton
     inversion).  The first step needs no product for P*U, as h - P*U = h_low, and
-    none for the division, as W = 1 mod p.  When h_low = 0, P = T^lambda and
-    U = h_high, and when n = 1 no step is run; then no inverse is formed.
+    none for the division, as W = 1 mod p.
 
     P * U = h mod (p^n, T^D), the precision the result claims.  As T^D lies in
     (p^(D // lambda), P), that fixes P mod p^min(n, D // lambda): where
     D >= lambda * n, all of P, which is then the P of :func:`distinguished_part`.
     """
-    mu, lam = mu_lambda(g)
-    p, d, pe = g.prime, g.trunc_degree, g.prime ** mu
-    n = g.coeff_precision - mu
-    h = [c // pe for c in g.coeffs]
+    mu, lam, n, h, t_power = _prologue(g)
+    p, d = g.prime, g.trunc_degree
     low, u = [0] * lam, h[lam:] + [0] * lam  # P = T^lambda + low and U
-    if lam and n > 1 and any(h[:lam]):
+    if not t_power:
         v, w, j = _invert_unit([c % p for c in u], p), [1], 1  # 1/U, 1/rev(P), right mod p^j
         k = 1  # P * U = h mod p^k
         while k < n:
@@ -535,38 +554,11 @@ def series_from_text(prime: int, text: str, precision: int, degree: int) -> Lamb
 # -- series documents ----------------------------------------------------------
 
 
-def series_from_doc(entry, outer: Optional[dict] = None) -> LambdaSeries:
-    """Read one series entry of a JSON document.
-
-    ``entry`` is a coefficient document (see :meth:`LambdaSeries.from_json`),
-    a ``{"poly": ...}`` document, or a bare polynomial string.  Either form
-    is read at the entry's own "p", "N" and "D", falling back to those of
-    ``outer``, the enclosing module or Akashi document's as read by
-    :func:`series_list_from_doc`, then to N = 16 and D = 32.  An entry holds
-    "p" unless ``outer`` gives it, "N", "D" and one of "coeffs" and "poly";
-    any other key, or both of those, is refused.  :meth:`LambdaSeries.make`
-    builds both forms, a polynomial once parsed.  Bad input raises InputError.
-    """
-    scope = {"N": 16, "D": 32, **(outer or {})}
-    entry = {"poly": entry} if isinstance(entry, str) else entry
-    form = "coeffs" if type(entry) is dict and "coeffs" in entry else "poly"
-    if type(entry) is dict and form not in entry:
-        raise InputError("malformed series document: needs either 'coeffs' or 'poly'")
-    document_fields(entry, "series", ("p", "N", "D", form),
-                    (form,) if "p" in scope else ("p", form))
-    scope.update(entry)
-    if form == "coeffs":
-        return LambdaSeries.from_json(scope)
-    if not isinstance(scope["poly"], str):
-        raise InputError("malformed series document: 'poly' must be a string")
-    return series_from_text(scope["p"], scope["poly"], scope["N"], scope["D"])
-
-
 def series_list_from_doc(doc, key: str, name: str, other_keys=()):
     """The "p" of a module or Akashi document and its series entries listed under ``key``,
-    each read at the document's "p", "N" and "D" (see :func:`series_from_doc`)."""
+    each read at the document's "p", "N" and "D" (see :meth:`LambdaSeries.from_json`)."""
     _, entries = document_fields(doc, name, ("p", "N", "D", key, *other_keys), ("p", key))
     if not isinstance(entries, list):
         raise InputError(f"malformed {name} document: '{key}' must be a list")
     scope = {field: json_int(doc[field], field, name) for field in ("p", "N", "D") if field in doc}
-    return scope["p"], tuple(series_from_doc(entry, scope) for entry in entries)
+    return scope["p"], tuple(LambdaSeries.from_json(entry, scope) for entry in entries)

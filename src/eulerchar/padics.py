@@ -193,7 +193,8 @@ class PowerOfP(Record):
         if not isinstance(other, PowerOfP):
             return NotImplemented
         if self.prime != other.prime:
-            raise InputError("prime mismatch")
+            raise InputError(f"prime mismatch: a product of a power of {self.prime} "
+                             f"and a power of {other.prime}")
         return PowerOfP(self.prime, self.exponent + other.exponent)
 
     def __str__(self) -> str:

@@ -6,7 +6,7 @@ import pytest
 from eulerchar import akashi
 from eulerchar.akashi import AkashiData, akashi_series, check_multiplicativity
 from eulerchar.errors import EulerCharError, InputError, PrecisionError
-from eulerchar.lambda_algebra import (DistinguishedPart, LambdaSeries, distinguished_part,
+from eulerchar.lambda_algebra import (LambdaSeries, WeierstrassForm, distinguished_part,
                                       mu_lambda, series_from_text)
 from eulerchar.padics import PowerOfP
 from test_lambda_algebra import agrees_with, random_prepared_input, random_unit
@@ -238,17 +238,18 @@ def test_multiplicativity_matches_the_full_route(monkeypatch):
     # cross-products that vanish at N = 2
     seven, t = data(7, "7", precision=2), data(7, "T", precision=2)
     triples += [(seven, t, seven), (t, seven, data(7, "1", "7", precision=2))]
-    # same_characteristic_element compares P alone: its callers have matched p, mu and lambda
-    compared, same = [], DistinguishedPart.same_characteristic_element
+    # same_characteristic_element compares (mu, lambda) itself, with no caller matching them
+    # first; the full route compares them before it, and the outcomes agree
+    compared, same = [], WeierstrassForm.same_characteristic_element
 
     def recorded(a, b):
-        compared.append(((a.prime, a.mu, a.lam), (b.prime, b.mu, b.lam)))
+        compared.append((a, b))
         return same(a, b)
 
     with monkeypatch.context() as patch:
-        patch.setattr(DistinguishedPart, "same_characteristic_element", recorded)
+        patch.setattr(WeierstrassForm, "same_characteristic_element", recorded)
         outcomes = [outcome(check_multiplicativity, triple) for triple in triples]
-    assert compared and all(a == b for a, b in compared)
+    assert any((a.mu, a.lam) != (b.mu, b.lam) for a, b in compared)
     assert outcomes == [outcome(full_route, triple) for triple in triples]
     assert {True, False} <= set(outcomes)
     assert outcomes[:2] == [True, False] and outcomes[-1][0] is PrecisionError

@@ -806,8 +806,8 @@ def test_cli_starts_without_the_modules_it_does_not_need():
         "import eulerchar.cli as cli",
         "cli._build_parser()",
         "print(sorted({'dataclasses', 'inspect', 'ast', 'pathlib'} & set(sys.modules) - before))",
-        "from eulerchar.lambda_algebra import series_from_doc",
-        "print(series_from_doc({'p': 7, 'N': 2, 'D': 3, 'poly': 'T*(T-7)'}).coeffs)"])
+        "from eulerchar.lambda_algebra import LambdaSeries",
+        "print(LambdaSeries.from_json({'p': 7, 'N': 2, 'D': 3, 'poly': 'T*(T-7)'}).coeffs)"])
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)

@@ -12,7 +12,7 @@ from eulerchar.errors import InputError, PrecisionError
 from eulerchar.gamma_modules import TorsionModule
 from eulerchar.lambda_algebra import (LambdaSeries, _invert_unit, _kronecker, distinguished_part,
                                       leading_term, mu_lambda,
-                                      polynomial_from_text, series_from_doc, series_from_text,
+                                      polynomial_from_text, series_from_text,
                                       weierstrass_prepare)
 from eulerchar.padics import int_valuation
 
@@ -451,6 +451,7 @@ def test_distinguished_part_matches_full_preparation(p):
                     (form.prime, form.mu, form.distinguished_poly, form.precision)
                 assert mu_lambda(g) == (part.mu, part.lam) == (e, lam)
                 assert part.same_characteristic_element(form)
+                assert not part.same_characteristic_element(form._replace(mu=e + 1))
 
 
 def test_prepare_reports_zero_series():
@@ -556,31 +557,32 @@ def test_json_roundtrip():
 
 def test_series_documents_share_one_reader():
     expected = LambdaSeries.from_json({"p": 7, "N": 8, "D": 8, "coeffs": [7, 1] + [0] * 6})
-    assert series_from_doc(expected.to_json()) == expected
-    assert series_from_doc({"p": 7, "N": 8, "D": 8, "poly": "T+7"}) == expected
-    assert series_from_doc("T+7", {"p": 7, "N": 8, "D": 8}) == expected
+    assert LambdaSeries.from_json(expected.to_json()) == expected
+    assert LambdaSeries.from_json({"p": 7, "N": 8, "D": 8, "poly": "T+7"}) == expected
+    assert LambdaSeries.from_json("T+7", {"p": 7, "N": 8, "D": 8}) == expected
     # an entry's own keys override the enclosing document's, which override 16/32
-    assert series_from_doc({"poly": "T+7"}, {"p": 7, "N": 8, "D": 8}) == expected
-    assert series_from_doc({"poly": "T", "D": 8}, {"p": 7, "D": 4}).trunc_degree == 8
-    default = series_from_doc("T", {"p": 7})
+    assert LambdaSeries.from_json({"poly": "T+7"}, {"p": 7, "N": 8, "D": 8}) == expected
+    assert LambdaSeries.from_json({"poly": "T", "D": 8}, {"p": 7, "D": 4}).trunc_degree == 8
+    default = LambdaSeries.from_json("T", {"p": 7})
     assert (default.coeff_precision, default.trunc_degree) == (16, 32)
     # a coefficient entry is read by the same rule
     t2 = LambdaSeries.make(7, [0, 0, 1, 0], 3, 4)
-    assert series_from_doc({"coeffs": [0, 0, 1, 0]}, {"p": 7, "N": 3, "D": 4}) == t2
-    assert series_from_doc({"coeffs": [0, 0, 1], "D": 8}, {"p": 7, "N": 3, "D": 4}) == \
+    assert LambdaSeries.from_json({"coeffs": [0, 0, 1, 0]}, {"p": 7, "N": 3, "D": 4}) == t2
+    assert LambdaSeries.from_json({"coeffs": [0, 0, 1], "D": 8}, {"p": 7, "N": 3, "D": 4}) == \
         LambdaSeries.make(7, [0, 0, 1], 3, 8)
-    assert series_from_doc({"coeffs": [0, 0, 1]}, {"p": 7}) == \
+    assert LambdaSeries.from_json({"coeffs": [0, 0, 1]}, {"p": 7}) == \
         LambdaSeries.make(7, [0, 0, 1], 16, 32)
+    assert LambdaSeries.from_json({"p": 7, "coeffs": [1]}) == LambdaSeries.make(7, [1], 16, 32)
     module = {"p": 7, "N": 3, "D": 4, "generators": [{"coeffs": [0, 0, 1, 0]}]}
     assert TorsionModule.from_json(module).generators == (t2,)
     for bad in (5, None, [1], {"p": 7}, {"p": 7, "poly": 5}, "T", {"p": 7, "poly": "T", "N": 0},
                 {"p": 7, "N": 2, "D": 2, "coeffs": 5},
                 {"p": 7, "N": -1, "D": 2, "poly": "7^400*T+1"}):
         with pytest.raises(InputError, match="malformed series document"):
-            series_from_doc(bad)
+            LambdaSeries.from_json(bad)
     for p in (0, 1, -7):
         with pytest.raises(InputError, match="not prime"):
-            series_from_doc({"p": p, "N": 1, "D": 2, "coeffs": [1, 1]})
+            LambdaSeries.from_json({"p": p, "N": 1, "D": 2, "coeffs": [1, 1]})
 
 
 def test_series_numbers_must_be_json_integers():
@@ -592,7 +594,7 @@ def test_series_numbers_must_be_json_integers():
         with pytest.raises(InputError, match="'coeffs' must be a JSON integer"):
             LambdaSeries.from_json({**good, "coeffs": coeffs})
     with pytest.raises(InputError, match="'N' must be a JSON integer"):
-        series_from_doc({"p": 7, "poly": "T", "N": "abc"})
+        LambdaSeries.from_json({"p": 7, "poly": "T", "N": "abc"})
     # file-level numbers of module and Akashi documents, whatever the entries' form
     for cls, key in ((TorsionModule, "generators"), (AkashiData, "char_elements")):
         for field, value in (("p", 7.0), ("N", 8.5), ("D", False)):
@@ -633,8 +635,7 @@ _OUTER = st.fixed_dictionaries({"p": _PRIME}, optional={"N": _SIZE, "D": _SIZE})
 @given(_ENTRY, _OUTER, st.lists(_ENTRY, min_size=1, max_size=3))
 def test_any_json_value_gives_a_series_or_an_input_error(entry, outer, entries):
     modules = [{**outer, "generators": entries}, {**outer, "char_elements": entries}]
-    attempts = [lambda: series_from_doc(entry, outer), lambda: series_from_doc(entry),
-                lambda: LambdaSeries.from_json(entry),
+    attempts = [lambda: LambdaSeries.from_json(entry, outer), lambda: LambdaSeries.from_json(entry),
                 lambda: TorsionModule.from_json(modules[0]),
                 lambda: AkashiData.from_json(modules[1]),
                 lambda: TorsionModule.from_json(entry), lambda: AkashiData.from_json(entry)]
@@ -669,7 +670,7 @@ def test_polynomial_text_parsing():
     # a sum is walked without recursing, up to 1024 terms and 1024 unary signs
     assert polynomial_from_text("+".join(["T"] * 1000)) == [0, 1000]
     dense = " + ".join(f"{i + 1}*T^{i}" for i in range(1024))
-    assert series_from_doc({"p": 7, "N": 4, "D": 1024, "poly": dense}).coeffs == tuple(
+    assert LambdaSeries.from_json({"p": 7, "N": 4, "D": 1024, "poly": dense}).coeffs == tuple(
         range(1, 1025))
     for bad, message in ((dense + " + 1", "has a sum of more than 1024 terms"),
                          ("-" * 1025 + "T", "has more than 1024 unary signs in a sum")):
@@ -727,33 +728,33 @@ def test_only_make_checks_the_prime(count_calls):
     assert calls == []
 
 
-def test_series_from_doc_checks_the_prime_once(count_calls):
+def test_from_json_checks_the_prime_once(count_calls):
     calls = count_calls(lambda_algebra, "check_prime")
     for entry, outer in [({"p": 7, "N": 4, "D": 8, "coeffs": [7, 1]}, None),
                          ({"p": 7, "N": 4, "D": 8, "poly": "T+7"}, None),
                          ({"coeffs": [7, 1]}, {"p": 7, "N": 4, "D": 8}),
                          ("T+7", {"p": 7, "N": 4, "D": 8})]:
         calls.clear()
-        got = series_from_doc(entry, outer)
+        got = LambdaSeries.from_json(entry, outer)
         assert calls == [(7,)]
         assert got.coeffs == (7, 1, 0, 0, 0, 0, 0, 0) and got.coeff_precision == 4
     # the prime is refused before p^N is bounded, in both forms
     for form in ({"coeffs": [1]}, {"poly": "T"}):
         with pytest.raises(InputError, match="not prime: 4"):
-            series_from_doc({"p": 4, "N": 6000, "D": 1, **form})
+            LambdaSeries.from_json({"p": 4, "N": 6000, "D": 1, **form})
 
 
 def test_a_polynomial_reaches_the_truncation_degree_cap():
     """One degree bound: a polynomial term below D <= 1024 is read, and the parser
     refuses a power past degree 1023 before forming it."""
-    got = series_from_doc({"p": 7, "N": 4, "D": 1024, "poly": "T^600 + 7"})
+    got = LambdaSeries.from_json({"p": 7, "N": 4, "D": 1024, "poly": "T^600 + 7"})
     assert got.trunc_degree == 1024
     assert [i for i, c in enumerate(got.coeffs) if c] == [0, 600]
     assert (got.coeffs[0], got.coeffs[600]) == (7, 1)
     with pytest.raises(InputError, match="polynomial degree exceeds parser cap 1024"):
-        series_from_doc({"p": 7, "N": 4, "D": 32, "poly": "T^2000"})
+        LambdaSeries.from_json({"p": 7, "N": 4, "D": 32, "poly": "T^2000"})
     with pytest.raises(InputError, match="a term at T\\^40 exceeds truncation degree D = 32"):
-        series_from_doc({"p": 7, "N": 4, "D": 32, "poly": "T^40 + 1"})
+        LambdaSeries.from_json({"p": 7, "N": 4, "D": 32, "poly": "T^40 + 1"})
 
 
 def test_mu_and_lambda_add_below_the_product_precision(count_calls):

@@ -50,7 +50,8 @@ def test_prime_is_checked():
 
 
 def test_prime_mismatch():
-    with pytest.raises(InputError, match="prime mismatch"):
+    with pytest.raises(InputError, match="prime mismatch: a product of a power of 5 and a "
+                                         "power of 7"):
         PowerOfP(5, 2) * PowerOfP(7, 2)
 
 
