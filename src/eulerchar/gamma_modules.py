@@ -14,9 +14,9 @@ invariants-vs-coinvariants Euler characteristic:
   factor becomes a lattice with basis 1, T, ..., T^(lambda-1) on which T
   acts by the companion matrix of the distinguished part; kernel and
   cokernel of that action are read off a Smith normal form over Z/p^a, and
-  the evaluation map from the T-kernel into the T-coinvariants is sized by
-  a second Smith form.  No f(0) is ever evaluated, which is what makes the
-  agreement of the two routes a real check.
+  the evaluation map from a nonzero T-kernel into the T-coinvariants is
+  sized by a second Smith form.  No f(0) is ever evaluated, which is what
+  makes the agreement of the two routes a real check.
 """
 
 from __future__ import annotations
@@ -175,9 +175,11 @@ def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiRe
     by T via Smith normal form over Z/p^w
     (w = min(a, available coefficient precision)), and size the map from
     the T-kernel into the coinvariants by the Smith divisors of the
-    augmented matrix [C | kernel basis].  The p^mu factor contributes mu
-    to the exponent directly (its cyclic factor has trivial T-kernel and
-    coinvariants of order p^mu).
+    augmented matrix [C | kernel basis].  That second Smith form runs only
+    for a nonempty T-kernel (P(0) = 0): otherwise the augmented matrix is C
+    itself, and its divisors are the first form's.  The p^mu factor
+    contributes mu to the exponent directly (its cyclic factor has trivial
+    T-kernel and coinvariants of order p^mu).
 
     Divisors saturating the cap (exponent >= w) are ambiguous: they are
     either genuine zeros or nonzero values too deep to see at level p^w.
@@ -214,14 +216,14 @@ def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiRe
         true_kernel_rank = 1 if form.distinguished_poly[0] == 0 else 0
         if len(kernel_cols) != true_kernel_rank:
             raise PrecisionError(f"generator {i}, w = {w}: T-kernel undetermined; raise precision")
-        lam = form.lam
-        aug = [c[i][:] + [v[i][j] for j in kernel_cols] for i in range(lam)]
-        aug_exps, _ = smith_normal_form(aug, p, w)
-        if any(e >= w for e in aug_exps):
-            if form.distinguished_poly[0] == form.distinguished_poly[1] == 0:  # T^2 divides P
-                return ChiResult(finite=False)
-            raise PrecisionError(f"generator {i}, w = {w}: evaluation map undetermined; "
-                                 "raise precision")
-        exponent += form.mu + sum(aug_exps)
+        if kernel_cols:  # else [C | ] is C, whose divisors exps holds, none saturated
+            aug = [row + [v[k][j] for j in kernel_cols] for k, row in enumerate(c)]
+            exps, _ = smith_normal_form(aug, p, w)
+            if any(e >= w for e in exps):
+                if form.distinguished_poly[0] == form.distinguished_poly[1] == 0:  # T^2 | P
+                    return ChiResult(finite=False)
+                raise PrecisionError(f"generator {i}, w = {w}: evaluation map undetermined; "
+                                     "raise precision")
+        exponent += form.mu + sum(exps)
         r += len(kernel_cols)
     return ChiResult(True, PowerOfP(p, exponent), r)

@@ -32,6 +32,7 @@ sums, below d * m * m: each caller reduces them once, in a pass it makes anyway.
 
 from __future__ import annotations
 
+import operator
 import struct
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -50,6 +51,18 @@ _MAX_COST = 4_000_000
 # its struct code.
 _MACHINE_SLOTS = ((1, "B"), (2, "H"), (4, "I"), (4, "I"), (8, "Q"), (8, "Q"), (8, "Q"), (8, "Q"))
 _MAX_WIDENED_BYTES = 2048  # see _kronecker
+_SCHOOLBOOK_TERMS = 16  # see _invert_unit
+
+
+class _Structs(dict):
+    """struct.Struct("<{count}{code}") under the key (count, code), built on first use."""
+
+    def __missing__(self, key):
+        packer = self[key] = struct.Struct("<%d%s" % key)
+        return packer
+
+
+_STRUCTS = _Structs()  # the packers of _kronecker's machine-width route
 
 
 class LambdaSeries(Record):
@@ -238,26 +251,33 @@ def _kronecker(a: Sequence[int], b: Sequence[int], d: int, m: int) -> List[int]:
     product does the convolution.  A slot holds d * m * m, which bounds every
     output coefficient, so no slot carries into the next; its width comes from
     (d, m) alone, and the caller reduces the raw sums it gets back in a pass it
-    makes anyway.
+    makes anyway.  An operand is cut to d terms only when it is longer.
 
     A slot of w <= 8 bytes is widened to s, the least of 1, 2, 4 and 8 bytes
     with s >= w, and each operand is packed, and the first d slots read back,
-    by one struct call ("<" fixes the byte order), not one call per
-    coefficient.  Widening lengthens the product; past about 2 KiB per
-    operand that costs more than the calls save (always widening ran at
-    0.66-0.86x at d = 512-1024, w = 5-7), so a widened slot takes this route
-    only while d * s <= _MAX_WIDENED_BYTES.  Other slots are packed one
-    coefficient at a time.
+    by one call of a ``struct.Struct`` ("<" fixes the byte order), not one call
+    per coefficient.  Each Struct is built once per (count, code), in _STRUCTS,
+    as most products are small: at d = 16, m = 7^8 the big-integer product takes
+    1.1 of the call's 3.5 us, and three format strings per call cost 0.6 us more
+    (2-vCPU Xeon).  Widening lengthens the product.  By one byte a slot (w = 3
+    or 7) this route still beat packing per coefficient at every d up to 1024
+    (1.3-1.9x at w = 3, 1.02-1.4x at w = 7); by more (w = 5 or 6, to 8 bytes) it
+    lost past about 2 KiB per operand (0.59-0.98x at d = 512-1024).  So a slot
+    widened by more than a byte takes this route only while d * s <=
+    _MAX_WIDENED_BYTES.  Other slots are packed one coefficient at a time.
     """
-    a, b = a[:d], b[:d]
+    if len(a) > d:
+        a = a[:d]
+    if len(b) > d:
+        b = b[:d]
     w = ((d * m * m).bit_length() + 7) // 8
     if w <= len(_MACHINE_SLOTS):
         s, code = _MACHINE_SLOTS[w - 1]
-        if s == w or d * s <= _MAX_WIDENED_BYTES:
-            x = int.from_bytes(struct.pack(f"<{len(a)}{code}", *a), "little")
-            y = int.from_bytes(struct.pack(f"<{len(b)}{code}", *b), "little")
+        if s - w <= 1 or d * s <= _MAX_WIDENED_BYTES:
+            x = int.from_bytes(_STRUCTS[len(a), code].pack(*a), "little")
+            y = int.from_bytes(_STRUCTS[len(b), code].pack(*b), "little")
             z = (x * y).to_bytes(max(len(a) + len(b), d) * s, "little")
-            return list(struct.unpack_from(f"<{d}{code}", z))
+            return list(_STRUCTS[d, code].unpack_from(z))
     x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
     y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little")
     z = (x * y).to_bytes((len(a) + len(b)) * w, "little")
@@ -267,10 +287,22 @@ def _kronecker(a: Sequence[int], b: Sequence[int], d: int, m: int) -> List[int]:
 def _invert_unit(c: Sequence[int], m: int) -> List[int]:
     """Inverse of coefficients c, residues mod m with a unit constant term, mod (m, T^len(c)).
 
-    Newton iteration: if v = 1/c mod T^k, then c*v - 1 vanishes below T^k and
-    v - (c*v - 1)*v = 1/c mod T^2k, so about log2 D rounds of two products.
+    The first _SCHOOLBOOK_TERMS terms come from the direct recurrence: c * out = 1
+    gives out[i] = -out[0] * (c[1] * out[i-1] + ... + c[i] * out[0]) for i >= 1.
+    From there, Newton iteration: if v = 1/c mod T^k, then c*v - 1 vanishes below
+    T^k and v - (c*v - 1)*v = 1/c mod T^2k, so about log2(len(c) / 16) rounds of
+    two products; see von zur Gathen and Gerhard, *Modern Computer Algebra*, 9.1.
+    The inverse mod (m, T^len(c)) is unique, so where the recurrence stops changes
+    no result.  On short series a round's two kernel calls cost more than the sums
+    they replace: in a sweep over len(c) = 9..256 and m of 3 to 169 bits (2-vCPU
+    Xeon), Newton from one term was the slowest at every len(c) <= 64, often by 1.5-2x,
+    while bases of 8 to 32 terms were within the run-to-run noise of each other.
+    16 covers all but the longest of the oracle's inversions (at most 17 terms).
     """
-    out = [pow(c[0], -1, m)]
+    u = pow(c[0], -1, m)
+    out = [u]
+    for i in range(1, min(len(c), _SCHOOLBOOK_TERMS)):
+        out.append(-u * sum(map(operator.mul, c[1:i + 1], reversed(out))) % m)
     while len(out) < len(c):
         k, k2 = len(out), min(2 * len(out), len(c))
         err = [x % m for x in _kronecker(c, out, k2, m)[k:]]  # c*out - 1: 0 below T^k

@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from eulerchar import gamma_modules
 from eulerchar.errors import InputError, PrecisionError
 from eulerchar.gamma_modules import (ChiResult, TorsionModule, companion_matrix,
                                      finite_level_oracle, generalized_chi,
@@ -123,6 +124,17 @@ def test_kernel_columns_annihilate():
 def test_oracle_hand_example():
     result = finite_level_oracle(module(7, "T*(T-7)"), 10)
     assert result == ChiResult(True, PowerOfP(7, 1), 1)
+
+
+def test_oracle_runs_the_second_smith_form_only_for_a_t_kernel(count_calls):
+    """With P(0) != 0 the T-kernel is 0, and [C | kernel basis] is C, so the oracle reuses
+    the first Smith form's divisors; with P(0) = 0 it forms the second."""
+    forms = count_calls(gamma_modules, "smith_normal_form")
+    assert finite_level_oracle(module(7, "T+7"), 10) == ChiResult(True, PowerOfP(7, 1), 0)
+    assert len(forms) == 1
+    forms.clear()
+    assert finite_level_oracle(module(7, "T*(T-7)"), 10) == ChiResult(True, PowerOfP(7, 1), 1)
+    assert len(forms) == 2
 
 
 def test_oracle_lambda_over_t():

@@ -118,21 +118,22 @@ def widest_modulus(d, w):
 
 
 def test_kronecker_routes_match_the_oracle(monkeypatch):
-    """The slot width comes from (d, m): slots of up to 8 bytes are packed with one
-    struct call per operand, wider slots and widened operands past 2 KiB one
-    coefficient at a time; both routes return the convolution's raw sums at every
-    width step and at the cap."""
+    """The slot width comes from (d, m): slots of up to 8 bytes are packed, and read
+    back, with one struct.Struct per operand and one for the result; wider slots, and
+    operands past 2 KiB whose slots are widened by more than a byte, one coefficient
+    at a time.  Both routes return the convolution's raw sums at every width step and
+    at the cap."""
     packed = []
 
     class Recording:
-        unpack_from = staticmethod(struct.unpack_from)
+        """Stands in for the kernel's Struct cache: builds each packer afresh and
+        records its struct code, so that every call shows its route."""
 
-        @staticmethod
-        def pack(fmt, *values):
-            packed.append(fmt[-1])
-            return struct.pack(fmt, *values)
+        def __getitem__(self, key):
+            packed.append(key[1])
+            return struct.Struct("<%d%s" % key)
 
-    monkeypatch.setattr(lambda_algebra, "struct", Recording)
+    monkeypatch.setattr(lambda_algebra, "_STRUCTS", Recording())
     slot = {1: (1, "B"), 2: (2, "H"), 3: (4, "I"), 4: (4, "I"),
             5: (8, "Q"), 6: (8, "Q"), 7: (8, "Q"), 8: (8, "Q")}  # width: (s, struct code)
     rng = random.Random(18)
@@ -147,34 +148,41 @@ def test_kronecker_routes_match_the_oracle(monkeypatch):
         m1, m5, m8 = (widest_modulus(d, w) for d in (1, 5, 8))
         cases += [([], operand(rng, m5, 5), 5, m5, w), ([m1 - 1], [1], 1, m1, w),
                   (operand(rng, m8, 2), operand(rng, m8, 1), 8, m8, w)]
-    # a widened slot at d * s = 2048 and at the next d, and unwidened slots past 2 KiB
-    for w, d in ((3, 512), (3, 513), (5, 256), (5, 257), (7, 256), (7, 257), (2, 1024), (8, 300)):
+    # slots widened by one byte and by more at d * s = 2048 and at the next d, slots
+    # widened by one byte at the largest D, and unwidened slots past 2 KiB
+    for w, d in ((3, 512), (3, 513), (5, 256), (5, 257), (6, 257), (7, 256), (7, 257),
+                 (3, 1024), (7, 1024), (2, 1024), (8, 300)):
         m = widest_modulus(d, w)
         cases.append((operand(rng, m, d), operand(rng, m, d), d, m, w))
     routes = set()
     for a, b, d, m, w in cases:
         assert ((d * m * m).bit_length() + 7) // 8 == w
         s, want = slot.get(w, (0, None))
-        if s != w and d * s > 2048:
+        if s - w > 1 and d * s > 2048:
             want = None
         packed.clear()
         got = lambda_algebra._kronecker(a, b, d, m)
         assert tuple(got) == convolution(a, b, d)
-        assert packed == ([want, want] if want else [])
+        assert packed == ([want] * 3 if want else [])
         routes.add(want)
     assert routes == {"B", "H", "I", "Q", None}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_invert_unit_is_an_inverse(p, residue_operands):
+    """At every length, and on either side of the schoolbook base (16 terms) and of the
+    first Newton round (32), u * inverse = 1 by the kernel and by plain convolution."""
     rng = random.Random(p)
-    for n, d in [(1, 1), (1, 9), (3, 16), (12, 40), (30, 64)]:
+    shapes = [(1, 1), (1, 9), (3, 16), (12, 40), (30, 64)]
+    shapes += [(n, d) for d in (15, 16, 17, 31, 32, 33) for n in (1, 6)]
+    for n, d in shapes:
         for density in (1, 0.1):
             coeffs = random_coeffs(rng, p, n, d, density)
             coeffs[0] = p * rng.randrange(p ** (n - 1)) + rng.randrange(1, p)  # a unit
             u = series(p, coeffs, n, d)
-            inverse = LambdaSeries(p, n, tuple(_invert_unit(u.coeffs, p ** n)))
-            assert u * inverse == LambdaSeries.one(p, n, d)
+            inverse = _invert_unit(u.coeffs, p ** n)
+            assert u * LambdaSeries(p, n, tuple(inverse)) == LambdaSeries.one(p, n, d)
+            assert naive_product(p, u.coeffs, inverse, n, d) == (1,) + (0,) * (d - 1)
 
 
 def test_precision_min_rule():

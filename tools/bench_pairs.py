@@ -6,10 +6,12 @@ Usage: python3 tools/bench_pairs.py REV [--workloads series,cli_small] [--seeds 
 Exports REV with ``git archive`` and, for each workload and seed, runs
 perfbench/run.py from that export and from the working tree, PAIRS times
 each.  The side that runs first alternates: REV first in odd pairs, the
-working tree first in even ones.  Prints every pair, then per metric each
-side's median and quartiles, the pairs the working tree won (by the
-metric's direction in BENCHMARK.json), the median gap and REV's
-interquartile range.  The last line of output is one JSON object: the
+working tree first in even ones.  Prints every pair, with each run's
+median calibration pass (``calibration_ms.p50`` of run.py's diagnostics
+line), so that a pair taken across a change of host speed shows as one;
+then per metric each side's median and quartiles, the pairs the working
+tree won (by the metric's direction in BENCHMARK.json), the median gap and
+REV's interquartile range.  The last line of output is one JSON object: the
 Python version, the host, and for each workload and seed each side's
 quartiles per metric, under "rev" and "working_tree".  Exits 1 if any run
 exits nonzero, is not correct or has a failed operation.  Standard library
@@ -42,7 +44,8 @@ def quartiles(values):
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
-    """The result line of one benchmark run from ``tree``, or None when the run broke."""
+    """The result line of one benchmark run from ``tree``, with its median calibration
+    pass in ms under "calibration_p50_ms", or None when the run broke."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
                            "--trace", str(trace)], cwd=tree, capture_output=True, text=True)
@@ -51,6 +54,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
         print(f"  {tree}: exit {done.returncode}\n{done.stderr[-2000:]}")
         return None
     result = json.loads(lines[-1])
+    result["calibration_p50_ms"] = json.loads(lines[-2])["diagnostics"]["calibration_ms"]["p50"]
     if result["correct"] is not True or result["failed"]:
         print(f"  {tree}: correct {result['correct']}, failed {result['failed']}")
     return result
@@ -120,9 +124,11 @@ def main(argv=None) -> int:
                     pairs.append(pair)
                     first = args.rev if i % 2 == 0 else "working tree"
                     shown = ["trace.jobs_per_s"] if args.trace else pair[0]["metrics"]
-                    print(f"  pair {i + 1} ({first} first): " + ", ".join(
-                        f"{name} {pair[0]['metrics'][name]['value']:.4g} -> "
-                        f"{pair[1]['metrics'][name]['value']:.4g}" for name in shown))
+                    print(f"  pair {i + 1} ({first} first): calibration p50 ms "
+                          f"{pair[0]['calibration_p50_ms']:.4g} -> "
+                          f"{pair[1]['calibration_p50_ms']:.4g}, " + ", ".join(
+                              f"{name} {pair[0]['metrics'][name]['value']:.4g} -> "
+                              f"{pair[1]['metrics'][name]['value']:.4g}" for name in shown))
                 if pairs:
                     results.append({"workload": workload, "seed": seed, "pairs": len(pairs),
                                     "metrics": compare(args.rev, pairs, better)})
