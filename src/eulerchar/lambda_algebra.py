@@ -23,7 +23,12 @@ callers' small series is faster than the lifting.  Both start from
 that neither steps nor rounds nor an inverse are needed.
 
 :meth:`LambdaSeries.from_json` is the one reader of series entries in JSON
-documents: coefficient lists, polynomial strings and the defaults of both.
+documents: coefficient lists, polynomial strings and the defaults of both.  A
+polynomial string, such as "T*(T-7)", is in a language of ASCII decimal literals,
+T or t, parentheses, unary + and -, binary +, - and *, and ^ or ** with a literal
+exponent, with spaces and tabs between tokens.  Each sum takes at most 1024 terms
+and 1024 unary signs, each product at most 1024 factors, and parentheses nest at
+most 200 deep; :func:`polynomial_from_text` reads it without recursion.
 
 Every product runs on one kernel, :func:`_kronecker`, whose operands are
 residues mod the product's modulus m and whose result is the raw convolution
@@ -33,12 +38,13 @@ sums, below d * m * m: each caller reduces them once, in a pass it makes anyway.
 from __future__ import annotations
 
 import operator
+import re
 import struct
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, PrecisionError
-from .padics import (MAX_VALUE, Record, check_prime, document_fields, int_valuation, json_int,
-                     power_below_bound, quoted)
+from .padics import (MAX_DIGITS, MAX_VALUE, Record, check_prime, document_fields,
+                     int_valuation, json_int, power_below_bound, quoted)
 
 _MAX_DEGREE = 1024  # bounds a series' D, and so the degree of a parsed polynomial
 # Bounds a series' N * D * bitlen(p^N): distinguished_part's division runs up to N rounds
@@ -458,6 +464,19 @@ def leading_term(g: LambdaSeries) -> LeadingTerm:
 # A polynomial is parsed as (length, {exponent: coefficient}): a term c*T^i costs O(1), and
 # the length is that of the dense coefficient list the parse returns.
 
+_POLY_OUTSIDE = re.compile(r"[^0-9Tt()+*^ \t-]")  # a character outside the language
+_POLY_TOKEN = re.compile(r"[0-9]+|\*\*|[^ \t]")
+_MAX_NESTING = 200  # parentheses, as deep as CPython 3.11's parser takes them
+_T = (2, {1: 1})  # never changed: every product and sum is a new dict
+
+
+def _literal(digits: str, text: str, what: str) -> int:
+    """int(digits) for ``what``, a literal of the polynomial ``text``.  Past MAX_DIGITS digits
+    it is refused before int() is called, so alike on every Python, digit limit or none."""
+    if len(digits) > MAX_DIGITS:
+        raise InputError(f"polynomial {quoted(text)} has {what} past the bound 10^2000")
+    return int(digits)
+
 
 def _poly_mul(a, b, text: str):
     """The product a*b in the polynomial ``text``, refused past degree or coefficient bounds."""
@@ -475,100 +494,98 @@ def _poly_mul(a, b, text: str):
 
 
 def _poly_pow(base, k: int, text: str):
-    """base^k in the polynomial ``text``: base's T-power as a shift, the rest by squaring.
-
-    The degree cap is checked on base^k up front; the coefficient bound on each
-    product, all of them powers of base with exponent at most k.
-    """
-    length, coeffs = base
-    if k * (length - 1) >= _MAX_DEGREE:
+    """base^k in the polynomial ``text``, past the degree cap refused up front: T^k with no
+    product, a constant c^k at once, refused before it is formed past 10^2000, and any other
+    base, which the cap leaves k < 1024, by squaring, each product checked by _poly_mul."""
+    if k * (base[0] - 1) >= _MAX_DEGREE:
         raise InputError(f"polynomial degree exceeds parser cap {_MAX_DEGREE}")
-    s = min((i for i, c in coeffs.items() if c), default=0)  # base = T^s * rest
-    rest, out, e = (length - s, {i - s: c for i, c in coeffs.items() if c}), (1, {0: 1}), k
-    while e and rest[1] != {0: 1}:
-        if e & 1:
-            out = _poly_mul(out, rest, text)
-        e >>= 1
-        if e:
-            rest = _poly_mul(rest, rest, text)
-    return 1 + k * (length - 1), {i + s * k: c for i, c in out[1].items()}
+    if base == _T:  # most powers are T^k, in the terms c*T^k of a dense polynomial
+        return k + 1, {k: 1}
+    if base[0] == 1:  # k may have 2000 digits here
+        c = base[1].get(0, 0)
+        if not power_below_bound(abs(c), k):
+            raise InputError(f"polynomial {quoted(text)} has a coefficient past the bound 10^2000")
+        return 1, {0: c ** k}
+    out = (1, {0: 1})
+    while k:
+        if k & 1:
+            out = _poly_mul(out, base, text)
+        k >>= 1
+        if k:
+            base = _poly_mul(base, base, text)
+    return out
 
 
-def _evaluate(node, text: str):
-    """The parsed polynomial ``text`` at its syntax-tree ``node``.
-
-    Products and powers recurse; sums and unary signs are walked by :func:`_evaluate_sum`.
+def polynomial_from_text(text: str) -> List[int]:
+    """The coefficients of the polynomial ``text`` in T, in the language and caps of the
+    module docstring.  A character outside the language is refused first; then one regex
+    pass makes the tokens and one loop reads them, keeping the sum and term that each open
+    parenthesis interrupts on a stack.  As in Python, -T^2 is -(T^2) and 2*-T is allowed;
+    an exponent is one literal, so T^2^3 and T^-1 are refused.  Bad input raises InputError.
     """
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return 1, {0: node.value}
-    if isinstance(node, ast.Name) and node.id in ("T", "t"):
-        return 2, {1: 1}
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Mult):
-            return _poly_mul(_evaluate(node.left, text), _evaluate(node.right, text), text)
-        if isinstance(node.op, ast.Pow):
-            exp = node.right
-            if not (isinstance(exp, ast.Constant) and type(exp.value) is int and exp.value >= 0):
-                raise InputError(f"unsupported exponent in polynomial {quoted(text)}")
-            return _poly_pow(_evaluate(node.left, text), exp.value, text)
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            return _evaluate_sum(node, text)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        return _evaluate_sum(node, text)
-    raise InputError(f"unsupported expression in polynomial {quoted(text)}")
-
-
-def _evaluate_sum(node, text: str):
-    """The sum or signed term ``node`` of the parsed polynomial ``text``.
-
-    The walk keeps a stack, not the call stack, so a long sum does not recurse.  It takes
-    at most _MAX_DEGREE terms, as many as a dense polynomial below the degree cap has, and
-    at most as many unary signs; past either bound the polynomial is refused.
-    """
-    length, out = 0, {}
-    terms = signs = 0
-    stack = [(node, 1)]
-    while stack:
-        node, sign = stack.pop()
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-            stack.append((node.right, -sign if isinstance(node.op, ast.Sub) else sign))
-            stack.append((node.left, sign))  # popped first: terms are read left to right
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            signs += 1
+    if _POLY_OUTSIDE.search(text):
+        raise InputError(f"unsupported expression in polynomial {quoted(text)}")
+    tokens = _POLY_TOKEN.findall(text) + ["", ""]  # "" ends the text; a lookahead reads two
+    stack = []  # the sums and terms interrupted by open parentheses
+    length, total, terms, signs = 0, {}, 0, 0  # the sum being read
+    sign, term, factors, pos = 1, None, 0, 0  # the term being read is sign * term
+    while True:  # at an operand
+        tok = tokens[pos]
+        pos += 1
+        if tok == "-" or tok == "+":
+            signs, sign = signs + 1, -sign if tok == "-" else sign
             if signs > _MAX_DEGREE:
                 raise InputError(f"polynomial {quoted(text)} has more than {_MAX_DEGREE} "
                                  "unary signs in a sum")
-            stack.append((node.operand, -sign if isinstance(node.op, ast.USub) else sign))
+            continue
+        if tok == "(":
+            if len(stack) == _MAX_NESTING:
+                raise InputError(f"polynomial nested too deeply: {quoted(text)}")
+            stack.append((length, total, terms, signs, sign, term, factors))
+            length, total, terms, signs, sign, term, factors = 0, {}, 0, 0, 1, None, 0
+            continue
+        if tok == "T" or tok == "t":
+            operand = _T
+        elif tok.isdigit():  # ASCII, as the text passed _POLY_OUTSIDE
+            operand = (1, {0: _literal(tok, text, "a coefficient")})
         else:
+            raise InputError(f"cannot parse polynomial {quoted(text)}")
+        while True:  # after an operand
+            tok = tokens[pos]
+            pos += 1
+            if tok == "^" or tok == "**":
+                exp, tok = tokens[pos], tokens[pos + 1]
+                pos += 2
+                if not exp.isdigit() or tok == "^" or tok == "**":
+                    raise InputError(  # Python reads an operand as the start of an exponent
+                        f"cannot parse polynomial {quoted(text)}"
+                        if exp in ("", ")", "*", "**", "^") else
+                        f"unsupported exponent in polynomial {quoted(text)}")
+                operand = _poly_pow(operand, _literal(exp, text, "an exponent"), text)
+            factors += 1
+            if factors > _MAX_DEGREE:
+                raise InputError(f"polynomial {quoted(text)} has a product of more than "
+                                 f"{_MAX_DEGREE} factors")
+            term = operand if term is None else _poly_mul(term, operand, text)
+            if tok == "*":
+                break
             terms += 1
             if terms > _MAX_DEGREE:
                 raise InputError(f"polynomial {quoted(text)} has a sum of more than "
                                  f"{_MAX_DEGREE} terms")
-            term_length, term = _evaluate(node, text)
-            length = max(length, term_length)
-            for i, c in term.items():
-                out[i] = out.get(i, 0) + sign * c
-    return length, out
-
-
-def polynomial_from_text(text: str) -> List[int]:
-    """Parse an integer polynomial in T.
-
-    Supports integer literals, the variable T, parentheses, unary minus,
-    and the operators + - * ^.  Used for compact generators in JSON files,
-    e.g. "T^2" or "T*(T-7)".
-    """
-    global ast
-    import ast  # on the first parse, not at import: a CLI start that parses nothing skips it
-    try:
-        tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except (SyntaxError, ValueError, RecursionError, MemoryError):  # MemoryError: deep nesting
-        raise InputError(f"cannot parse polynomial {quoted(text)}") from None
-    try:
-        length, coeffs = _evaluate(tree.body, text)
-    except RecursionError:
-        raise InputError(f"polynomial nested too deeply: {quoted(text)}") from None
-    return [coeffs.get(i, 0) for i in range(length)]
+            length = max(length, term[0])
+            for i, c in term[1].items():
+                total[i] = total.get(i, 0) + sign * c
+            sign, term, factors = -1 if tok == "-" else 1, None, 0
+            if tok == "+" or tok == "-":
+                break
+            if tok == ")" and stack:  # the sum closed is an operand of the one it interrupted
+                operand = (length, total)
+                length, total, terms, signs, sign, term, factors = stack.pop()
+            elif tok or stack:
+                raise InputError(f"cannot parse polynomial {quoted(text)}")
+            else:
+                return [total.get(i, 0) for i in range(length)]
 
 
 def series_from_text(prime: int, text: str, precision: int, degree: int) -> LambdaSeries:

@@ -349,9 +349,9 @@ QUICK_INERTIA_REFUSALS = [
     # a key no reader uses would be echoed into the report, a float or NaN included
     (["theorem3", "--config", pipeline(curve={**X1_11, "x": 1.5})], 2,
      "malformed curve document: unknown key 'x'"),
-    # nesting past what the parsers recurse through (deep.json is written below)
+    # nesting past what the parsers take (deep.json is written below)
     (["leading", "--series", '{"p":7,"N":4,"D":4,"poly":"%sT"}' % ("-" * 10000)], 2,
-     "cannot parse polynomial '---"),
+     "has more than 1024 unary signs in a sum"),
     (["prep", "--series", '{"p":%s}' % DEEP_JSON], 2, "malformed JSON: nested too deeply"),
     (["theorem3", "--config", "deep.json"], 2, "malformed JSON: nested too deeply"),
     # an empty --check is a source too, not a missing one
@@ -478,6 +478,18 @@ QUICK_INERTIA_REFUSALS = [
     (["theorem3", "--config", pipeline(p=1009, chi_gamma="1", extension={"p": 1009, "m": 2},
                                        tamagawa={"2": 1009 ** 100})], 2,
      "at the place with q_v = a 152-digit integer: c_v = a 301-digit integer has v_p(c_v) = 100"),
+    # a polynomial is ASCII decimal literals, T, signs, + - * ^ ** and parentheses, and
+    # nothing that Python would also read: a hex, octal or underscored literal, a math T
+    (["leading", "--series", '{"p":7,"N":4,"D":4,"poly":"0x10"}'], 2,
+     "unsupported expression in polynomial '0x10'"),
+    (["leading", "--series", '{"p":7,"N":4,"D":4,"poly":"1_0*T"}'], 2,
+     "unsupported expression in polynomial '1_0*T'"),
+    (["leading", "--series", '{"p":7,"N":4,"D":4,"poly":"0o7*T"}'], 2,
+     "unsupported expression in polynomial '0o7*T'"),
+    (["leading", "--series", '{"p":7,"N":4,"D":4,"poly":"T^0x2"}'], 2,
+     "unsupported expression in polynomial 'T^0x2'"),
+    (["leading", "--series", '{"p":7,"N":4,"D":4,"poly":"\U0001d447^2"}'], 2,
+     "unsupported expression in polynomial '\U0001d447^2'"),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)
@@ -798,8 +810,8 @@ def test_reports_leave_no_garbage(capsys, monkeypatch, tmp_path):
 
 def test_cli_starts_without_the_modules_it_does_not_need():
     """A fresh interpreter imports the CLI and builds its parser without loading dataclasses,
-    inspect, ast or pathlib, each a cost of every report's start; a poly document then parses,
-    ast loaded on the way."""
+    inspect, ast or pathlib, each a cost of every report's start; a poly document then
+    parses."""
     probe = "\n".join([
         "import sys",
         "before = set(sys.modules)",

@@ -663,6 +663,7 @@ def test_polynomial_text_parsing():
     assert polynomial_from_text("7 + T") == [7, 1]
     for one in ("T^0", "(T+7)^0", "0^0"):
         assert polynomial_from_text(one) == [1]
+    assert polynomial_from_text("(-1)^" + "9" * 2000) == [-1]  # a 2000-digit exponent
     # a sum is as long as its longest term, and a product or power as its factors make
     # it, whatever cancels
     assert polynomial_from_text("T - T") == [0, 0]
@@ -672,7 +673,7 @@ def test_polynomial_text_parsing():
     g = series_from_text(7, "T*(T-7)", 8, 12)
     assert g.coeffs[:3] == (0, 7 ** 8 - 7, 1)
     for bad in ("T/2", "__import__('os')", "T^T", "x + 1", "T^(2+2)", "True", "T\x00",
-                "9" * 5000, "-" * 5000 + "T", "+".join(["T"] * 5000)):
+                "9" * 5000, "T^" + "9" * 5000, "-" * 5000 + "T", "+".join(["T"] * 5000)):
         with pytest.raises(InputError):
             polynomial_from_text(bad)
     # a sum is walked without recursing, up to 1024 terms and 1024 unary signs
@@ -684,9 +685,43 @@ def test_polynomial_text_parsing():
                          ("-" * 1025 + "T", "has more than 1024 unary signs in a sum")):
         with pytest.raises(InputError, match=message):
             polynomial_from_text(bad)
-    # parsed, but past what the evaluator recurses through: products and powers recurse
-    with pytest.raises(InputError, match="polynomial nested too deeply"):
-        polynomial_from_text("*".join(["T"] * 1000))
+    # products are read without recursing, up to 1024 factors, and parentheses nest at
+    # most 200 deep
+    assert polynomial_from_text("*".join(["T"] * 1000)) == [0] * 1000 + [1]
+    assert polynomial_from_text("(" * 200 + "T" + ")" * 200) == [0, 1]
+    for bad, message in (("*".join(["1"] * 1025), "has a product of more than 1024 factors"),
+                         ("(" * 201 + "T" + ")" * 201, "polynomial nested too deeply")):
+        with pytest.raises(InputError, match=message):
+            polynomial_from_text(bad)
+
+
+# Texts in the polynomial language: literals, T and t, signs, + - *, ^ and ** with a literal
+# exponent, and parentheses, with spaces and tabs between tokens.  Joined as drawn, so a
+# product or a power takes a sum's first or last term, and a sign may open a factor.
+_SPACE = st.sampled_from(["", " ", "\t"])
+POLY_TEXTS = st.recursive(
+    st.sampled_from(["T", "t"]) | st.integers(0, 10 ** 6).map(str),
+    lambda inner: st.one_of(
+        st.tuples(inner, _SPACE, st.sampled_from(["+", "-", "*"]), _SPACE, inner),
+        st.tuples(st.sampled_from(["+", "-"]), _SPACE, inner),
+        st.tuples(st.just("("), inner, st.just(")")),
+        st.tuples(inner, st.sampled_from(["^", "**"]), _SPACE, st.integers(0, 3).map(str)),
+    ).map("".join),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLY_TEXTS)
+def test_polynomial_text_matches_python_evaluation(text):
+    """An independent oracle for the parser: Python's own evaluation of the text at T = 0..len.
+    A text the parser refuses (a power of a power, or past a cap) raises InputError only."""
+    try:
+        coeffs = polynomial_from_text(text)
+    except InputError:
+        return
+    for x in range(len(coeffs) + 1):
+        assert sum(c * x ** i for i, c in enumerate(coeffs)) == eval(
+            text.replace("^", "**"), {"__builtins__": {}}, {"T": x, "t": x})
 
 
 def test_construction_validation():

@@ -11,7 +11,12 @@ median calibration pass (``calibration_ms.p50`` of run.py's diagnostics
 line), so that a pair taken across a change of host speed shows as one;
 then per metric each side's median and quartiles, the pairs the working
 tree won (by the metric's direction in BENCHMARK.json), the median gap and
-REV's interquartile range.  The last line of output is one JSON object: the
+REV's interquartile range.  A metric is marked "worse past bound" when it
+has a ``bound`` in BENCHMARK.json (the end-to-end metrics) and the working
+tree's median is worse than REV's by more than that fraction of it, and
+"gain" when there are at least ten pairs, the working tree won at least
+9 in 10 of them and its median is better by more than REV's interquartile
+range, the rule for claiming a gain.  The last line of output is one JSON object: the
 Python version, the host, and for each workload and seed each side's
 quartiles per metric, under "rev" and "working_tree".  Exits 1 if any run
 exits nonzero, is not correct or has a failed operation.  Standard library
@@ -70,8 +75,21 @@ def host() -> dict:
             "cpu": models[0] if models else platform.processor()}
 
 
-def compare(rev: str, pairs, better) -> dict:
-    """Print the summary table of one workload and seed; return each side's quartiles."""
+def marks(sign, bound, won, count, old, new) -> str:
+    """The marks of one metric's row: its direction ``sign`` (+1 higher is better, -1 lower,
+    None neither), its ``bound`` or None, the pairs the working tree ``won`` of ``count``,
+    and each side's quartiles ``old`` and ``new``."""
+    if not sign:
+        return ""
+    gap = sign * (new[1] - old[1])  # > 0: the working tree's median is better
+    worse = bound is not None and -gap > bound * abs(old[1])
+    gain = count >= 10 and won >= 0.9 * count and gap > old[2] - old[0]
+    return (f", worse past bound {bound:g}" if worse else "") + (", gain" if gain else "")
+
+
+def compare(rev: str, pairs, spec) -> dict:
+    """Print the summary table of one workload and seed; return each side's quartiles.
+    ``spec`` maps each metric's name to its entry in BENCHMARK.json."""
     print(f"  metric: {rev} median [q1, q3] -> working tree median [q1, q3], wins, "
           f"gap, {rev} IQR")
     summary = {}
@@ -79,10 +97,12 @@ def compare(rev: str, pairs, better) -> dict:
         old = [p[0]["metrics"][name]["value"] for p in pairs]
         new = [p[1]["metrics"][name]["value"] for p in pairs]
         (o1, o2, o3), (n1, n2, n3) = quartiles(old), quartiles(new)
-        sign = {"higher": 1, "lower": -1}.get(better.get(name))
+        entry = spec.get(name, {})
+        sign = {"higher": 1, "lower": -1}.get(entry.get("better"))
         won = sum(sign * (b - a) > 0 for a, b in zip(old, new)) if sign else "-"
         print(f"  {name}: {o2:.4g} [{o1:.4g}, {o3:.4g}] -> {n2:.4g} [{n1:.4g}, {n3:.4g}], "
-              f"wins {won}/{len(pairs)}, gap {n2 - o2:+.4g}, IQR {o3 - o1:.4g}")
+              f"wins {won}/{len(pairs)}, gap {n2 - o2:+.4g}, IQR {o3 - o1:.4g}"
+              + marks(sign, entry.get("bound"), won, len(pairs), (o1, o2, o3), (n1, n2, n3)))
         summary[name] = {"unit": pairs[0][0]["metrics"][name]["unit"], "wins": won,
                          "rev": {"q1": o1, "median": o2, "q3": o3},
                          "working_tree": {"q1": n1, "median": n2, "q3": n3}}
@@ -99,7 +119,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     broken = False
     results = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -131,7 +151,7 @@ def main(argv=None) -> int:
                               f"{pair[1]['metrics'][name]['value']:.4g}" for name in shown))
                 if pairs:
                     results.append({"workload": workload, "seed": seed, "pairs": len(pairs),
-                                    "metrics": compare(args.rev, pairs, better)})
+                                    "metrics": compare(args.rev, pairs, metrics)})
     commit = subprocess.run(["git", "rev-parse", args.rev], cwd=ROOT, capture_output=True,
                             text=True).stdout.strip()
     print(json.dumps({"rev": args.rev, "commit": commit, "python": platform.python_version(),
