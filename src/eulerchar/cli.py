@@ -4,10 +4,11 @@ Every command prints a single JSON report on stdout (keys sorted, no
 timestamps, all rationals and prime powers as exact strings) and uses
 stderr for diagnostics.  The report is written by :func:`_json_text`, in the
 bytes ``json.dumps(report, indent=2, sort_keys=True)`` gives, and holds JSON
-types only; an object that a list repeats is written once.  Each subcommand's
-arguments are parsed by its own parser (see :func:`_parse_args`).  Exit codes:
-0 success, 2 input error, 3 precision error, 4 golden-value mismatch (the
-worked-example command only).
+types only; an object that a list repeats is written once.  A well-formed argv
+is read straight from the subcommand table, and argparse handles every other argv,
+help and usage errors included (see :func:`_parse_args`).  Exit codes: 0 success,
+2 input error, 3 precision error, 4 golden-value mismatch (the worked-example
+command only).
 """
 
 from __future__ import annotations
@@ -322,6 +323,44 @@ def _int_option(text: str) -> int:
                                          "the interpreter's digit limit") from None
 
 
+_REQUIRED_INT = {"required": True, "type": _int_option}
+# Each subcommand's help, handler and options, in the order its usage line lists them.  An
+# option is its string and its add_argument keywords; a tuple of options is a required group
+# that takes exactly one of them.  _build_parser builds argparse's parsers from this table,
+# and _read_argv reads a well-formed argv from it.
+_SUBCOMMANDS = {
+    "count-points": ("count points of a curve over F_q", _handle_count_points, [
+        ("--curve", {"required": True, "help": "curve JSON file or inline JSON"}),
+        ("--q", {**_REQUIRED_INT, "help": "prime of good reduction"})]),
+    "euler-factor": ("local Euler factor value and valuation", _handle_euler_factor, [
+        ("--a", _REQUIRED_INT), ("--q", _REQUIRED_INT), ("--p", _REQUIRED_INT)]),
+    "prep": ("Weierstrass preparation of a series", _handle_prep, [
+        ("--series", {"required": True, "help": "series JSON file or inline JSON"})]),
+    "leading": ("leading term of a series", _handle_leading, [
+        ("--series", {"required": True, "help": "series JSON file or inline JSON"})]),
+    "chi-module": ("Euler characteristic of a torsion module", _handle_chi_module, [
+        ("--module", {"required": True, "help": "module JSON file or inline JSON"}),
+        ("--oracle", {"action": "store_true",
+                      "help": "also run the finite-level linear-algebra oracle"}),
+        ("--prec", {"type": _int_option,
+                    "help": "oracle precision exponent (requires --oracle)"})]),
+    "akashi": ("alternating product of characteristic elements", _handle_akashi, [
+        (("--data", {"help": "Akashi JSON file or inline JSON"}),
+         ("--check", {"metavar": "L,M,N", "help": "three files; verify the middle series "
+                                                   "is the product of the outer two"}))]),
+    "split": ("splitting of a prime in the p-th cyclotomic field", _handle_split, [
+        ("--l", _REQUIRED_INT), ("--p", _REQUIRED_INT)]),
+    "inertia-set": ("primes with infinite inertia in the Kummer tower for (p, m)",
+                    _handle_inertia_set, [("--p", _REQUIRED_INT), ("--m", _REQUIRED_INT)]),
+    "theorem3": ("evaluate the product formula from a pipeline document", _handle_theorem, [
+        ("--config", {"required": True, "help": "pipeline JSON file or inline JSON"})]),
+    "example-x1-11": ("run the worked example and compare every intermediate to its "
+                      "expected value", _handle_example, [
+        ("--chi-gamma", {"default": "7^8", "help": "externally supplied cyclotomic-level "
+                                                    "characteristic (default 7^8)"})]),
+}
+
+
 @functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -330,85 +369,79 @@ def _build_parser() -> argparse.ArgumentParser:
                     "power-series preparation, torsion-module invariants, and "
                     "elliptic-curve local Euler factors.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    cp = sub.add_parser("count-points", help="count points of a curve over F_q")
-    cp.add_argument("--curve", required=True, help="curve JSON file or inline JSON")
-    cp.add_argument("--q", required=True, type=_int_option, help="prime of good reduction")
-    cp.set_defaults(handler=_handle_count_points)
-
-    ef = sub.add_parser("euler-factor", help="local Euler factor value and valuation")
-    ef.add_argument("--a", required=True, type=_int_option)
-    ef.add_argument("--q", required=True, type=_int_option)
-    ef.add_argument("--p", required=True, type=_int_option)
-    ef.set_defaults(handler=_handle_euler_factor)
-
-    pr = sub.add_parser("prep", help="Weierstrass preparation of a series")
-    pr.add_argument("--series", required=True, help="series JSON file or inline JSON")
-    pr.set_defaults(handler=_handle_prep)
-
-    le = sub.add_parser("leading", help="leading term of a series")
-    le.add_argument("--series", required=True, help="series JSON file or inline JSON")
-    le.set_defaults(handler=_handle_leading)
-
-    cm = sub.add_parser("chi-module", help="Euler characteristic of a torsion module")
-    cm.add_argument("--module", required=True, help="module JSON file or inline JSON")
-    cm.add_argument("--oracle", action="store_true",
-                    help="also run the finite-level linear-algebra oracle")
-    cm.add_argument("--prec", type=_int_option, default=None,
-                    help="oracle precision exponent (requires --oracle)")
-    cm.set_defaults(handler=_handle_chi_module)
-
-    ak = sub.add_parser("akashi", help="alternating product of characteristic elements")
-    source = ak.add_mutually_exclusive_group(required=True)
-    source.add_argument("--data", help="Akashi JSON file or inline JSON")
-    source.add_argument("--check", metavar="L,M,N",
-                    help="three files; verify the middle series is the product "
-                         "of the outer two")
-    ak.set_defaults(handler=_handle_akashi)
-
-    sp = sub.add_parser("split", help="splitting of a prime in the p-th cyclotomic field")
-    sp.add_argument("--l", required=True, type=_int_option)
-    sp.add_argument("--p", required=True, type=_int_option)
-    sp.set_defaults(handler=_handle_split)
-
-    ins = sub.add_parser("inertia-set", help="primes with infinite inertia in the "
-                                             "Kummer tower for (p, m)")
-    ins.add_argument("--p", required=True, type=_int_option)
-    ins.add_argument("--m", required=True, type=_int_option)
-    ins.set_defaults(handler=_handle_inertia_set)
-
-    th = sub.add_parser("theorem3", help="evaluate the product formula from a "
-                                         "pipeline document")
-    th.add_argument("--config", required=True, help="pipeline JSON file or inline JSON")
-    th.set_defaults(handler=_handle_theorem)
-
-    ex = sub.add_parser("example-x1-11", help="run the worked example and compare "
-                                              "every intermediate to its expected value")
-    ex.add_argument("--chi-gamma", default="7^8", dest="chi_gamma",
-                    help="externally supplied cyclotomic-level characteristic "
-                         "(default 7^8)")
-    ex.set_defaults(handler=_handle_example)
-
-    parser.subcommands = sub.choices  # each subcommand's own parser, by name
+    for name, (help_text, handler, options) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option in options:
+            if isinstance(option[0], str):
+                command.add_argument(option[0], **option[1])
+            else:
+                group = command.add_mutually_exclusive_group(required=True)
+                for string, keywords in option:
+                    group.add_argument(string, **keywords)
+        command.set_defaults(handler=handler)
     return parser
+
+
+def _argv_table(name, handler, options):
+    """One subcommand's option strings, each with its dest and reader (its type, or True for
+    a flag); the namespace's defaults; and the groups of dests that take exactly one."""
+    strings, defaults, required = {}, {"subcommand": name, "handler": handler}, []
+    for option in options:
+        group = (option,) if isinstance(option[0], str) else option
+        for string, keywords in group:
+            dest, flag = string[2:].replace("-", "_"), keywords.get("action") == "store_true"
+            strings[string] = dest, flag or keywords.get("type")
+            defaults[dest] = False if flag else keywords.get("default")
+        if group is option or option[1].get("required"):
+            required.append([strings[string][0] for string, _ in group])
+    return strings, defaults, required
+
+
+_ARGV_TABLES = {name: _argv_table(name, handler, options)
+                for name, (_, handler, options) in _SUBCOMMANDS.items()}
+
+
+def _read_argv(argv: list):
+    """The namespace of a well-formed argv, read from _SUBCOMMANDS; None for any other."""
+    table = _ARGV_TABLES.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    strings, defaults, required = table
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        dest, read = strings.get(token, (None, None))
+        if dest is None or dest in given:
+            return None
+        if read is True:
+            given[dest] = True
+            continue
+        value = next(tokens, None)
+        # every argparse reads "-" then digits as a value; its rule for other "-" values varies
+        if value is None or value[:1] == "-" and not DECIMAL_INT.fullmatch(value):
+            return None
+        if read is not None:
+            try:
+                value = read(value)
+            except argparse.ArgumentTypeError:
+                return None
+        given[dest] = value
+    if any(sum(dest in given for dest in group) != 1 for group in required):
+        return None
+    return argparse.Namespace(**(defaults | given))
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
     """What ``_build_parser().parse_args(argv)`` returns, or the SystemExit it raises.
 
-    The top-level parser hands everything after a subcommand to that subcommand's
-    parser, so a known subcommand's arguments go to its parser directly.  Anything
-    else, and any argument that parser leaves over, takes the top-level route, so
-    help, usage errors and exit codes are the same bytes either way.
+    A well-formed argv is read straight from _SUBCOMMANDS, and no parser is built: a known
+    subcommand, then only its own options, each spelled in full and given once, each
+    value after its option (starting with "-" only as a negative integer) and passing
+    its type, and every required option given.  Every other argv, help included, goes
+    to argparse, so help, usage errors and exit codes are argparse's own.
     """
-    parser = _build_parser()
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    # "--" takes the top-level route: its handling has changed across argparse versions
-    if sub is not None and "--" not in argv:
-        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    args = _read_argv(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -9,10 +10,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from eulerchar.cli import _build_parser, _json_text, _parse_args, main
+from eulerchar.cli import _SUBCOMMANDS, _build_parser, _json_text, _parse_args, main
 from eulerchar.padics import MR_PROVEN_BELOW
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -607,8 +608,7 @@ def test_shape_calls_cover_every_document_reader():
         "akashi --data", "chi-module --module", "count-points --curve", "leading --series",
         "prep --series", "theorem3 --config"]
     # with the option calls, the property below reaches every subcommand
-    assert {argv[0] for argv, _ in SHAPE_CALLS + OPTION_CALLS} == set(
-        _build_parser().subcommands)
+    assert {argv[0] for argv, _ in SHAPE_CALLS + OPTION_CALLS} == set(_SUBCOMMANDS)
 
 
 # derandomized, so that tools/cli_diff.py sees the same calls on both sides of a diff;
@@ -732,6 +732,39 @@ def _parse_outcome(capsys, parse, argv):
         return exc.code, captured.out, captured.err
 
 
+# Each subcommand's option strings, and the flags among them, from the table that both
+# parsing routes read
+OPTIONS = {name: [entry for option in options
+                  for entry in ((option,) if isinstance(option[0], str) else option)]
+           for name, (_, _, options) in _SUBCOMMANDS.items()}
+OPTION_STRINGS = {name: [string for string, _ in options] for name, options in OPTIONS.items()}
+FLAGS = {string for options in OPTIONS.values() for string, keywords in options
+         if keywords.get("action") == "store_true"}
+ARGV_VALUES = ["3", "-3", "-0", "-x", "-", "-1.5", "- 1", "", json.dumps(X1_11), "9" * 5000]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, or an unknown one, then some of its own options, each once and with a
+    value unless a flag; then up to two more items anywhere: an option with or without a
+    value, a prefix or "=" form of one, another subcommand's option, "-h", "--" or a value."""
+    name = draw(st.sampled_from([*OPTION_STRINGS, "no-such-command"]))
+    own = OPTION_STRINGS.get(name) or ["--l"]  # the unknown one is given split's --l
+    other = sorted({s for strings in OPTION_STRINGS.values() for s in strings} - set(own))
+    option, value = st.sampled_from(own), st.sampled_from(ARGV_VALUES)
+    good = st.sampled_from(["3", "-3"]) | value
+    items = [(string,) if string in FLAGS else (string, draw(good))
+             for string in draw(st.permutations(own)) if draw(st.integers(0, 3))]
+    more = st.one_of(
+        st.tuples(option, value), st.tuples(option),
+        st.tuples(st.sampled_from([*other, "-h", "--"]) | value),
+        st.tuples(st.builds(lambda s, k: s[:k], option, st.integers(2, 6))),
+        st.tuples(st.builds("{}={}".format, option, value)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        items.insert(draw(st.integers(0, len(items))), draw(more))
+    return [name, *(token for item in items for token in item)]
+
+
 @pytest.mark.parametrize("argv", [
     [], ["-h"], ["count-points", "-h"], ["no-such-command", "--l", "3"],
     ["split", "--l", "3", "--p", "13", "extra"], ["split", "--l", "3", "--p", "13", "--bogus", "1"],
@@ -742,8 +775,33 @@ def _parse_outcome(capsys, parse, argv):
     ["chi-module", "--module", "{}", "--prec", "x"], ["example-x1-11"],
 ])
 def test_subcommand_parser_gives_what_the_top_level_parser_gives(capsys, argv):
+    """Fixed examples of the property below: _parse_args gives what argparse gives."""
     assert (_parse_outcome(capsys, _parse_args, argv)
             == _parse_outcome(capsys, _build_parser().parse_args, argv))
+
+
+# derandomized, as the mutated-document property above is
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argvs())
+@example(["split", "--l=3", "5", "--p", "13"])  # an "=" form is one token, never an option
+def test_direct_route_gives_what_argparse_gives(capsys, argv):
+    assert (_parse_outcome(capsys, _parse_args, argv)
+            == _parse_outcome(capsys, _build_parser().parse_args, argv))
+
+
+def test_well_formed_calls_take_no_argparse_route(capsys, monkeypatch, tmp_path, count_calls):
+    """Every golden call, a negative value and a flag are read with no argparse parse."""
+    monkeypatch.chdir(tmp_path)
+    for name, content in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(content)
+    calls = [argv for argv, _ in GOLDEN_ARGVS] + [
+        ["euler-factor", "--a", "-2", "--q", "7", "--p", "7"],
+        ["chi-module", "--module", '{"p":7,"generators":["T*(T-7)"]}', "--oracle", "--prec", "10"]]
+    parses = [count_calls(argparse.ArgumentParser, name)
+              for name in ("parse_known_args", "parse_args")]
+    assert [run(capsys, *argv)[0] for argv in calls] == [0] * len(calls)
+    assert parses == [[], []]
 
 
 def test_writer_matches_json_dumps_on_golden_reports():
@@ -792,7 +850,7 @@ def test_reports_leave_no_garbage(capsys, monkeypatch, tmp_path):
     for name, content in GOLDEN_FILES.items():
         (tmp_path / name).write_text(content)
     calls = [argv for argv, _ in GOLDEN_ARGVS]
-    assert {argv[0] for argv in calls} == set(_build_parser().subcommands)
+    assert {argv[0] for argv in calls} == set(_SUBCOMMANDS)
     for argv in calls:
         assert main(argv) == 0  # first calls build the parser and fill module caches
     capsys.readouterr()
