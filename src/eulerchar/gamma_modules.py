@@ -98,19 +98,22 @@ def generalized_chi(module: TorsionModule) -> ChiResult:
 # -- Smith normal form over Z/p^w -------------------------------------------
 
 
-def smith_normal_form(mat: List[List[int]], p: int, w: int):
+def smith_normal_form(mat: List[List[int]], p: int, w: int, transform: bool = False):
     """Diagonalize mat over Z/p^w by unimodular row and column operations.
 
     Returns (exponents, V) with U*mat*V = diag(p^e_0, p^e_1, ...) mod p^w
     for some unimodular U, which is not kept; exponents ascend and are
     capped at w (an exponent of w means the divisor is indistinguishable
-    from zero at this precision).
+    from zero at this precision).  V is None unless ``transform`` is true.
+    Step k's row operations carry the pivot's unit inverse in their
+    multipliers, so the pivot row is never scaled; no later step reads row
+    k's tail, so the column operations that would clear it act on V alone.
     """
     q = p ** w
     m = len(mat)
     n = len(mat[0]) if m else 0
     a = [[x % q for x in row] for row in mat]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transform else None
     exps = []
     for k in range(min(m, n)):
         pivot = None
@@ -134,22 +137,21 @@ def smith_normal_form(mat: List[List[int]], p: int, w: int):
         if j0 != k:
             for row in a:
                 row[k], row[j0] = row[j0], row[k]
-            for row in v:
-                row[k], row[j0] = row[j0], row[k]
+            if transform:
+                for row in v:
+                    row[k], row[j0] = row[j0], row[k]
         pe = p ** e
         unit_inv = pow(a[k][k] // pe, -1, q)
-        a[k] = [(unit_inv * x) % q for x in a[k]]
         for i in range(k + 1, m):
             if a[i][k]:
-                t = a[i][k] // pe
+                t = a[i][k] // pe * unit_inv
                 a[i] = [(x - t * y) % q for x, y in zip(a[i], a[k])]
-        for j in range(k + 1, n):
-            if a[k][j]:
-                t = a[k][j] // pe
-                for row in a:
-                    row[j] = (row[j] - t * row[k]) % q
-                for row in v:
-                    row[j] = (row[j] - t * row[k]) % q
+        if transform:
+            for j in range(k + 1, n):
+                if a[k][j]:
+                    t = unit_inv * a[k][j] % q // pe
+                    for row in v:
+                        row[j] = (row[j] - t * row[k]) % q
         exps.append(e)
     return exps, v
 
@@ -177,9 +179,10 @@ def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiRe
     the T-kernel into the coinvariants by the Smith divisors of the
     augmented matrix [C | kernel basis].  That second Smith form runs only
     for a nonempty T-kernel (P(0) = 0): otherwise the augmented matrix is C
-    itself, and its divisors are the first form's.  The p^mu factor
-    contributes mu to the exponent directly (its cyclic factor has trivial
-    T-kernel and coinvariants of order p^mu).
+    itself, and its divisors are the first form's.  Only that first form,
+    and only for P(0) = 0, builds V, whose saturated columns are the kernel
+    basis.  The p^mu factor contributes mu to the exponent directly (its
+    cyclic factor has trivial T-kernel and coinvariants of order p^mu).
 
     Divisors saturating the cap (exponent >= w) are ambiguous: they are
     either genuine zeros or nonzero values too deep to see at level p^w.
@@ -211,10 +214,10 @@ def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiRe
             raise InputError(f"total lattice rank exceeds {MAX_TOTAL_LAMBDA}")
         w = min(precision_exponent, form.precision)
         c = companion_matrix(form.distinguished_poly, p, w)
-        exps, v = smith_normal_form(c, p, w)
+        t_kernel = form.distinguished_poly[0] == 0
+        exps, v = smith_normal_form(c, p, w, t_kernel)
         kernel_cols = [j for j, e in enumerate(exps) if e >= w]
-        true_kernel_rank = 1 if form.distinguished_poly[0] == 0 else 0
-        if len(kernel_cols) != true_kernel_rank:
+        if len(kernel_cols) != t_kernel:
             raise PrecisionError(f"generator {i}, w = {w}: T-kernel undetermined; raise precision")
         if kernel_cols:  # else [C | ] is C, whose divisors exps holds, none saturated
             aug = [row + [v[k][j] for j in kernel_cols] for k, row in enumerate(c)]

@@ -372,7 +372,8 @@ def distinguished_part(g: LambdaSeries) -> WeierstrassForm:
     product is p^(k+1) * b_k with b_k = a_k * (-G') mod p^(n-k-1), n = N - mu: the
     same integers, on slots that shrink every round, and b_k from T^lambda on,
     shifted down, is a_(k+1).  From round n - 1 on nothing changes, nor from a
-    round whose a_k is 0 at its modulus.
+    round whose a_k is 0 at its modulus.  Round 0's high is 1, so its product
+    is -G' itself, and takes no kernel call.
 
     The rounds also run at the length P needs.  Round k changes P only through
     its product's terms below T^lambda, and a term at T^j reaches there, through
@@ -390,8 +391,9 @@ def distinguished_part(g: LambdaSeries) -> WeierstrassForm:
         m1, t = m // p, min(d, lam * (n - 1))  # t: round 0's length
         g1 = _kronecker([-(c // p) % m1 for c in h[:lam]],
                         _invert_unit([c % m1 for c in h_high[:t]], m1), t, m1)
-        a, k, pk = [1], 0, p  # round k's high is p^k * a, and pk = p^(k+1)
-        while pk < m and any(a):
+        acc = [p * y for y in g1[:lam]]  # round 0: its high is 1, so its product is -G'
+        a, k, pk = [c % (m1 // p) for c in g1[lam:]], 1, p * p  # round k's high is p^k * a
+        while pk < m and any(a):  # pk = p^(k+1)
             mk, t = m // pk, min(d, lam * (n - 1 - k))
             g1 = [c % mk for c in g1[:t]]  # -G' mod p^(n-k-1)
             b = _kronecker(a, g1, t, mk)

@@ -1,3 +1,4 @@
+import inspect
 import random
 from itertools import combinations, permutations
 
@@ -62,6 +63,10 @@ def test_smith_form_hand_example():
     assert mat == [[0, 0], [1, 7]]
     exps, v = smith_normal_form(mat, 7, 10)
     assert exps == [0, 10]
+    # V's column multiplier is (unit_inv * a % p^w) // p^e, here (5 * 3 % 9) // 3 = 2; one
+    # off by a multiple of p^(w - e), such as 5 * 3 // 3, gives another valid V, whose
+    # kernel column the oracle would put in its augmented matrix instead
+    assert smith_normal_form([[6, 3]], 3, 2, True) == ([1], [[1, 7], [0, 1]])
 
 
 def _det(mat):
@@ -95,10 +100,15 @@ def test_smith_form_diagonalizes():
         q = p ** w
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         mat = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-        exps, v = smith_normal_form(mat, p, w)
+        exps, v = smith_normal_form(mat, p, w, True)
+        assert smith_normal_form(mat, p, w) == (exps, None)  # V only when asked for
         assert exps == sorted(exps)
         assert len(exps) == min(rows, cols)
         assert _det(v) % p != 0  # the column transform is invertible over Z_p
+        for j in range(cols):  # mat * V = U^-1 * diag(p^e_j): column j is 0 mod p^e_j
+            e = exps[j] if j < len(exps) else w
+            assert all(sum(row[k] * v[k][j] for k in range(cols)) % q % p ** e == 0
+                       for row in mat)
         for k in range(1, min(rows, cols) + 1):
             least = min(_vp_capped(_det([[mat[i][j] for j in cs] for i in rs]), p, w)
                         for rs in combinations(range(rows), k)
@@ -107,15 +117,24 @@ def test_smith_form_diagonalizes():
 
 
 def test_kernel_columns_annihilate():
-    mat = companion_matrix((0, 7 ** 8 - 7, 1), 7, 8)
-    exps, v = smith_normal_form(mat, 7, 8)
-    q = 7 ** 8
-    for j, e in enumerate(exps):
-        if e < 8:
-            continue
-        col = [v[i][j] for i in range(2)]
-        image = [sum(mat[i][k] * col[k] for k in range(2)) % q for i in range(2)]
-        assert image == [0, 0]
+    """C kills every saturated column of V mod p^w, for the companion matrix C of a
+    distinguished P with P(0) = 0: the hand case T(T-7), then random P of degree <= 8."""
+    rng = random.Random(11)
+    cases = [(7, 8, (0, 7 ** 8 - 7, 1))]
+    for _ in range(200):
+        p, w, lam = rng.choice([2, 3, 5, 7]), rng.randint(1, 8), rng.randint(1, 8)
+        cases.append((p, w, (0,) + tuple(p * rng.randrange(p ** w) for _ in range(lam - 1))
+                      + (1,)))
+    for p, w, poly in cases:
+        q, lam = p ** w, len(poly) - 1
+        mat = companion_matrix(poly, p, w)
+        exps, v = smith_normal_form(mat, p, w, True)
+        saturated = [j for j, e in enumerate(exps) if e >= w]
+        assert saturated  # P(0) = 0: C is singular
+        for j in saturated:
+            col = [v[i][j] for i in range(lam)]
+            assert [sum(mat[i][k] * col[k] for k in range(lam)) % q
+                    for i in range(lam)] == [0] * lam
 
 
 # -- finite-level oracle --------------------------------------------------------
@@ -126,15 +145,28 @@ def test_oracle_hand_example():
     assert result == ChiResult(True, PowerOfP(7, 1), 1)
 
 
+def _asks_for_v(call):
+    """Whether a recorded smith_normal_form call asked for its column transform V."""
+    args, kwargs = (call[:-1], call[-1]) if isinstance(call[-1], dict) else (call, {})
+    return inspect.signature(smith_normal_form).bind(*args, **kwargs).arguments.get(
+        "transform", False)
+
+
 def test_oracle_runs_the_second_smith_form_only_for_a_t_kernel(count_calls):
     """With P(0) != 0 the T-kernel is 0, and [C | kernel basis] is C, so the oracle reuses
-    the first Smith form's divisors; with P(0) = 0 it forms the second."""
+    the first Smith form's divisors and asks for no V; with P(0) = 0 it forms the second,
+    and asks for V in the first form only, whose saturated columns are the kernel basis."""
     forms = count_calls(gamma_modules, "smith_normal_form")
     assert finite_level_oracle(module(7, "T+7"), 10) == ChiResult(True, PowerOfP(7, 1), 0)
-    assert len(forms) == 1
+    assert [_asks_for_v(call) for call in forms] == [False]
     forms.clear()
     assert finite_level_oracle(module(7, "T*(T-7)"), 10) == ChiResult(True, PowerOfP(7, 1), 1)
-    assert len(forms) == 2
+    assert [_asks_for_v(call) for call in forms] == [True, False]
+    forms.clear()
+    mat, q = [[0, 0], [1, 7]], 7 ** 10  # a keyword call is passed through, keywords recorded
+    assert gamma_modules.smith_normal_form(mat, 7, 10, transform=True) == ([0, 10],
+                                                                            [[1, q - 7], [0, 1]])
+    assert forms == [(mat, 7, 10, {"transform": True})] and _asks_for_v(forms[0])
 
 
 def test_oracle_lambda_over_t():

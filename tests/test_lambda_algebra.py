@@ -343,7 +343,7 @@ def test_division_rounds_run_at_shrinking_precision(p, count_calls):
 
 @pytest.mark.parametrize("n, d, lam, mu", [(24, 48, 5, 0), (10, 48, 3, 2), (6, 12, 4, 1)])
 def test_distinguished_part_rounds_run_at_the_length_p_needs(n, d, lam, mu, monkeypatch):
-    """Round k's product is on min(D, lambda * (n - 1 - k)) terms, n = N - mu, and
+    """Round k >= 1's product is on min(D, lambda * (n - 1 - k)) terms, n = N - mu, and
     1/h_high is formed mod T^min(D, lambda * (n - 1)), once; the lifting of the same
     input agrees with the oracle at the precision the input fixes."""
     lengths, inverted = [], []  # d of each product outside an inversion; len of each inverse
@@ -365,9 +365,10 @@ def test_distinguished_part_rounds_run_at_the_length_p_needs(n, d, lam, mu, monk
     monkeypatch.setattr(lambda_algebra, "_invert_unit", recorded_inverse)
     rounds = n - mu - 1
     distinguished_part(g)
-    # 1/h_high, G' on its length, then the rounds
+    # 1/h_high, G' on its length, then the rounds from 1: round 0's product is -G' itself
     assert inverted == [min(d, lam * rounds)]
-    assert lengths == [min(d, lam * rounds)] + [min(d, lam * (rounds - k)) for k in range(rounds)]
+    assert lengths == [min(d, lam * rounds)] + [min(d, lam * (rounds - k))
+                                                for k in range(1, rounds)]
     assert_lifted(weierstrass_prepare(g), g)
 
 

@@ -10,8 +10,10 @@ made it (its pytest id without the [...] parameters, which may carry an
 expected message) and the argv.  Both runs use the same --basetemp, so
 temporary paths in argv and messages match.  Prints each call whose distinct
 records differ (a call that a test repeats on one side only is no difference),
-and each call made on one side only up to SHOWN per test and side, then their
-count; exits 1 if there is any.  Standard library only.
+and each call made on one side only up to SHOWN per test and side; then the
+number of calls that differ, of calls made only at REV and of calls made
+only in the working tree.  Exits 1 if any of the three is nonzero.  Standard
+library only.
 """
 
 import contextlib
@@ -100,6 +102,7 @@ def main(rev: str) -> int:
             print(f"differs: {name}")
             print("\n".join(difflib.unified_diff(_text(old[key]), _text(new[key]), rev,
                                                  "working tree", lineterm="")))
+            differ += 1
         else:
             side = f"at {rev}" if key in old else "in the working tree"
             seen = one_sided[test, side] = one_sided.get((test, side), 0) + 1
@@ -107,12 +110,13 @@ def main(rev: str) -> int:
                 print(f"only {side}: {name}")
                 if key in new:
                     print("\n".join("    " + line for line in _text(new[key])))
-        differ += 1
     for (test, side), count in sorted(one_sided.items()):
         if count > SHOWN:
             print(f"only {side}: {count - SHOWN} more calls of {test}")
-    print(f"{len(old.keys() | new.keys())} distinct (test, argv) calls, {differ} not identical")
-    return 1 if differ else 0
+    only_old, only_new = len(old.keys() - new.keys()), len(new.keys() - old.keys())
+    print(f"{len(old.keys() | new.keys())} distinct (test, argv) calls: {differ} differ, "
+          f"{only_old} only at {rev}, {only_new} only in the working tree")
+    return 1 if differ or only_old or only_new else 0
 
 
 if __name__ == "__main__":
