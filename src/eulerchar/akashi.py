@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .errors import InputError, PrecisionError
 from .lambda_algebra import (LambdaSeries, distinguished_part, leading_term, mu_lambda,
                              series_list_from_doc)
-from .padics import PowerOfP, Record
+from .padics import PowerOfP, Record, quoted
 
 
 class AkashiData(Record):
@@ -136,8 +136,10 @@ def coranks_consistent(data: AkashiData, coranks: list, k: int) -> bool:
     reproduces k.
     """
     if len(coranks) != len(data.char_elements):
-        raise InputError("need one corank per homological degree")
-    if any(c < 0 for c in coranks):
-        raise InputError("coranks must be nonnegative")
+        raise InputError(f"need one corank per homological degree: {len(coranks)} given, "
+                         f"{len(data.char_elements)} needed")
+    for i, c in enumerate(coranks):
+        if c < 0:
+            raise InputError(f"coranks must be nonnegative: corank {i} is {quoted(c)}")
     alternating = sum(c if i % 2 == 0 else -c for i, c in enumerate(coranks))
     return alternating == k

@@ -8,8 +8,8 @@ is all the downstream product formula needs.
 For a Kummer-tower extension determined by (p, m) -- adjoin all p-power
 roots of unity and of m -- the rational primes whose inertia stays
 infinite are exactly the divisors of p*m, so the place set the product
-formula runs over is computable.  For any other extension shape the caller
-must supply the place list explicitly; this module does not guess.
+formula runs over is computable.  No other extension shape is modeled, and
+this module does not guess a place set for one.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, NamedTuple
 
 from .errors import InputError
-from .padics import MAX_VALUE, Record, check_prime, power_below_bound, prime_factors
+from .padics import MAX_VALUE, Record, check_prime, power_below_bound, prime_factors, quoted
 
 
 class SplittingData(NamedTuple):
@@ -101,12 +101,12 @@ class ExtensionSpec(Record):
     def __init__(self, p: int, m: int):
         check_prime(p)
         if p < 5:
-            raise InputError("extension prime must be >= 5")
+            raise InputError(f"extension prime must be >= 5, got p = {p}")
         if type(m) is not int:  # exact type, as in documents: no float and no bool
             raise InputError(f"invalid extension parameter: m must be an int, "
                              f"got {type(m).__name__}")
         if m <= 1:
-            raise InputError("invalid extension parameter: m must be >= 2")
+            raise InputError(f"invalid extension parameter: m must be >= 2, got {quoted(m)}")
         if m >= MAX_VALUE:
             raise InputError("invalid extension parameter: m passes the bound 10^2000")
         if _is_perfect_power(m, p):

@@ -50,7 +50,8 @@ def local_cardinalities(c_v: int, local: CurveLocalData, p: int) -> LocalCardina
     negative implied exponent is surfaced as an error, never clamped.
     """
     if c_v < 1:
-        raise InputError("Tamagawa number must be a positive integer")
+        raise InputError(f"Tamagawa number must be a positive integer: c_v = {quoted(c_v)} "
+                         f"at the place with q_v = {quoted(local.q)}")
     v_c = int_valuation(c_v, p)
     v_l = local.euler_valuation_at_p
     if v_l - v_c < 0:

@@ -12,11 +12,12 @@ invariants-vs-coinvariants Euler characteristic:
 
 * :func:`finite_level_oracle` -- linear algebra at finite level.  Each
   factor becomes a lattice with basis 1, T, ..., T^(lambda-1) on which T
-  acts by the companion matrix of the distinguished part; kernel and
-  cokernel of that action are read off a Smith normal form over Z/p^a, and
-  the evaluation map from a nonzero T-kernel into the T-coinvariants is
-  sized by a second Smith form.  No f(0) is ever evaluated, which is what
-  makes the agreement of the two routes a real check.
+  acts by the companion matrix C of the distinguished part P.  The
+  T-kernel is 0 when P(0) != 0 and spanned by P/T when P(0) = 0, so one
+  Smith normal form over Z/p^a per factor, of C or of [C | P/T], sizes the
+  evaluation map from the T-kernel into the T-coinvariants.  No f(0) is
+  ever evaluated, which is what makes the agreement of the two routes a
+  real check.
 """
 
 from __future__ import annotations
@@ -98,22 +99,21 @@ def generalized_chi(module: TorsionModule) -> ChiResult:
 # -- Smith normal form over Z/p^w -------------------------------------------
 
 
-def smith_normal_form(mat: List[List[int]], p: int, w: int, transform: bool = False):
-    """Diagonalize mat over Z/p^w by unimodular row and column operations.
+def smith_normal_form(mat: List[List[int]], p: int, w: int) -> List[int]:
+    """Exponents of the Smith divisors of mat over Z/p^w.
 
-    Returns (exponents, V) with U*mat*V = diag(p^e_0, p^e_1, ...) mod p^w
-    for some unimodular U, which is not kept; exponents ascend and are
+    Returns e_0 <= e_1 <= ... with U*mat*V = diag(p^e_0, p^e_1, ...) mod p^w
+    for some unimodular U and V, neither of which is kept; exponents are
     capped at w (an exponent of w means the divisor is indistinguishable
-    from zero at this precision).  V is None unless ``transform`` is true.
-    Step k's row operations carry the pivot's unit inverse in their
-    multipliers, so the pivot row is never scaled; no later step reads row
-    k's tail, so the column operations that would clear it act on V alone.
+    from zero at this precision).  Step k swaps a pivot of least valuation
+    into place and clears column k below it; the row multipliers carry the
+    pivot's unit inverse, so the pivot row is never scaled, and no later
+    step reads row k's tail, so no column operation is made.
     """
     q = p ** w
     m = len(mat)
     n = len(mat[0]) if m else 0
     a = [[x % q for x in row] for row in mat]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transform else None
     exps = []
     for k in range(min(m, n)):
         pivot = None
@@ -137,23 +137,14 @@ def smith_normal_form(mat: List[List[int]], p: int, w: int, transform: bool = Fa
         if j0 != k:
             for row in a:
                 row[k], row[j0] = row[j0], row[k]
-            if transform:
-                for row in v:
-                    row[k], row[j0] = row[j0], row[k]
         pe = p ** e
         unit_inv = pow(a[k][k] // pe, -1, q)
         for i in range(k + 1, m):
             if a[i][k]:
                 t = a[i][k] // pe * unit_inv
                 a[i] = [(x - t * y) % q for x, y in zip(a[i], a[k])]
-        if transform:
-            for j in range(k + 1, n):
-                if a[k][j]:
-                    t = unit_inv * a[k][j] % q // pe
-                    for row in v:
-                        row[j] = (row[j] - t * row[k]) % q
         exps.append(e)
-    return exps, v
+    return exps
 
 
 def companion_matrix(poly, p: int, w: int) -> List[List[int]]:
@@ -173,28 +164,28 @@ def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiRe
 
     Per factor: read the distinguished part p^mu * P of the generator
     g = p^mu * P * U (the unit U does not change Lambda/(g)), realize P as
-    its companion lattice, compute kernel and cokernel of multiplication
-    by T via Smith normal form over Z/p^w
-    (w = min(a, available coefficient precision)), and size the map from
-    the T-kernel into the coinvariants by the Smith divisors of the
-    augmented matrix [C | kernel basis].  That second Smith form runs only
-    for a nonempty T-kernel (P(0) = 0): otherwise the augmented matrix is C
-    itself, and its divisors are the first form's.  Only that first form,
-    and only for P(0) = 0, builds V, whose saturated columns are the kernel
-    basis.  The p^mu factor contributes mu to the exponent directly (its
-    cyclic factor has trivial T-kernel and coinvariants of order p^mu).
+    its companion lattice, on which T acts by the companion matrix C, and
+    size the map from the T-kernel into the coinvariants by the Smith
+    divisors of [C | kernel basis] over Z/p^w (w = min(a, available
+    coefficient precision)): one Smith form per factor.  If P(0) != 0 the
+    kernel is 0 and the matrix is C.  If P(0) = 0 the kernel is exactly
+    (Z/p^w)*(P/T): for x of degree < lambda, T*x = c*P by degree, and T is
+    no zero divisor.  (A Smith form of C alone would find exactly one
+    saturated divisor there, as C's row 0 is zero and its first lambda - 1
+    columns are unit vectors, so no check of that count could fail.)  The
+    p^mu factor contributes mu to the exponent directly (its cyclic factor
+    has trivial T-kernel and coinvariants of order p^mu).
 
     Divisors saturating the cap (exponent >= w) are ambiguous: they are
     either genuine zeros or nonzero values too deep to see at level p^w.
     The prepared polynomial's own coefficients, which are known to the
-    series' full precision, disambiguate: a saturated companion divisor is
-    only accepted as a true T-kernel direction if the polynomial's constant
-    term vanishes at full precision, and a saturated evaluation-map divisor
-    is only accepted as genuine non-finiteness if the polynomial is
-    divisible by T^2 at full precision.  Anything else raises the
-    raise-precision error, so the oracle never silently disagrees with the
-    closed form.  Factors that are a unit times a pure power of p have no
-    faithful finite-rank lattice and are refused.
+    series' full precision, disambiguate: a saturated divisor of C means a
+    T-kernel that P(0) != 0 rules out, and a saturated divisor of [C | P/T]
+    is only accepted as genuine non-finiteness if P is divisible by T^2 at
+    full precision.  Anything else raises the raise-precision error, so the
+    oracle never silently disagrees with the closed form.  Factors that are
+    a unit times a pure power of p have no faithful finite-rank lattice and
+    are refused.
     """
     if precision_exponent < 1:
         raise InputError(f"precision_exponent must be >= 1, got {precision_exponent}")
@@ -213,20 +204,20 @@ def finite_level_oracle(module: TorsionModule, precision_exponent: int) -> ChiRe
         if total_lambda > MAX_TOTAL_LAMBDA:
             raise InputError(f"total lattice rank exceeds {MAX_TOTAL_LAMBDA}")
         w = min(precision_exponent, form.precision)
-        c = companion_matrix(form.distinguished_poly, p, w)
-        t_kernel = form.distinguished_poly[0] == 0
-        exps, v = smith_normal_form(c, p, w, t_kernel)
-        kernel_cols = [j for j, e in enumerate(exps) if e >= w]
-        if len(kernel_cols) != t_kernel:
-            raise PrecisionError(f"generator {i}, w = {w}: T-kernel undetermined; raise precision")
-        if kernel_cols:  # else [C | ] is C, whose divisors exps holds, none saturated
-            aug = [row + [v[k][j] for j in kernel_cols] for k, row in enumerate(c)]
-            exps, _ = smith_normal_form(aug, p, w)
-            if any(e >= w for e in exps):
-                if form.distinguished_poly[0] == form.distinguished_poly[1] == 0:  # T^2 | P
-                    return ChiResult(finite=False)
-                raise PrecisionError(f"generator {i}, w = {w}: evaluation map undetermined; "
+        poly = form.distinguished_poly
+        aug = companion_matrix(poly, p, w)
+        t_kernel = poly[0] == 0
+        if t_kernel:  # ker T = (Z/p^w)*(P/T); the Smith form reduces P/T mod p^w
+            aug = [row + [poly[k + 1]] for k, row in enumerate(aug)]
+        exps = smith_normal_form(aug, p, w)
+        if any(e >= w for e in exps):
+            if not t_kernel:
+                raise PrecisionError(f"generator {i}, w = {w}: T-kernel undetermined; "
                                      "raise precision")
+            if poly[1] == 0:  # T^2 | P
+                return ChiResult(finite=False)
+            raise PrecisionError(f"generator {i}, w = {w}: evaluation map undetermined; "
+                                 "raise precision")
         exponent += form.mu + sum(exps)
-        r += len(kernel_cols)
+        r += t_kernel
     return ChiResult(True, PowerOfP(p, exponent), r)

@@ -344,7 +344,8 @@ QUICK_INERTIA_REFUSALS = [
      "generator 1 is indistinguishable from zero at precision"),
     (["chi-module", "--oracle", "--module", '{"p":7,"generators":["T","49"]}'], 2,
      "component not oracle-representable: generator 1 is a unit times p^mu = 7^2"),
-    (["inertia-set", "--p", "7", "--m", "1"], 2, "invalid extension parameter: m must be >= 2"),
+    (["inertia-set", "--p", "7", "--m", "1"], 2,
+     "invalid extension parameter: m must be >= 2, got 1"),
     (["theorem3", "--config", pipeline(extension={"p": 5, "m": 113})], 2,
      "extension prime disagrees with working prime: 'extension.p' = 5, 'p' = 7"),
     # a key no reader uses would be echoed into the report, a float or NaN included
@@ -379,15 +380,15 @@ QUICK_INERTIA_REFUSALS = [
     (["count-points", "--curve", '{"a":["0","0","0","-1","0"]}', "--q", str(10 ** 16 + 61)], 2,
      "point counting capped at q <= 10000000000000000"),
     # refusals that library tests reach, each through the CLI as well
-    (["inertia-set", "--p", "3", "--m", "2"], 2, "extension prime must be >= 5"),
+    (["inertia-set", "--p", "3", "--m", "2"], 2, "extension prime must be >= 5, got p = 3"),
     (["inertia-set", "--p", "7", "--m", "128"], 2,
      "invalid extension parameter: m is a perfect p-th power"),
     (["theorem3", "--config", pipeline(tamagawa={"113": 0})], 2,
-     "Tamagawa number must be a positive integer"),
+     "Tamagawa number must be a positive integer: c_v = 0 at the place with q_v = 113"),
     (["akashi", "--data", '{"p":7,"char_elements":["T"],"coranks":[1,0]}'], 2,
-     "need one corank per homological degree"),
+     "need one corank per homological degree: 2 given, 1 needed"),
     (["akashi", "--data", '{"p":7,"char_elements":["T"],"coranks":[-1]}'], 2,
-     "coranks must be nonnegative"),
+     "coranks must be nonnegative: corank 0 is -1"),
     (["prep", "--series", '{"p":7,"N":0,"D":4,"coeffs":[1]}'], 2,
      "malformed series document: 'N' and 'D' must be >= 1"),
     (["prep", "--series", '{"p":7,"N":4,"D":4,"poly":5}'], 2,
@@ -491,6 +492,9 @@ QUICK_INERTIA_REFUSALS = [
      "unsupported expression in polynomial 'T^0x2'"),
     (["leading", "--series", '{"p":7,"N":4,"D":4,"poly":"\U0001d447^2"}'], 2,
      "unsupported expression in polynomial '\U0001d447^2'"),
+    # l = 2 has residue degree 3 at p = 7, so q_v = 8
+    (["theorem3", "--config", pipeline(extension={"p": 7, "m": 226}, tamagawa={"2": -1})], 2,
+     "Tamagawa number must be a positive integer: c_v = -1 at the place with q_v = 8"),
 ])
 def test_input_errors_exit_with_a_message(capsys, monkeypatch, tmp_path, argv, code, message):
     monkeypatch.chdir(tmp_path)

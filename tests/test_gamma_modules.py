@@ -1,6 +1,5 @@
-import inspect
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -61,12 +60,9 @@ def test_smith_form_hand_example():
     # companion matrix of T(T-7), worked by hand: divisors 1 and ~0
     mat = companion_matrix((0, 7 ** 10 - 7, 1), 7, 10)
     assert mat == [[0, 0], [1, 7]]
-    exps, v = smith_normal_form(mat, 7, 10)
-    assert exps == [0, 10]
-    # V's column multiplier is (unit_inv * a % p^w) // p^e, here (5 * 3 % 9) // 3 = 2; one
-    # off by a multiple of p^(w - e), such as 5 * 3 // 3, gives another valid V, whose
-    # kernel column the oracle would put in its augmented matrix instead
-    assert smith_normal_form([[6, 3]], 3, 2, True) == ([1], [[1, 7], [0, 1]])
+    assert smith_normal_form(mat, 7, 10) == [0, 10]
+    # with the T-kernel's basis P/T = T - 7 beside it, the divisors are 1 and 7
+    assert smith_normal_form([[0, 0, 7 ** 10 - 7], [1, 7, 1]], 7, 10) == [0, 1]
 
 
 def _det(mat):
@@ -92,23 +88,25 @@ def _vp_capped(n, p, w):
 
 def test_smith_form_diagonalizes():
     # Determinantal divisors: e_0 + ... + e_(k-1) is the least v_p over all
-    # k x k minors, a characterization independent of the elimination.
+    # k x k minors, a characterization independent of the elimination.  Random
+    # matrices, then the oracle's augmented matrices [C | P/T].
     rng = random.Random(5)
+    cases = []
     for _ in range(60):
         p = rng.choice([3, 5, 7])
         w = rng.randint(2, 6)
-        q = p ** w
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        mat = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-        exps, v = smith_normal_form(mat, p, w, True)
-        assert smith_normal_form(mat, p, w) == (exps, None)  # V only when asked for
+        cases.append((p, w, [[rng.randrange(p ** w) for _ in range(cols)] for _ in range(rows)]))
+    for _ in range(100):
+        p, w, lam = rng.choice([2, 3, 5, 7]), rng.randint(1, 6), rng.randint(1, 4)
+        poly = (0,) + tuple(p * rng.randrange(p ** w) for _ in range(lam - 1)) + (1,)  # P(0) = 0
+        cases.append((p, w, [row + [poly[k + 1]]
+                             for k, row in enumerate(companion_matrix(poly, p, w))]))
+    for p, w, mat in cases:
+        rows, cols = len(mat), len(mat[0])
+        exps = smith_normal_form(mat, p, w)
         assert exps == sorted(exps)
         assert len(exps) == min(rows, cols)
-        assert _det(v) % p != 0  # the column transform is invertible over Z_p
-        for j in range(cols):  # mat * V = U^-1 * diag(p^e_j): column j is 0 mod p^e_j
-            e = exps[j] if j < len(exps) else w
-            assert all(sum(row[k] * v[k][j] for k in range(cols)) % q % p ** e == 0
-                       for row in mat)
         for k in range(1, min(rows, cols) + 1):
             least = min(_vp_capped(_det([[mat[i][j] for j in cs] for i in rs]), p, w)
                         for rs in combinations(range(rows), k)
@@ -116,25 +114,19 @@ def test_smith_form_diagonalizes():
             assert min(w, sum(exps[:k])) == least
 
 
-def test_kernel_columns_annihilate():
-    """C kills every saturated column of V mod p^w, for the companion matrix C of a
-    distinguished P with P(0) = 0: the hand case T(T-7), then random P of degree <= 8."""
+def test_t_kernel_is_spanned_by_p_over_t():
+    """For the companion matrix C of a monic P with P(0) = 0, the vectors that C kills mod
+    p^w are exactly the multiples of P/T, by brute force over every vector, p^w <= 27."""
     rng = random.Random(11)
-    cases = [(7, 8, (0, 7 ** 8 - 7, 1))]
-    for _ in range(200):
-        p, w, lam = rng.choice([2, 3, 5, 7]), rng.randint(1, 8), rng.randint(1, 8)
-        cases.append((p, w, (0,) + tuple(p * rng.randrange(p ** w) for _ in range(lam - 1))
-                      + (1,)))
-    for p, w, poly in cases:
-        q, lam = p ** w, len(poly) - 1
-        mat = companion_matrix(poly, p, w)
-        exps, v = smith_normal_form(mat, p, w, True)
-        saturated = [j for j, e in enumerate(exps) if e >= w]
-        assert saturated  # P(0) = 0: C is singular
-        for j in saturated:
-            col = [v[i][j] for i in range(lam)]
-            assert [sum(mat[i][k] * col[k] for k in range(lam)) % q
-                    for i in range(lam)] == [0] * lam
+    for p, w in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]:
+        q = p ** w
+        for lam in (1, 2, 3):
+            for _ in range(2):
+                poly = (0,) + tuple(rng.randrange(q) for _ in range(lam - 1)) + (1,)
+                mat = companion_matrix(poly, p, w)
+                killed = {x for x in product(range(q), repeat=lam)
+                          if all(sum(c * y for c, y in zip(row, x)) % q == 0 for row in mat)}
+                assert killed == {tuple(c * y % q for y in poly[1:]) for c in range(q)}
 
 
 # -- finite-level oracle --------------------------------------------------------
@@ -145,28 +137,15 @@ def test_oracle_hand_example():
     assert result == ChiResult(True, PowerOfP(7, 1), 1)
 
 
-def _asks_for_v(call):
-    """Whether a recorded smith_normal_form call asked for its column transform V."""
-    args, kwargs = (call[:-1], call[-1]) if isinstance(call[-1], dict) else (call, {})
-    return inspect.signature(smith_normal_form).bind(*args, **kwargs).arguments.get(
-        "transform", False)
-
-
-def test_oracle_runs_the_second_smith_form_only_for_a_t_kernel(count_calls):
-    """With P(0) != 0 the T-kernel is 0, and [C | kernel basis] is C, so the oracle reuses
-    the first Smith form's divisors and asks for no V; with P(0) = 0 it forms the second,
-    and asks for V in the first form only, whose saturated columns are the kernel basis."""
+def test_oracle_runs_one_smith_form_per_generator(count_calls):
+    """With P(0) != 0 the T-kernel is 0, and the oracle's one Smith form is of C; with
+    P(0) = 0 the kernel is spanned by P/T, and its one Smith form is of [C | P/T]."""
     forms = count_calls(gamma_modules, "smith_normal_form")
     assert finite_level_oracle(module(7, "T+7"), 10) == ChiResult(True, PowerOfP(7, 1), 0)
-    assert [_asks_for_v(call) for call in forms] == [False]
+    assert [(len(mat), len(mat[0])) for mat, _, _ in forms] == [(1, 1)]
     forms.clear()
     assert finite_level_oracle(module(7, "T*(T-7)"), 10) == ChiResult(True, PowerOfP(7, 1), 1)
-    assert [_asks_for_v(call) for call in forms] == [True, False]
-    forms.clear()
-    mat, q = [[0, 0], [1, 7]], 7 ** 10  # a keyword call is passed through, keywords recorded
-    assert gamma_modules.smith_normal_form(mat, 7, 10, transform=True) == ([0, 10],
-                                                                            [[1, q - 7], [0, 1]])
-    assert forms == [(mat, 7, 10, {"transform": True})] and _asks_for_v(forms[0])
+    assert forms == [([[0, 0, 7 ** 8 - 7], [1, 7, 1]], 7, 8)]  # w = N = 8, P/T = T - 7
 
 
 def test_oracle_lambda_over_t():

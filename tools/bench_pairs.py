@@ -8,8 +8,11 @@ perfbench/run.py from that export and from the working tree, PAIRS times
 each.  The side that runs first alternates: REV first in odd pairs, the
 working tree first in even ones.  Prints every pair, with each run's
 median calibration pass (``calibration_ms.p50`` of run.py's diagnostics
-line), so that a pair taken across a change of host speed shows as one;
-then per metric each side's median and quartiles, the pairs the working
+line), so that a pair taken across a change of host speed shows as one.
+A traced run's per-layer ``*.self_ms`` metrics are raw wall times, so each
+is scaled to the calibration's reference speed by that run's median
+calibration pass, as run.py scales its rates, before any comparison.  Then
+it prints per metric each side's median and quartiles, the pairs the working
 tree won (by the metric's direction in BENCHMARK.json), the median gap and
 REV's interquartile range.  A metric is marked "worse past bound" when it
 has a ``bound`` in BENCHMARK.json (the end-to-end metrics) and the working
@@ -33,6 +36,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from calib import REFERENCE_NS  # noqa: E402
 
 
 def quartiles(values):
@@ -50,7 +56,8 @@ def quartiles(values):
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
     """The result line of one benchmark run from ``tree``, with its median calibration
-    pass in ms under "calibration_p50_ms", or None when the run broke."""
+    pass in ms under "calibration_p50_ms" and its self times scaled by that pass, or None
+    when the run broke."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
                            "--trace", str(trace)], cwd=tree, capture_output=True, text=True)
@@ -59,7 +66,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
         print(f"  {tree}: exit {done.returncode}\n{done.stderr[-2000:]}")
         return None
     result = json.loads(lines[-1])
-    result["calibration_p50_ms"] = json.loads(lines[-2])["diagnostics"]["calibration_ms"]["p50"]
+    calib_ms = json.loads(lines[-2])["diagnostics"]["calibration_ms"]["p50"]
+    result["calibration_p50_ms"] = calib_ms
+    for name, metric in result["metrics"].items():
+        if name.endswith(".self_ms"):
+            metric["value"] *= REFERENCE_NS / 1e6 / calib_ms
     if result["correct"] is not True or result["failed"]:
         print(f"  {tree}: correct {result['correct']}, failed {result['failed']}")
     return result
